@@ -6,6 +6,14 @@ resumed when they fire.  It is deliberately minimal — just enough to
 model an I/O stack — and fully deterministic: events scheduled for the
 same instant fire in schedule order.
 
+The queue has two parts.  A wake-up due at the current instant (a
+zero-delay trigger, a process start, a resume after an already-fired
+event) goes on a FIFO; any later one goes on a heap ordered by
+``(time, schedule order)``.  When the clock advances, the heap entries
+due at the new instant move to the FIFO in schedule order, ahead of
+anything pushed from then on, so the two parts together fire exactly
+in ``(time, schedule order)``.
+
 Example
 -------
 >>> sim = Simulator()
@@ -20,7 +28,8 @@ Example
 [(1.0, 'b'), (2.0, 'a')]
 """
 
-import heapq
+from collections import deque
+from heapq import heappop, heappush
 from itertools import count
 
 from ..telemetry.hub import Telemetry
@@ -101,9 +110,17 @@ class Event:
 
     def _process(self):
         self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for callback in callbacks:
+                callback(self)
+
+
+#: The wake a new process is queued with: an already-processed outcome of
+#: ``None``, so starting the generator is resuming it with ``send(None)``.
+_START = Event(None)
+_START._state = _PROCESSED
 
 
 class Timeout(Event):
@@ -114,8 +131,12 @@ class Timeout(Event):
     def __init__(self, sim, delay, value=None):
         if delay < 0:
             raise SimulationError("negative timeout: %r" % delay)
-        super().__init__(sim)
+        # Timeouts are the most common event: set the fields here rather
+        # than through Event.__init__.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._state = _TRIGGERED
         sim._push(self, delay)
 
@@ -138,45 +159,90 @@ class Process(Event):
     The process itself is an event: it triggers with the generator's
     return value, or fails with its uncaught exception, so processes can
     wait on each other.
+
+    It is also its own queue entry.  While the process is alive, an entry
+    *wakes* it, resuming the generator with the outcome held in
+    ``_wake``: :data:`_START` for the first resume, or the event yielded
+    when that event had already fired.  Once the process has finished,
+    its entry fires its waiters as any event's does.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "span")
+    __slots__ = ("_generator", "_waiting_on", "_wake", "_cancelled", "span")
 
     def __init__(self, sim, generator):
-        super().__init__(sim)
         if not hasattr(generator, "send"):
             raise SimulationError("process requires a generator, got %r" % (generator,))
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = _PENDING
         self._generator = generator
         self._waiting_on = None
+        # Queued wakes that interrupt() cancelled; each still fires (and
+        # counts as a processed event) but does nothing.
+        self._cancelled = 0
         # Telemetry span context: a spawned process inherits the span of
         # whoever spawned it, so causality follows process fan-out.
         creator = sim._active_process
         self.span = creator.span if creator is not None \
             else sim.telemetry._ambient
-        # Kick off at the current instant (deterministically ordered).
-        bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        # Start at the current instant (deterministically ordered).
+        self._wake = _START
+        sim._push(self, 0.0)
 
     @property
     def is_alive(self):
         return self._state == _PENDING
 
     def interrupt(self, cause=None):
-        """Throw :class:`Interrupted` into the process at the current instant."""
-        if not self.is_alive:
+        """Throw :class:`Interrupted` into the process at the current instant.
+
+        The process is stopped at once: a queued wake is cancelled and it
+        is unhooked from the event it waits on, so nothing resumes it
+        before the interrupt arrives.  The interrupt arrives as a queue
+        entry of its own, in schedule order.  A process that has not
+        started yet gets the exception before running any of its code.
+        """
+        if self._state != _PENDING:
             return
-        target = self._waiting_on
-        if target is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._waiting_on = None
+        self._unhook()
         poke = Event(self.sim)
-        poke.callbacks.append(lambda event: self._throw(Interrupted(cause)))
+        poke.callbacks.append(lambda event: self._deliver(Interrupted(cause)))
         poke.succeed()
 
-    def _throw(self, exception):
-        if not self.is_alive:
+    def _unhook(self):
+        """Make sure no queued wake or waited-on event resumes the process."""
+        if self._wake is not None:
+            self._wake = None
+            self._cancelled += 1
+        target = self._waiting_on
+        if target is not None:
+            self._waiting_on = None
+            if self._resume in target.callbacks:
+                target.callbacks.remove(self._resume)
+
+    def _deliver(self, exception):
+        if self._state != _PENDING:
             return
+        # An interrupt delivered earlier in this instant may have let the
+        # process wait again; this one unwinds that wait.
+        self._unhook()
+        self._throw(exception)
+
+    def _process(self):
+        if self._cancelled:
+            # Cancelled wakes are always older than the process's live
+            # entry, so the FIFO brings them up first.
+            self._cancelled -= 1
+        elif self._state == _PENDING:
+            wake = self._wake
+            self._wake = None
+            self._resume(wake)
+        else:
+            Event._process(self)
+
+    def _throw(self, exception):
         sim = self.sim
         previous = sim._active_process
         sim._active_process = self
@@ -212,22 +278,22 @@ class Process(Event):
                 return
         finally:
             sim._active_process = previous
-        self._wait_on(result)
+        if isinstance(result, Event) and result._state != _PROCESSED:
+            # The common case, inline: wait on an event yet to fire.
+            result.callbacks.append(self._resume)
+            self._waiting_on = result
+        else:
+            self._wait_on(result)
 
     def _wait_on(self, result):
         if not isinstance(result, Event):
             self._throw(SimulationError("process yielded a non-event: %r" % (result,)))
             return
-        if result.processed:
-            # Already fired: resume on a fresh zero-delay event carrying
-            # the same outcome so ordering stays deterministic.
-            relay = Event(self.sim)
-            relay.callbacks.append(self._resume)
-            if result._ok:
-                relay.succeed(result._value)
-            else:
-                relay.fail(result._value)
-            self._waiting_on = relay
+        if result._state == _PROCESSED:
+            # Already fired: queue the process itself to resume with the
+            # same outcome, so ordering stays deterministic.
+            self._wake = result
+            self.sim._push(self, 0.0)
         else:
             result.callbacks.append(self._resume)
             self._waiting_on = result
@@ -313,7 +379,7 @@ class AnyOf(Event):
 
 
 class Simulator:
-    """The event loop: a clock plus a priority queue of triggered events.
+    """The event loop: a clock plus a queue of triggered events.
 
     ``telemetry`` is the observability hub every layer reports into
     (:mod:`repro.telemetry`); when omitted a disabled hub is installed,
@@ -323,12 +389,15 @@ class Simulator:
 
     def __init__(self, telemetry=None):
         self.now = 0.0
+        # Entries due now, in schedule order; later ones on the heap.
+        self._queue = deque()
         self._heap = []
         self._sequence = count()
         self._stopped = False
         self._active_process = None
         # Determinism fingerprint: two runs of the same seeded world must
-        # process the same number of events in the same order.  Replay
+        # process the same number of events in the same order.  It counts
+        # queue entries: one per wake-up, cancelled ones included.  Replay
         # harnesses compare this cheap counter to detect divergence.
         self.processed_events = 0
         # Probe-sampling hook: armed only when an enabled hub has probes
@@ -353,10 +422,21 @@ class Simulator:
 
     def _arm_telemetry_tick(self):
         self._tick = self.telemetry._on_clock_advance
+        if self._profiler is not None:
+            # The profiler charges probe sampling to telemetry, not to
+            # the event whose step advanced the clock.
+            self._tick = self._profiler._timed_tick(self._tick)
 
     # --- scheduling -----------------------------------------------------
     def _push(self, event, delay):
-        heapq.heappush(self._heap, (self.now + delay, next(self._sequence), event))
+        now = self.now
+        when = now + delay
+        if when == now:
+            # Due now (a delay can vanish in the float addition): after
+            # everything already queued for this instant.
+            self._queue.append(event)
+        else:
+            heappush(self._heap, (when, next(self._sequence), event))
 
     def schedule(self, delay, callback):
         """Run ``callback(sim)`` after ``delay``; returns the underlying event."""
@@ -384,17 +464,36 @@ class Simulator:
     # --- execution ------------------------------------------------------
     def peek(self):
         """Time of the next event, or None when the queue is empty."""
+        if self._queue:
+            return self.now
         return self._heap[0][0] if self._heap else None
+
+    def _next_event(self):
+        """The entry the next :meth:`step` processes, or None when idle."""
+        if self._queue:
+            return self._queue[0]
+        return self._heap[0][2] if self._heap else None
 
     def step(self):
         """Process exactly one event."""
-        when, _seq, event = heapq.heappop(self._heap)
-        if self._tick is not None and when > self.now:
-            # Sample telemetry probes at every grid instant the clock is
-            # about to jump over.  State is constant between events, so
-            # this observes without adding events or perturbing anything.
-            self._tick(when)
-        self.now = when
+        queue = self._queue
+        if queue:
+            event = queue.popleft()
+        else:
+            heap = self._heap
+            when, _seq, event = heappop(heap)
+            # The rest of this instant's heap entries go to the FIFO in
+            # schedule order: they were pushed at an earlier clock, so
+            # they precede every push made from here on.
+            while heap and heap[0][0] == when:
+                queue.append(heappop(heap)[2])
+            if self._tick is not None and when > self.now:
+                # Sample telemetry probes at every grid instant the clock
+                # is about to jump over.  State is constant between
+                # events, so this observes without adding events or
+                # perturbing anything.
+                self._tick(when)
+            self.now = when
         self.processed_events += 1
         event._process()
 
@@ -406,14 +505,17 @@ class Simulator:
         exception is absorbed and :meth:`run` returns normally.
         """
         self._stopped = False
+        step = self.step
+        queue = self._queue
+        heap = self._heap
         try:
-            while self._heap:
-                if until is not None and self._heap[0][0] > until:
+            while queue or heap:
+                if until is not None and not queue and heap[0][0] > until:
                     if self._tick is not None and until > self.now:
                         self._tick(until)
                     self.now = until
                     return
-                self.step()
+                step()
         except StopSimulation:
             self._stopped = True
         if until is not None and self.now < until and not self._stopped:
@@ -429,11 +531,14 @@ class Simulator:
         exception when it failed.
         """
         self._stopped = False
+        step = self.step
+        queue = self._queue
+        heap = self._heap
         try:
-            while not event.processed:
-                if not self._heap:
+            while event._state != _PROCESSED:
+                if not (queue or heap):
                     raise SimulationError("queue drained before the event fired")
-                self.step()
+                step()
         except StopSimulation:
             self._stopped = True
             return

@@ -13,21 +13,26 @@ Zero overhead when off
 Attaching installs *instance-level* overrides of ``Simulator.step`` and
 ``Simulator._push``; a simulator that never attaches a profiler runs
 the untouched class methods — not even a ``None`` check rides the hot
-path.  The profiler measures only host wall time and never touches the
-event heap, the clock or any randomness, so a profiled run's simulated
+path.  The overrides wrap the class methods rather than copy them, so
+the engine stays the only code that picks the next event.  The profiler
+measures only host wall time and never touches the event queue, the
+clock or any randomness, so a profiled run's simulated
 results (ops, TPS, telemetry export) are byte-identical to an
 unprofiled run (``tests/test_determinism.py`` proves it).
 
 Attribution model
 -----------------
-``step()`` pops one event and runs its callbacks; the profiler times
-the whole pop-to-processed window with ``time.perf_counter`` and
-charges it to the event's first callback target:
+``step()`` takes one event off the queue and processes it; the
+profiler times the whole step with ``time.perf_counter`` and charges it
+to the code the event runs:
 
-* a :class:`~repro.sim.engine.Process` resume (``_resume`` — the
-  overwhelmingly common case) is charged to the *generator* it resumes,
-  resolved through the generator's code object to a repro layer and a
-  ``module:qualname`` label;
+* a live :class:`~repro.sim.engine.Process` queued to wake itself (its
+  start, or its resume after an already-fired event) is charged to its
+  own generator;
+* otherwise the event's first callback target: a process resume
+  (``_resume`` — the overwhelmingly common case) is charged to the
+  *generator* it resumes, resolved through the generator's code object
+  to a repro layer and a ``module:qualname`` label;
 * any other callback is charged through its own code object;
 * time spent inside the telemetry tick (probe sampling + metrics
   windows) is carved out and charged to the ``telemetry`` layer;
@@ -62,7 +67,6 @@ delta between two snapshots) by repro layer — the churn half of the
 "why is the simulator slow" question.
 """
 
-import heapq
 import os
 import time
 import tracemalloc
@@ -152,6 +156,8 @@ class SimProfiler:
         #: loop overhead (driver python between ``run()`` calls)
         self.gap_wall = 0.0
         self.steps = 0
+        #: wall seconds of telemetry tick inside the current step
+        self._step_tick = 0.0
         self._first_t0 = None
         self._last_t1 = None
         self._sim_t0 = 0.0
@@ -171,6 +177,8 @@ class SimProfiler:
         sim._profiler = self
         sim.step = self._make_step(sim)
         sim._push = self._make_push(sim)
+        if sim._tick is not None:
+            sim._tick = self._timed_tick(sim._tick)
         metrics = sim.telemetry.metrics
         if metrics.enabled:
             self._register_instruments(metrics)
@@ -181,9 +189,11 @@ class SimProfiler:
         numbers (and the ``sim`` reference, for ``sim_seconds``) stay."""
         if not self._attached:
             return
-        del self.sim.step
-        del self.sim._push
-        self.sim._profiler = None
+        sim = self.sim
+        del sim.step
+        del sim._push
+        sim._tick = getattr(sim._tick, "__wrapped__", sim._tick)
+        sim._profiler = None
         self._attached = False
 
     def _register_instruments(self, metrics):
@@ -195,7 +205,8 @@ class SimProfiler:
     # --- the hot path ---------------------------------------------------
     def _make_step(self, sim):
         perf = time.perf_counter
-        heappop = heapq.heappop
+        base_step = type(sim).step
+        next_event = sim._next_event
         classify = self._classify
         layer_wall = self.layer_wall
         layer_events = self.layer_events
@@ -219,19 +230,13 @@ class SimProfiler:
                         target_wall.get(loop_key, 0.0) + gap)
                 else:
                     self.gap_wall += gap
-            when, _seq, event = heappop(sim._heap)
-            tick = sim._tick
-            tick_dt = 0.0
-            if tick is not None and when > sim.now:
-                tick_t0 = perf()
-                tick(when)
-                tick_dt = perf() - tick_t0
-            sim.now = when
-            sim.processed_events += 1
+            event = next_event()
             layer, label = classify(event)
             cls = event.__class__.__name__
-            event._process()
+            self._step_tick = 0.0
+            base_step(sim)
             t1 = perf()
+            tick_dt = self._step_tick
             dt = t1 - t0 - tick_dt
             layer_wall[layer] = layer_wall.get(layer, 0.0) + dt
             layer_events[layer] = layer_events.get(layer, 0) + 1
@@ -252,23 +257,42 @@ class SimProfiler:
         return step
 
     def _make_push(self, sim):
-        heappush = heapq.heappush
+        base_push = type(sim)._push
         counts = self.push_count
 
         def _push(event, delay):
             cls = event.__class__.__name__
             counts[cls] = counts.get(cls, 0) + 1
-            heappush(sim._heap,
-                     (sim.now + delay, next(sim._sequence), event))
+            base_push(sim, event, delay)
 
         return _push
 
+    def _timed_tick(self, tick):
+        """Wrap the simulator's clock-advance tick so the step that runs
+        it can carve its wall time out and charge it to telemetry."""
+        perf = time.perf_counter
+
+        def timed(when):
+            t0 = perf()
+            tick(when)
+            self._step_tick += perf() - t0
+
+        timed.__wrapped__ = tick
+        return timed
+
     def _classify(self, event):
-        """``(layer, label)`` for the event's first callback target."""
-        callbacks = event.callbacks
-        if not callbacks:
+        """``(layer, label)`` for the code the event runs: a live
+        process waking itself runs its own generator, anything else its
+        first callback target."""
+        if isinstance(event, Process) and (event._cancelled
+                                           or event.is_alive):
+            # The process's own entry: a cancelled wake runs nothing, a
+            # live one resumes the process itself.
+            callback = None if event._cancelled else event._resume
+        else:
+            callback = event.callbacks[0] if event.callbacks else None
+        if callback is None:
             return ("sim", "engine:(no-callback)")
-        callback = callbacks[0]
         target = getattr(callback, "__self__", None)
         if isinstance(target, Process):
             code = target._generator.gi_code

@@ -13,6 +13,7 @@ The profiler's contract has three legs:
 """
 
 import json
+import os
 
 import pytest
 
@@ -130,6 +131,38 @@ class TestAttribution:
         sim.run()
         # Two generator code objects (+ engine-internal callbacks).
         assert 2 <= len(profiler._code_cache) <= 8
+
+    def test_process_start_charged_to_its_own_generator(self):
+        """A host-layer process spawned and awaited by workload code: its
+        start runs its own generator, so it is charged to host, not to
+        the workload code that waits on it."""
+        from repro.devices import IORequest, make_durassd
+        from repro.host import SataNcq
+
+        namespace = {}
+        exec(compile("def client(queue, request, spawned):\n"
+                     "    command = queue.submit(request)\n"
+                     "    spawned.append(command)\n"
+                     "    return (yield command)\n",
+                     os.path.join("src", "repro", "workloads", "loadgen.py"),
+                     "exec"), namespace)
+        sim = Simulator()
+        profiler = SimProfiler().attach(sim)
+        queue = SataNcq(sim, make_durassd(sim))
+        spawned = []
+        sim.process(namespace["client"](
+            queue, IORequest("write", 0, 1, payload=["x"]), spawned))
+        while not spawned:
+            sim.step()
+        command = spawned[0]
+        assert command.callbacks, "the client waits on the command"
+        assert profiler._classify(command) == (
+            "host", "host.queues:SataNcq._dispatch")
+        sim.run()
+        assert profiler.steps == sim.processed_events
+        # The client's own start and its resume when the command is done.
+        assert profiler.target_events[
+            ("workload", "workloads.loadgen:client")] == 2
 
     def test_layer_of_path(self):
         sep = __import__("os").sep

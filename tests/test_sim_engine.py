@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, StopSimulation
+from repro.sim import Interrupted, SimulationError, Simulator, StopSimulation
 
 from conftest import run_process
 
@@ -153,8 +153,6 @@ class TestProcesses:
             run_process(sim, bad())
 
     def test_interrupt_wakes_process(self, sim):
-        from repro.sim import Interrupted
-
         caught = []
 
         def sleeper():
@@ -171,6 +169,119 @@ class TestProcesses:
     def test_process_requires_generator(self, sim):
         with pytest.raises(SimulationError):
             sim.process(lambda: None)
+
+    def test_interrupt_before_first_resume_throws_into_unstarted_generator(
+            self, sim):
+        """Interrupted in the instant it was created, a child never runs
+        its body: its start is cancelled and the exception is thrown in
+        before its first line, so it cannot sleep on a stale timer."""
+        log = []
+
+        def child():
+            log.append("started")
+            try:
+                yield sim.timeout(1.0)
+            except Interrupted:
+                yield sim.timeout(5.0)
+            log.append(("woke", sim.now))
+
+        def parent():
+            process = sim.process(child())
+            process.interrupt("early")
+            try:
+                yield process
+            except Interrupted as interrupt:
+                log.append(("interrupted", sim.now, interrupt.cause))
+
+        sim.process(parent())
+        sim.run()
+        assert log == [("interrupted", 0.0, "early")]
+        assert sim.now == 0.0
+
+    def test_two_interrupts_in_one_instant_each_unwind_one_wait(self, sim):
+        """The second interrupt unwinds the wait the first one's handler
+        started; no stale timer resumes the process later."""
+        log = []
+
+        def sleeper():
+            while True:
+                began = sim.now
+                try:
+                    yield sim.timeout(5.0)
+                except Interrupted as interrupt:
+                    log.append(("interrupted", sim.now, interrupt.cause))
+                    continue
+                log.append(("slept", sim.now - began))
+                return
+
+        process = sim.process(sleeper())
+
+        def poke(_sim):
+            process.interrupt("a")
+            process.interrupt("b")
+
+        sim.schedule(1.0, poke)
+        sim.run()
+        assert log == [("interrupted", 1.0, "a"), ("interrupted", 1.0, "b"),
+                       ("slept", 5.0)]
+        assert sim.now == 6.0
+
+    def test_cancelled_wake_never_fires_a_finished_process_early(self, sim):
+        """The second interrupt cancels the wake the first one's handler
+        queued; that stale entry must not pass the process's result to
+        its waiters ahead of wake-ups queued before the process ended."""
+        log = []
+        fired = sim.event()
+        fired.succeed()
+        go = sim.event()
+
+        def target():
+            try:
+                yield sim.timeout(5.0)
+            except Interrupted:
+                try:
+                    yield fired
+                except Interrupted:
+                    go.succeed()
+            return "done"
+
+        def observer(process):
+            log.append((yield process))
+
+        def bystander():
+            yield go
+            log.append("bystander")
+
+        process = sim.process(target())
+        sim.process(observer(process))
+        sim.process(bystander())
+
+        def poke(_sim):
+            process.interrupt("a")
+            process.interrupt("b")
+
+        sim.schedule(1.0, poke)
+        sim.run()
+        assert log == ["bystander", "done"]
+        assert sim.now == 5.0
+
+    def test_cancelled_start_still_counts_as_a_processed_event(self, sim):
+        def child():
+            yield sim.timeout(1.0)
+
+        def parent():
+            process = sim.process(child())
+            process.interrupt()
+            try:
+                yield process
+            except Interrupted:
+                pass
+
+        sim.process(parent())
+        sim.run()
+        # parent start, child's cancelled start, the interrupt, the
+        # child's failure reaching parent, the parent's finish
+        assert sim.processed_events == 5
 
 
 class TestCompositeEvents:
