@@ -8,18 +8,18 @@ visualised).  A Chrome trace of each run is written to
 ``benchmarks/output/`` — load it at https://ui.perfetto.dev to see
 every layer's spans.
 
-(This example used to use :class:`repro.host.IOTracer`; the telemetry
-spans on the "device" track carry the same information plus the causal
-parents — which transaction caused each flush-cache stall.)
+The spans on the "device" track carry every command plus its causal
+parents — which transaction caused each flush-cache stall.
 
 Run:  python examples/io_tracing.py
 """
 
 import os
 
+from repro.bench.charts import render_latency_histogram
 from repro.db import InnoDBConfig, InnoDBEngine
 from repro.devices import make_durassd
-from repro.host import FileSystem, render_latency_histogram
+from repro.host import FileSystem
 from repro.sim import LatencyRecorder, Simulator, units
 from repro.telemetry import Telemetry
 from repro.workloads.linkbench import LinkBenchConfig, LinkBenchWorkload

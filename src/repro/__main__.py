@@ -31,7 +31,7 @@ Usage::
     python -m repro figure5 --mirror 2              # any bench, mirrored data
     python -m repro table5 --log-device             # dedicated log placement
     python -m repro figure5 --interface nvme --sq 4 # NVMe multi-queue host
-    python -m repro table1 --queue-depth 64         # deeper queue slots
+    python -m repro table5 --queue-depth 64         # deeper queue slots
 
     python -m repro explain linkbench               # latency blame report
     python -m repro regress                         # perf gate vs baseline
@@ -42,8 +42,27 @@ Usage::
     python -m repro profile figure5-small           # simulator self-profile
     python -m repro profile --speed                 # BENCH_speed.json baseline
     python -m repro scaling --profile               # any bench + wall report
+
+World flags.  Every bench table, ``all``, ``scaling``, ``regress``,
+``explain``, ``monitor``, ``profile`` and ``trace`` take the same flags
+and build one :class:`~repro.bench.setups.WorldSpec` from them::
+
+    --devices N            stripe the data target over N devices
+    --mirror N             mirror the data target across N devices
+    --log-device           give the Couchbase world its own log device
+    --interface sata|nvme  host queue model (default sata)
+    --sq N                 NVMe submission queues (default 2)
+    --queue-depth N        slots per queue (default 32)
+    --gray-faults PROFILE  inject a gray-fault profile into every device
+    --metrics-interval S   windowed metrics, exported as <command>-metrics.csv
+    --profile              self-profile, reported as <command>-profile.json
+
+``torture``, ``chaos``, ``integrity`` and ``failover`` keep their own
+scenario flags.
 """
 
+import argparse
+import json
 import sys
 
 from .bench import (
@@ -57,9 +76,9 @@ from .bench import (
     figure6,
     integrity,
     monitor,
+    profile,
     regress,
     scaling,
-    setups,
     table1,
     table2,
     table3,
@@ -68,6 +87,9 @@ from .bench import (
     torture,
     tracing,
 )
+from .bench.scenarios import GRAY_PROFILES
+from .bench.setups import WorldSpec
+from .host.queues import INTERFACES, QueueTopology
 
 EXPERIMENTS = {
     "table1": ("Table 1: fsync/flush-cache vs 4KB write IOPS",
@@ -92,18 +114,82 @@ ORDER = ["table1", "table2", "figure5", "figure6", "table3", "table4",
 #: experiments whose main() accepts a telemetry hub (--telemetry flag)
 TELEMETRY_CAPABLE = frozenset(tracing.SCENARIOS)
 
+#: commands that take the world flags plus options of their own; each
+#: is called as ``main(argv, spec=..., worlds=...)``
+WORLD_COMMANDS = {
+    "scaling": scaling.main,
+    "regress": regress.main,
+    "explain": explain.main,
+    "monitor": monitor.main,
+    "profile": profile.main,
+    "trace": tracing.main,
+}
 
-def _emit_profile(target):
-    """Report the self-profile of every world a ``--profile`` bench run
+#: fault campaigns: their own scenario types and parsers, ``main(argv)``
+CAMPAIGNS = {
+    "torture": torture.main,
+    "chaos": chaos.main,
+    "integrity": integrity.main,
+    "failover": failover.main,
+}
+
+
+def build_parser():
+    """The CLI parser: one subcommand per command, the world flags in
+    one parent parser they share."""
+    world = argparse.ArgumentParser(add_help=False)
+    flags = world.add_argument_group("world flags")
+    flags.add_argument("--devices", type=int, default=1, metavar="N")
+    flags.add_argument("--mirror", type=int, default=1, metavar="N")
+    flags.add_argument("--log-device", action="store_true")
+    flags.add_argument("--interface", choices=INTERFACES, default="sata")
+    flags.add_argument("--sq", type=int, default=2, metavar="N")
+    flags.add_argument("--queue-depth", type=int, metavar="N")
+    flags.add_argument("--gray-faults", choices=GRAY_PROFILES.names(),
+                       metavar="PROFILE")
+    flags.add_argument("--metrics-interval", type=float, metavar="SECONDS")
+    flags.add_argument("--profile", action="store_true")
+
+    parser = argparse.ArgumentParser(prog="python -m repro")
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="command")
+    for name in ORDER + ["all"]:
+        bench = commands.add_parser(name, parents=[world],
+                                    allow_abbrev=False)
+        if name in TELEMETRY_CAPABLE:
+            bench.add_argument("--telemetry", action="store_true")
+            bench.add_argument("--out", metavar="PATH")
+    # Their own parsers see everything the world flags leave, -h too.
+    for name in WORLD_COMMANDS:
+        commands.add_parser(name, parents=[world], add_help=False,
+                            allow_abbrev=False)
+    for name in CAMPAIGNS:
+        commands.add_parser(name, add_help=False)
+    return parser
+
+
+def world_spec(args):
+    """The :class:`WorldSpec` the parsed world flags describe; raises
+    ``ValueError`` on a bad combination."""
+    gray = None if args.gray_faults == "none" else args.gray_faults
+    return WorldSpec(
+        data_devices=args.devices, mirror=args.mirror,
+        dedicated_log=args.log_device,
+        topology=QueueTopology.for_interface(args.interface, args.sq,
+                                             args.queue_depth),
+        gray_faults=gray, metrics_interval=args.metrics_interval,
+        profile=args.profile)
+
+
+def _emit_profile(target, worlds):
+    """Report the self-profile of every world a ``--profile`` run
     built: a pooled wall-attribution summary on stdout plus the full
     aggregate as ``<target>-profile.json``."""
-    if not setups.profile_enabled():
-        return
-    profilers = [p for p in setups.profilers() if p.steps]
+    profilers = [world.telemetry.profiler for world in worlds
+                 if world.telemetry.profiler is not None
+                 and world.telemetry.profiler.steps]
     if not profilers:
         return
-    import json
-
     from .sim.profiler import aggregate
     report = aggregate(profilers)
     report["schema"] = "repro.profile/1"
@@ -111,7 +197,6 @@ def _emit_profile(target):
     path = "%s-profile.json" % target
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
-    setups.set_profile(True)  # reset the profiler list
     print("\nself-profile: %d world(s), %d events, %.2fx real time, "
           "%.0f events/sec -> %s"
           % (report["worlds"], report["steps"],
@@ -122,13 +207,10 @@ def _emit_profile(target):
                                           row["wall_s"]))
 
 
-def _emit_metrics(target):
-    """Export the series of every metrics-armed world a bench built
+def _emit_metrics(target, worlds):
+    """Export the series of every metrics-armed world a run built
     (``--metrics-interval``) as long-format CSV, one world column."""
-    interval = setups.metrics_interval()
-    if interval is None:
-        return
-    sims = setups.metric_sims()
+    sims = [world for world in worlds if world.telemetry.metrics.enabled]
     if not sims:
         return
     from .telemetry import series as series_mod
@@ -143,13 +225,35 @@ def _emit_metrics(target):
         lines.extend(chunk if not lines else chunk[1:])
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-    setups.set_metrics_interval(interval)  # reset the world list
     print("\nmetrics: %d world(s), %d window(s) at %gs intervals -> %s"
-          % (len(sims), windows, interval, path))
+          % (len(sims), windows, sims[0].telemetry.metrics.interval, path))
+
+
+def _emit(target, worlds):
+    _emit_metrics(target, worlds)
+    _emit_profile(target, worlds)
+
+
+def _run_bench(name, args, spec):
+    worlds = []
+    run = EXPERIMENTS[name][1]
+    if getattr(args, "telemetry", False):
+        from .telemetry import Telemetry
+        telemetry = Telemetry(enabled=True)
+        run(telemetry=telemetry, spec=spec, worlds=worlds)
+        out = args.out or "%s-trace.json" % name
+        telemetry.write_chrome_trace(out)
+        print("\nchrome trace of the representative %s run: %s "
+              "(%d events, tracks: %s)"
+              % (name, out, len(telemetry.events),
+                 ", ".join(telemetry.tracks())))
+    else:
+        run(spec=spec, worlds=worlds)
+    _emit(name, worlds)
 
 
 def main(argv=None):
-    argv = argv if argv is not None else sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] in ("-h", "--help", "list"):
         print(__doc__)
         print("experiments:")
@@ -157,121 +261,31 @@ def main(argv=None):
             flag = " [--telemetry]" if name in TELEMETRY_CAPABLE else ""
             print("  %-10s %s%s" % (name, EXPERIMENTS[name][0], flag))
         return 0
-    target = argv[0]
-    if target == "profile":
-        from .bench import profile as bench_profile
-        return bench_profile.main(argv[1:])
-    if "--profile" in argv and target != "monitor":
-        # Run any bench with the simulator self-profiler riding every
-        # world; the pooled wall attribution is reported after the run.
-        # monitor keeps its own --profile (it embeds the attribution
-        # and the sim.* gauge series in the dashboard itself).
-        argv = [arg for arg in argv if arg != "--profile"]
-        setups.set_profile(True)
-    subcommands = {
-        "trace": tracing.main,
-        "torture": torture.main,
-        "chaos": chaos.main,
-        "integrity": integrity.main,
-        "failover": failover.main,
-        "scaling": scaling.main,
-        "explain": explain.main,
-        "monitor": monitor.main,
-        "regress": regress.main,
-    }
-    if target in subcommands:
-        status = subcommands[target](argv[1:])
-        _emit_profile(target)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    command = args.command
+    if command in CAMPAIGNS:
+        return CAMPAIGNS[command](rest)
+    try:
+        spec = world_spec(args)
+    except ValueError as error:
+        parser.error(str(error))
+    if command in WORLD_COMMANDS:
+        worlds = []
+        status = WORLD_COMMANDS[command](rest, spec=spec, worlds=worlds)
+        _emit(command, worlds)
         return status
-    if "--gray-faults" in argv:
-        # Run any bench table with gray faults injected into its devices
-        # (and the timeout/abort/retry stack armed to survive them).
-        index = argv.index("--gray-faults")
-        setups.set_gray_faults(argv[index + 1])
-        argv = argv[:index] + argv[index + 2:]
-    if "--metrics-interval" in argv:
-        # Run any bench table with continuous windowed metrics; the
-        # collected series are exported as CSV after the run.
-        index = argv.index("--metrics-interval")
-        setups.set_metrics_interval(float(argv[index + 1]))
-        argv = argv[:index] + argv[index + 2:]
-    if ("--devices" in argv or "--mirror" in argv or "--log-device" in argv
-            or "--interface" in argv or "--sq" in argv
-            or "--queue-depth" in argv):
-        # Run any bench table on a striped or mirrored data target,
-        # with the log placed on a dedicated device, and/or behind a
-        # chosen host interface (SATA NCQ vs NVMe multi-queue).
-        width = 1
-        if "--devices" in argv:
-            index = argv.index("--devices")
-            width = int(argv[index + 1])
-            argv = argv[:index] + argv[index + 2:]
-        mirror = 1
-        if "--mirror" in argv:
-            index = argv.index("--mirror")
-            mirror = int(argv[index + 1])
-            argv = argv[:index] + argv[index + 2:]
-        dedicated_log = "--log-device" in argv
-        if dedicated_log:
-            argv = [arg for arg in argv if arg != "--log-device"]
-        interface = "sata"
-        if "--interface" in argv:
-            index = argv.index("--interface")
-            interface = argv[index + 1]
-            argv = argv[:index] + argv[index + 2:]
-        submission_queues = None
-        if "--sq" in argv:
-            index = argv.index("--sq")
-            submission_queues = int(argv[index + 1])
-            argv = argv[:index] + argv[index + 2:]
-        queue_depth = None
-        if "--queue-depth" in argv:
-            index = argv.index("--queue-depth")
-            queue_depth = int(argv[index + 1])
-            argv = argv[:index] + argv[index + 2:]
-        setups.set_topology(data_devices=width, dedicated_log=dedicated_log,
-                            mirror=mirror, interface=interface,
-                            submission_queues=submission_queues,
-                            queue_depth=queue_depth)
-    if target == "all":
+    if rest:
+        parser.error("unrecognized arguments: %s" % " ".join(rest))
+    if command == "all":
         for name in ORDER:
             print("=" * 70)
             print("== %s" % EXPERIMENTS[name][0])
             print("=" * 70)
-            EXPERIMENTS[name][1]()
-            _emit_metrics(name)
-            _emit_profile(name)
+            _run_bench(name, args, spec)
             print()
         return 0
-    if target not in EXPERIMENTS:
-        print("unknown experiment: %r (try 'list')" % target)
-        return 2
-    rest = argv[1:]
-    if "--telemetry" in rest:
-        rest = [arg for arg in rest if arg != "--telemetry"]
-        out = "%s-trace.json" % target
-        if "--out" in rest:
-            index = rest.index("--out")
-            out = rest[index + 1]
-            del rest[index:index + 2]
-        if target not in TELEMETRY_CAPABLE:
-            print("--telemetry is not supported for %r (supported: %s)"
-                  % (target, ", ".join(sorted(TELEMETRY_CAPABLE))))
-            return 2
-        from .telemetry import Telemetry
-        telemetry = Telemetry(enabled=True)
-        EXPERIMENTS[target][1](telemetry=telemetry)
-        telemetry.write_chrome_trace(out)
-        print("\nchrome trace of the representative %s run: %s "
-              "(%d events, tracks: %s)"
-              % (target, out, len(telemetry.events),
-                 ", ".join(telemetry.tracks())))
-        _emit_metrics(target)
-        _emit_profile(target)
-        return 0
-    EXPERIMENTS[target][1]()
-    _emit_metrics(target)
-    _emit_profile(target)
+    _run_bench(command, args, spec)
     return 0
 
 

@@ -17,7 +17,7 @@ from ..core import CapacitorBank, DuraSSD
 from ..devices import IORequest
 from ..devices.presets import durassd_spec
 from ..failures import PowerFailureInjector, check_device
-from ..host import FileSystem, FioJob, run_fio
+from ..host import FileSystem, FioJob, QueueTopology, run_fio
 from ..sim import units
 from ..workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 from . import setups
@@ -25,7 +25,8 @@ from .tableio import render_table
 
 
 # --- write amplification & lifetime ------------------------------------------
-def run_write_amplification(ops_per_client=None):
+def run_write_amplification(ops_per_client=None, spec=setups.DEFAULT_SPEC,
+                            worlds=None):
     """Bytes written to flash per logical page update, across the four
     Figure-5 configurations (plus the page-size effect)."""
     results = []
@@ -36,7 +37,7 @@ def run_write_amplification(ops_per_client=None):
         ("OFF/OFF 4KB (best)", False, False, 4 * units.KIB),
     ]
     for label, barrier, doublewrite, page_size in cases:
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(spec=spec, worlds=worlds)
         engine, devices = setups.mysql_setup(sim, page_size, barrier,
                                              doublewrite, buffer_gb=10)
         workload = LinkBenchWorkload(
@@ -77,11 +78,12 @@ def format_write_amplification(results):
 
 
 # --- capacitor budget sweep ------------------------------------------------------
-def run_capacitor_sweep(counts=(0, 1, 2, 4, 8, 15), writes=400):
+def run_capacitor_sweep(counts=(0, 1, 2, 4, 8, 15), writes=400,
+                        spec=setups.DEFAULT_SPEC, worlds=None):
     """Acked 4KB writes lost at power failure vs capacitor count."""
     results = []
     for count in counts:
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(spec=spec, worlds=worlds)
         bank = CapacitorBank(count=count)
         device = DuraSSD(sim, durassd_spec(), capacitors=bank)
         device.record_acks = True
@@ -119,13 +121,13 @@ def format_capacitor_sweep(results):
 
 
 # --- mapping granularity (pairing) -------------------------------------------------
-def run_mapping_granularity(ios=2000):
+def run_mapping_granularity(ios=2000, spec=setups.DEFAULT_SPEC,
+                            worlds=None):
     """Sustained 4KB random-write drain with 4KB vs 8KB mapping."""
     results = []
     for unit in (4 * units.KIB, 8 * units.KIB):
-        sim = setups.fresh_world()
-        spec = durassd_spec().replace(mapping_unit=unit)
-        device = DuraSSD(sim, spec)
+        sim = setups.fresh_world(spec=spec, worlds=worlds)
+        device = DuraSSD(sim, durassd_spec().replace(mapping_unit=unit))
         filesystem = FileSystem(sim, device, barriers=False)
         job = FioJob(rw="randwrite", block_size=4 * units.KIB,
                      numjobs=64, ios_per_job=max(10, ios // 64),
@@ -153,7 +155,7 @@ def format_mapping_granularity(results):
 
 
 # --- flush semantics alternatives (Section 3.3) -----------------------------------
-def run_flush_semantics(ios=1500):
+def run_flush_semantics(ios=1500, spec=setups.DEFAULT_SPEC, worlds=None):
     """fsync-heavy throughput under three barrier policies on DuraSSD."""
     cases = [
         ("flush every fsync (barrier on)", True, True),
@@ -162,10 +164,10 @@ def run_flush_semantics(ios=1500):
     ]
     results = []
     for label, barriers, ordered in cases:
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(spec=spec, worlds=worlds)
         device = setups.make_device(sim, "durassd")
         filesystem = FileSystem(sim, device, barriers=barriers,
-                                ordered_queue=ordered)
+                                queue_model=QueueTopology(ordered=ordered))
         job = FioJob(rw="randwrite", block_size=4 * units.KIB,
                      ios_per_job=min(ios, setups.ops_scale(ios)),
                      fsync_every=1)
@@ -183,14 +185,14 @@ def format_flush_semantics(results):
 
 
 # --- GC victim policy (Section 3.1.1's wear-aware scheduling) ----------------
-def run_victim_policies(rounds=400):
+def run_victim_policies(rounds=400, spec=setups.DEFAULT_SPEC, worlds=None):
     """Wear spread and GC effort under a hot/cold skew, greedy vs
     cost-benefit victim selection."""
     from ..flash import FlashArray, FlashGeometry, FlashTiming, PageMappingFTL
     from ..sim.rng import make_rng
     results = []
     for policy in ("greedy", "cost-benefit"):
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(spec=spec, worlds=worlds)
         geometry = FlashGeometry(channels=2, packages_per_channel=2,
                                  chips_per_package=2, planes_per_chip=2,
                                  blocks_per_plane=8, pages_per_block=16,
@@ -231,16 +233,21 @@ def format_victim_policies(results):
         "Ablation: GC victim policy under hot/cold skew", headers, rows)
 
 
-def main():
-    print(format_write_amplification(run_write_amplification()))
+def main(spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_write_amplification(
+        run_write_amplification(spec=spec, worlds=worlds)))
     print()
-    print(format_capacitor_sweep(run_capacitor_sweep()))
+    print(format_capacitor_sweep(run_capacitor_sweep(spec=spec,
+                                                     worlds=worlds)))
     print()
-    print(format_mapping_granularity(run_mapping_granularity()))
+    print(format_mapping_granularity(
+        run_mapping_granularity(spec=spec, worlds=worlds)))
     print()
-    print(format_flush_semantics(run_flush_semantics()))
+    print(format_flush_semantics(run_flush_semantics(spec=spec,
+                                                     worlds=worlds)))
     print()
-    print(format_victim_policies(run_victim_policies()))
+    print(format_victim_policies(run_victim_policies(spec=spec,
+                                                     worlds=worlds)))
 
 
 if __name__ == "__main__":

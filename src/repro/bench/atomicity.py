@@ -38,8 +38,8 @@ def _linkbench_tps(engine, data_device, ops):
     }
 
 
-def _engine_world(device_maker, barriers, engine_cls, config):
-    sim = setups.fresh_world()
+def _engine_world(device_maker, barriers, engine_cls, config, spec, worlds):
+    sim = setups.fresh_world(spec=spec, worlds=worlds)
     db_bytes = setups.scaled_db_bytes() // 4
     data_device = device_maker(sim, capacity_bytes=int(db_bytes * 3))
     log_device = device_maker(sim, capacity_bytes=units.GIB)
@@ -49,7 +49,7 @@ def _engine_world(device_maker, barriers, engine_cls, config):
     return engine, data_device
 
 
-def run(ops=None):
+def run(ops=None, spec=setups.DEFAULT_SPEC, worlds=None):
     if ops is None:
         ops = setups.ops_scale(60)
     page = 8 * units.KIB
@@ -59,41 +59,41 @@ def run(ops=None):
     engine, device = _engine_world(
         make_ssd_a, True, InnoDBEngine,
         InnoDBConfig(page_size=page, buffer_pool_bytes=buffer_bytes,
-                     doublewrite=True))
+                     doublewrite=True), spec, worlds)
     results.append(("InnoDB doublewrite (SSD, barriers)",
                     _linkbench_tps(engine, device, ops)))
 
     engine, device = _engine_world(
         make_ssd_a, True, PostgresEngine,
         PostgresConfig(page_size=page, buffer_pool_bytes=buffer_bytes,
-                       full_page_writes=True))
+                       full_page_writes=True), spec, worlds)
     results.append(("PostgreSQL full-page writes (SSD, barriers)",
                     _linkbench_tps(engine, device, ops)))
 
     engine, device = _engine_world(
         make_fusionio, True, InnoDBEngine,
         InnoDBConfig(page_size=page, buffer_pool_bytes=buffer_bytes,
-                     doublewrite=False))
+                     doublewrite=False), spec, worlds)
     results.append(("FusionIO atomic writes, no DWB (barriers)",
                     _linkbench_tps(engine, device, ops)))
 
     engine, device = _engine_world(
         make_durassd, False, InnoDBEngine,
         InnoDBConfig(page_size=page, buffer_pool_bytes=buffer_bytes,
-                     doublewrite=False))
+                     doublewrite=False), spec, worlds)
     results.append(("DuraSSD, no DWB, no barriers",
                     _linkbench_tps(engine, device, ops)))
     return results
 
 
-def run_sqlite_comparison(txns=300):
+def run_sqlite_comparison(txns=300, spec=setups.DEFAULT_SPEC, worlds=None):
     """The embedded-engine extreme: journal vs journal-off on DuraSSD."""
     results = []
     for journal_mode, barriers, label in (
             ("rollback", True, "rollback journal, barriers (classic)"),
             ("rollback", False, "rollback journal, nobarrier (DuraSSD)"),
             ("off", False, "journal OFF, nobarrier (DuraSSD atomic)")):
-        sim = setups.fresh_world()
+        sim = setups.fresh_world(spec=spec, worlds=worlds)
         device = make_durassd(sim, capacity_bytes=units.GIB)
         fs = FileSystem(sim, device, barriers=barriers)
         engine = SQLiteEngine(sim, fs, SQLiteConfig(
@@ -135,10 +135,11 @@ def format_sqlite_table(results):
     return render_table("Embedded-engine journal cost", headers, rows)
 
 
-def main():
-    print(format_table(run()))
+def main(spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_table(run(spec=spec, worlds=worlds)))
     print()
-    print(format_sqlite_table(run_sqlite_comparison()))
+    print(format_sqlite_table(run_sqlite_comparison(spec=spec,
+                                                    worlds=worlds)))
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ CONFIGURATIONS = [
 
 
 def run_one(device_maker, barriers, fsync_period, burst_writes=600,
-            reader_count=8, telemetry=None):
-    sim = setups.fresh_world(telemetry)
+            reader_count=8, telemetry=None, spec=setups.DEFAULT_SPEC,
+            worlds=None):
+    sim = setups.fresh_world(telemetry, spec, worlds)
     device = device_maker(sim, capacity_bytes=units.GIB)
     filesystem = FileSystem(sim, device, barriers=barriers)
     data = filesystem.create("data", 256 * units.MIB)
@@ -81,7 +82,8 @@ def run_one(device_maker, barriers, fsync_period, burst_writes=600,
     }
 
 
-def run(burst_writes=None, telemetry=None):
+def run(burst_writes=None, telemetry=None, spec=setups.DEFAULT_SPEC,
+        worlds=None):
     if burst_writes is None:
         burst_writes = setups.ops_scale(600)
     # --telemetry traces the DuraSSD configuration (the last one).
@@ -89,7 +91,7 @@ def run(burst_writes=None, telemetry=None):
     return [(label, run_one(maker, barriers, period,
                             burst_writes=burst_writes,
                             telemetry=telemetry if label == traced
-                            else None))
+                            else None, spec=spec, worlds=worlds))
             for label, maker, barriers, period in CONFIGURATIONS]
 
 
@@ -113,8 +115,8 @@ def format_table(results):
     return table + note
 
 
-def main(telemetry=None):
-    print(format_table(run(telemetry=telemetry)))
+def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_table(run(telemetry=telemetry, spec=spec, worlds=worlds)))
 
 
 if __name__ == "__main__":

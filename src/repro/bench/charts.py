@@ -6,6 +6,8 @@ graphics so the *shape* comparison (who wins, where lines cross) is
 visible at a glance without a plotting stack.
 """
 
+from bisect import bisect_right
+
 
 def render_bar_chart(title, labels, values, width=50, unit=""):
     """Horizontal bars scaled to the maximum value."""
@@ -83,4 +85,31 @@ def render_line_chart(title, x_labels, series, height=12, width=None):
     legend = "   ".join("%s=%s" % (marks[i % len(marks)], name)
                         for i, name in enumerate(series))
     lines.append("%10s  legend: %s" % ("", legend))
+    return "\n".join(lines)
+
+
+def render_latency_histogram(recorder, buckets=12, width=40):
+    """ASCII latency histogram (log-spaced) for a LatencyRecorder."""
+    samples = recorder.sorted_samples()
+    if not samples:
+        return "(no samples)"
+    low = max(samples[0], 1e-7)
+    high = samples[-1]
+    if high <= low:
+        high = low * 10
+    edges = [low * (high / low) ** (i / buckets)
+             for i in range(buckets + 1)]
+    # Samples are sorted: bucket i gets everything in (edges[i],
+    # edges[i+1]] — one bisect per edge.  Values past the last edge land
+    # in the final bucket.
+    bounds = [0] + [bisect_right(samples, edge) for edge in edges[1:-1]] \
+        + [len(samples)]
+    counts = [bounds[i + 1] - bounds[i] for i in range(buckets)]
+    peak = max(counts)
+    lines = []
+    for index, count in enumerate(counts):
+        bar = "#" * (width * count // peak if peak else 0)
+        lines.append("%9.3fms-%9.3fms |%-*s %d"
+                     % (edges[index] * 1e3, edges[index + 1] * 1e3,
+                        width, bar, count))
     return "\n".join(lines)

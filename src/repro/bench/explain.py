@@ -33,10 +33,11 @@ BASE_OPS = 24
 PAGE_SIZE = 16 * units.KIB
 
 
-def _traced(barrier, doublewrite, ops):
+def _traced(barrier, doublewrite, ops, spec, worlds):
     telemetry = Telemetry(enabled=True)
     result = run_config(barrier, doublewrite, PAGE_SIZE, clients=CLIENTS,
-                        ops_per_client=ops, telemetry=telemetry)
+                        ops_per_client=ops, telemetry=telemetry, spec=spec,
+                        worlds=worlds)
     outcome = {
         "barrier": barrier,
         "doublewrite": doublewrite,
@@ -46,23 +47,19 @@ def _traced(barrier, doublewrite, ops):
     return telemetry.events, outcome
 
 
-def _scenario_linkbench(ops):
+def _scenario_linkbench(ops, spec, worlds):
     """The paper's delta: barriers+doublewrite on vs both off."""
-    modes = {}
-    modes["flush-cache"] = _traced(True, True, ops)
-    modes["durable-cache"] = _traced(False, False, ops)
-    return modes
+    return {"flush-cache": _traced(True, True, ops, spec, worlds),
+            "durable-cache": _traced(False, False, ops, spec, worlds)}
 
 
-def _scenario_gray(ops):
+def _scenario_gray(ops, spec, worlds):
     """Healthy vs gray-failing data path, durable-cache mode."""
-    modes = {"healthy": _traced(False, False, ops)}
-    setups.set_gray_faults("stalls")
-    try:
-        modes["gray-stalls"] = _traced(False, False, ops)
-    finally:
-        setups.set_gray_faults("none")
-    return modes
+    return {"healthy": _traced(False, False, ops,
+                               spec._replace(gray_faults=None), worlds),
+            "gray-stalls": _traced(False, False, ops,
+                                   spec._replace(gray_faults="stalls"),
+                                   worlds)}
 
 
 SCENARIOS = scenarios.ScenarioSet("explain")
@@ -73,18 +70,19 @@ SCENARIOS.register("gray", "healthy vs gray-failing device blame",
                    _scenario_gray)
 
 
-def run_scenario(name, quick=False, top_k=5):
+def run_scenario(name, quick=False, top_k=5, spec=setups.DEFAULT_SPEC,
+                 worlds=None):
     """Build the full explain report dict for one scenario."""
     fn = SCENARIOS.get(name)
     ops = 10 if quick else max(10, setups.ops_scale(BASE_OPS))
-    modes = fn(ops)
+    modes = fn(ops, spec, worlds)
     meta = {"clients": CLIENTS, "ops_per_client": ops,
             "page_size": PAGE_SIZE,
             "scale_factor": setups.scale_factor()}
     return report_mod.build(name, modes, meta=meta, top_k=top_k)
 
 
-def main(argv):
+def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
     args = list(argv)
     if not args or args[0] in ("-h", "--help", "list"):
         print(__doc__)
@@ -115,7 +113,8 @@ def main(argv):
             print("unknown option: %r" % flag)
             return 2
     try:
-        report = run_scenario(name, quick=quick, top_k=top_k)
+        report = run_scenario(name, quick=quick, top_k=top_k, spec=spec,
+                              worlds=worlds)
     except KeyError as error:
         print(error.args[0])
         return 2

@@ -27,8 +27,9 @@ PAPER_APPROX = {
 
 
 def run_config(barrier, doublewrite, page_size, clients=128,
-               ops_per_client=None, buffer_gb=10, telemetry=None):
-    sim = setups.fresh_world(telemetry)
+               ops_per_client=None, buffer_gb=10, telemetry=None,
+               spec=setups.DEFAULT_SPEC, worlds=None):
+    sim = setups.fresh_world(telemetry, spec, worlds)
     engine, _devices = setups.mysql_setup(sim, page_size, barrier,
                                           doublewrite, buffer_gb=buffer_gb)
     workload = LinkBenchWorkload(
@@ -45,7 +46,7 @@ def run_config(barrier, doublewrite, page_size, clients=128,
 TRACED_CONFIG = (True, True, 16 * units.KIB)
 
 
-def run(telemetry=None):
+def run(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
     """{(barrier, dwb): [LinkBenchResult per page size]}
 
     ``telemetry`` is threaded into the :data:`TRACED_CONFIG` run only
@@ -57,7 +58,7 @@ def run(telemetry=None):
             run_config(barrier, doublewrite, page_size,
                        telemetry=telemetry
                        if (barrier, doublewrite, page_size) == TRACED_CONFIG
-                       else None)
+                       else None, spec=spec, worlds=worlds)
             for page_size in PAGE_SIZES]
     return results
 
@@ -86,8 +87,8 @@ def format_table(results):
                     % (best / worst)) + chart
 
 
-def main(telemetry=None):
-    print(format_table(run(telemetry)))
+def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_table(run(telemetry, spec, worlds)))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ page sizes widens with the pool, with no saturation.
 """
 
 from ..sim import units
+from . import setups
 from .figure5 import run_config
 from .tableio import render_table
 
@@ -26,14 +27,15 @@ PAPER_TPS_APPROX = {
 }
 
 
-def run():
+def run(spec=setups.DEFAULT_SPEC, worlds=None):
     """{page_size: [(miss_ratio, tps) per buffer size]}"""
     results = {}
     for page_size in PAGE_SIZES:
         series = []
         for buffer_gb in BUFFER_GB:
             outcome = run_config(False, False, page_size,
-                                 buffer_gb=buffer_gb)
+                                 buffer_gb=buffer_gb, spec=spec,
+                                 worlds=worlds)
             series.append((outcome.buffer_miss_ratio, outcome.tps))
         results[page_size] = series
     return results
@@ -64,8 +66,8 @@ def format_table(results):
     return part_a + "\n\n" + part_b + "\n" + chart
 
 
-def main():
-    print(format_table(run()))
+def main(spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_table(run(spec, worlds)))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,10 @@ Usage::
     python -m repro monitor table1 --gray-faults gc-storm --prom m.prom
     python -m repro monitor bursts --csv series.csv --quiet
 
+The world flags every bench takes (``--gray-faults``, ``--devices``,
+``--interface`` ...) shape the scenario's world; ``--profile`` embeds a
+simulator self-profile in the dashboard.
+
 The run is the same world ``repro trace`` builds, so numbers line up
 with traces and the benches; with metrics disabled (every other CLI
 path) the instruments are shared no-ops and results stay byte-identical.
@@ -29,7 +33,7 @@ from ..telemetry import (
 )
 from ..telemetry import series as series_mod
 from . import setups
-from .scenarios import GRAY_PROFILES, TRACED
+from .scenarios import TRACED
 
 SCHEMA = "repro.monitor/1"
 
@@ -40,11 +44,11 @@ MAX_DASHBOARD_WINDOWS = 64
 
 
 def run_scenario(name, interval=DEFAULT_INTERVAL, rules=None,
-                 profile=False):
-    """Run one traced scenario under windowed metrics.
+                 spec=setups.DEFAULT_SPEC, worlds=None):
+    """Run one traced scenario of ``spec`` under windowed metrics.
 
     Returns ``(report, registry)`` — the dashboard report dict plus the
-    live registry for the exporters.  With ``profile`` a
+    live registry for the exporters.  With ``spec.profile`` a
     :class:`~repro.sim.SimProfiler` rides the world, the registry gains
     ``sim.real_time_factor`` / ``sim.events_per_sec`` gauge series, and
     the report carries a ``profile`` wall-attribution summary.
@@ -53,11 +57,11 @@ def run_scenario(name, interval=DEFAULT_INTERVAL, rules=None,
     registry = MetricsRegistry(interval=interval)
     telemetry = Telemetry(enabled=False, metrics=registry)
     profiler = None
-    if profile:
+    if spec.profile:
         from ..sim import SimProfiler
         profiler = SimProfiler()
         telemetry.profiler = profiler
-    outcome = fn(telemetry)
+    outcome = fn(telemetry, spec, worlds)
     registry.finish()
     monitor = SLOMonitor(registry,
                          default_bench_rules() if rules is None else rules)
@@ -201,7 +205,7 @@ def render_markdown(report):
     return "\n".join(lines)
 
 
-def main(argv):
+def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
     args = list(argv)
     if not args or args[0] in ("-h", "--help", "list"):
         print(__doc__)
@@ -209,16 +213,15 @@ def main(argv):
         for line in TRACED.listing():
             print(line)
         print("\noptions: --interval SECONDS (default %g), --out PATH,"
-              "\n         --json PATH, --prom PATH, --csv PATH,"
-              "\n         --gray-faults PROFILE, --profile, --quiet"
+              "\n         --json PATH, --prom PATH, --csv PATH, --quiet,"
+              "\n         plus the world flags of every bench"
               % DEFAULT_INTERVAL)
         return 0
     name = args.pop(0)
     interval = DEFAULT_INTERVAL
-    out_path = json_path = prom_path = csv_path = gray = None
-    quiet = profile = False
-    value_flags = ("--interval", "--out", "--json", "--prom", "--csv",
-                   "--gray-faults")
+    out_path = json_path = prom_path = csv_path = None
+    quiet = False
+    value_flags = ("--interval", "--out", "--json", "--prom", "--csv")
     while args:
         flag = args.pop(0)
         if flag in value_flags and not args:
@@ -241,30 +244,17 @@ def main(argv):
             prom_path = args.pop(0)
         elif flag == "--csv":
             csv_path = args.pop(0)
-        elif flag == "--gray-faults":
-            gray = args.pop(0)
-            if gray not in GRAY_PROFILES:
-                print("no gray-fault profile %r (have: %s)"
-                      % (gray, ", ".join(GRAY_PROFILES.names())))
-                return 2
-        elif flag == "--profile":
-            profile = True
         elif flag == "--quiet":
             quiet = True
         else:
             print("unknown option: %r" % flag)
             return 2
-    if gray is not None:
-        setups.set_gray_faults(gray)
     try:
-        report, registry = run_scenario(name, interval=interval,
-                                        profile=profile)
+        report, registry = run_scenario(name, interval=interval, spec=spec,
+                                        worlds=worlds)
     except KeyError as error:
         print(error.args[0])
         return 2
-    finally:
-        if gray is not None:
-            setups.set_gray_faults("none")
     markdown = render_markdown(report)
     if out_path is not None:
         with open(out_path, "w") as handle:

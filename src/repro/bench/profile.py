@@ -63,7 +63,7 @@ DEFAULT_TOP = 15
 ALIASES = {"figure5-small": "figure5", "table1-small": "table1"}
 
 
-def _profiled_run(name, telemetry=None):
+def _profiled_run(name, spec, worlds, telemetry=None):
     """Run one traced scenario with a fresh profiler riding the hub;
     returns ``(profiler, outcome, run_wall_seconds)``."""
     fn = TRACED.get(name)
@@ -72,18 +72,19 @@ def _profiled_run(name, telemetry=None):
     profiler = SimProfiler()
     telemetry.profiler = profiler
     begin = time.perf_counter()
-    outcome = fn(telemetry)
+    outcome = fn(telemetry, spec, worlds)
     return profiler, outcome, time.perf_counter() - begin
 
 
-def profile_scenario(name, alloc=True, ablation=True, top=DEFAULT_TOP):
+def profile_scenario(name, alloc=True, ablation=True, top=DEFAULT_TOP,
+                     spec=setups.DEFAULT_SPEC, worlds=None):
     """Build the full ``repro.profile/1`` report for one scenario.
 
     Returns ``(report, profiler)`` — the profiler is kept live so the
     CLI can emit its collapsed stacks without re-deriving them.
     """
     name = ALIASES.get(name, name)
-    profiler, outcome, run_wall = _profiled_run(name)
+    profiler, outcome, run_wall = _profiled_run(name, spec, worlds)
     summary = profiler.summary()
     report = {
         "schema": SCHEMA,
@@ -97,7 +98,7 @@ def profile_scenario(name, alloc=True, ablation=True, top=DEFAULT_TOP):
     report.update(summary)
     if ablation:
         armed, _outcome, _wall = _profiled_run(
-            name, telemetry=Telemetry(enabled=True))
+            name, spec, worlds, telemetry=Telemetry(enabled=True))
         base_wall = profiler.wall_seconds()
         armed_wall = armed.wall_seconds()
         report["telemetry_overhead"] = {
@@ -113,7 +114,7 @@ def profile_scenario(name, alloc=True, ablation=True, top=DEFAULT_TOP):
         tracemalloc.start()
         try:
             before = tracemalloc.take_snapshot()
-            churn, _outcome, _wall = _profiled_run(name)
+            churn, _outcome, _wall = _profiled_run(name, spec, worlds)
             stats = allocation_stats(before)
         finally:
             tracemalloc.stop()
@@ -207,7 +208,8 @@ def render_markdown(report):
 
 
 # --- the speed benchmark --------------------------------------------------
-def run_speed(smoke=False, ops_per_client=None, widths=None):
+def run_speed(smoke=False, ops_per_client=None, widths=None,
+              spec=setups.DEFAULT_SPEC):
     """Re-run the scaling width cells with the profiler attached.
 
     Records per cell: TPS, simulated/wall seconds, processed events,
@@ -221,35 +223,34 @@ def run_speed(smoke=False, ops_per_client=None, widths=None):
         widths = (1,) if smoke else scaling.WIDTHS
     if ops_per_client is None:
         ops_per_client = scaling.BASE_OPS_PER_CLIENT
-    setups.set_profile(True)
+    spec = spec._replace(profile=True)
+    worlds = []
     cells = []
-    try:
-        for label, barriers in scaling.MODES:
-            for width in widths:
-                record = scaling.run_width(width, barriers,
-                                           ops_per_client=ops_per_client)
-                profiler = setups.profilers()[-1]
-                cell = {
-                    "mode": label,
-                    "width": width,
-                    "tps": record["tps"],
-                    "sim_seconds": record["sim_seconds"],
-                    "wall_seconds": record["wall_seconds"],
-                    "real_time_factor": (record["sim_seconds"]
-                                         / record["wall_seconds"]),
-                    "events": profiler.steps,
-                    "events_per_sec": (profiler.steps
-                                       / record["wall_seconds"]),
-                    "loop_wall_seconds": profiler.wall_seconds(),
-                }
-                cells.append(cell)
-                print("  %-13s width=%d  rtf=%5.2fx  %8.0f ev/s  "
-                      "(%d events, wall %.2fs)"
-                      % (label, width, cell["real_time_factor"],
-                         cell["events_per_sec"], cell["events"],
-                         cell["wall_seconds"]))
-    finally:
-        setups.set_profile(False)
+    for label, barriers in scaling.MODES:
+        for width in widths:
+            record = scaling.run_width(width, barriers,
+                                       ops_per_client=ops_per_client,
+                                       spec=spec, worlds=worlds)
+            profiler = worlds[-1].telemetry.profiler
+            cell = {
+                "mode": label,
+                "width": width,
+                "tps": record["tps"],
+                "sim_seconds": record["sim_seconds"],
+                "wall_seconds": record["wall_seconds"],
+                "real_time_factor": (record["sim_seconds"]
+                                     / record["wall_seconds"]),
+                "events": profiler.steps,
+                "events_per_sec": (profiler.steps
+                                   / record["wall_seconds"]),
+                "loop_wall_seconds": profiler.wall_seconds(),
+            }
+            cells.append(cell)
+            print("  %-13s width=%d  rtf=%5.2fx  %8.0f ev/s  "
+                  "(%d events, wall %.2fs)"
+                  % (label, width, cell["real_time_factor"],
+                     cell["events_per_sec"], cell["events"],
+                     cell["wall_seconds"]))
     return {
         "benchmark": "speed",
         "workload": "linkbench",
@@ -260,7 +261,7 @@ def run_speed(smoke=False, ops_per_client=None, widths=None):
     }
 
 
-def _speed_main(args):
+def _speed_main(args, spec):
     out_path = SPEED_PATH
     smoke = "--smoke" in args
     if smoke:
@@ -279,7 +280,7 @@ def _speed_main(args):
         return 2
     if smoke and ops is None:
         ops = 12
-    report = run_speed(smoke=smoke, ops_per_client=ops)
+    report = run_speed(smoke=smoke, ops_per_client=ops, spec=spec)
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
     print("\nwrote %s" % out_path)
@@ -291,7 +292,7 @@ def _speed_main(args):
     return 0
 
 
-def main(argv):
+def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
     args = list(argv)
     if not args or args[0] in ("-h", "--help", "list"):
         print(__doc__)
@@ -302,7 +303,7 @@ def main(argv):
             print("  %-9s alias for %s" % (alias, target))
         return 0
     if args[0] == "--speed":
-        return _speed_main(args[1:])
+        return _speed_main(args[1:], spec)
     name = args.pop(0)
     out_path = json_path = collapsed_path = None
     alloc = ablation = True
@@ -330,8 +331,9 @@ def main(argv):
             return 2
     try:
         report, profiler = profile_scenario(ALIASES.get(name, name),
-                                            alloc=alloc,
-                                            ablation=ablation, top=top)
+                                            alloc=alloc, ablation=ablation,
+                                            top=top, spec=spec,
+                                            worlds=worlds)
     except KeyError as error:
         print(error.args[0])
         return 2

@@ -91,8 +91,8 @@ def compare(baseline, fresh, tps_tol=TPS_TOLERANCE, p99_tol=P99_TOLERANCE):
     return rows, failures
 
 
-def run_fresh(baseline, smoke=False):
-    """Re-run the configurations the baseline records.
+def run_fresh(baseline, smoke=False, spec=setups.DEFAULT_SPEC, worlds=None):
+    """Re-run the configurations the baseline records under ``spec``.
 
     Operation counts are pinned to the baseline's (never quick-scaled):
     TPS and p99 are only comparable at identical work.
@@ -110,7 +110,8 @@ def run_fresh(baseline, smoke=False):
     for label, barriers in scaling.MODES:
         for width in widths:
             record = scaling.run_width(width, barriers,
-                                       ops_per_client=ops)
+                                       ops_per_client=ops, spec=spec,
+                                       worlds=worlds)
             throughput.append(record)
             print("  ran %-13s width=%d  %8.0f tps  p99=%.2fms"
                   % (label, width, record["tps"],
@@ -121,7 +122,8 @@ def run_fresh(baseline, smoke=False):
         for base_rec in baseline.get("log_placement", ()):
             record = scaling.run_placement(
                 base_rec["config"] == "colocated",
-                width=base_rec["width"], ops_per_client=ops)
+                width=base_rec["width"], ops_per_client=ops, spec=spec,
+                worlds=worlds)
             placement.append(record)
             print("  ran log %-10s width=%d  %8.0f tps  p99=%.2fms"
                   % (record["config"], record["width"], record["tps"],
@@ -130,7 +132,7 @@ def run_fresh(baseline, smoke=False):
             record = scaling.run_mirror(
                 base_rec["mirror"],
                 barriers=base_rec["mode"] == "flush-cache",
-                ops_per_client=ops)
+                ops_per_client=ops, spec=spec, worlds=worlds)
             mirroring.append(record)
             print("  ran mirror=%d      %8.0f tps  p99=%.2fms"
                   % (record["mirror"], record["tps"],
@@ -141,7 +143,7 @@ def run_fresh(baseline, smoke=False):
             record = scaling.run_interface(
                 base_rec["interface"], base_rec["sq"],
                 barriers=base_rec["mode"] == "flush-cache",
-                ops_per_client=ops)
+                ops_per_client=ops, spec=spec, worlds=worlds)
             interfaces.append(record)
             print("  ran %-5s sq=%d     %8.0f tps  p99=%.2fms"
                   % (record["interface"], record["sq"], record["tps"],
@@ -198,7 +200,7 @@ def format_rows(rows):
     return "\n".join(lines)
 
 
-def main(argv):
+def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
     args = list(argv)
     if args and args[0] in ("-h", "--help"):
         print(__doc__)
@@ -233,7 +235,7 @@ def main(argv):
         print("cannot read baseline %s: %s" % (baseline_path, error))
         return 2
     try:
-        fresh = run_fresh(baseline, smoke=smoke)
+        fresh = run_fresh(baseline, smoke=smoke, spec=spec, worlds=worlds)
     except RuntimeError as error:
         print(str(error))
         return 2

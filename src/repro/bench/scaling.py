@@ -25,6 +25,10 @@ Usage::
     python -m repro scaling --smoke --interface nvme --sq 2
     python -m repro scaling --out BENCH_scaling.json
 
+The world flags every bench takes (``--interface``, ``--sq``,
+``--queue-depth``, ``--gray-faults`` ...) shape every cell; each cell
+then sets its own stripe width, mirror count or interface.
+
 The JSON report (ops/s, p99 seconds, simulated seconds, wall seconds
 per configuration) is the repo's perf trajectory record: future changes
 land against these numbers.
@@ -66,6 +70,8 @@ SQ_COUNTS = (1, 2, 4)
 
 def _measure(engine, sim, clients, ops_per_client):
     """Run LinkBench against a built engine; returns a result record."""
+    if ops_per_client is None:
+        ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
     workload = LinkBenchWorkload(
         engine, LinkBenchConfig(db_bytes=setups.scaled_db_bytes()))
     begin = time.time()
@@ -79,34 +85,32 @@ def _measure(engine, sim, clients, ops_per_client):
     }
 
 
-def run_width(width, barriers, clients=CLIENTS, ops_per_client=None):
+def _mode(barriers):
+    return "flush-cache" if barriers else "durable-cache"
+
+
+def _run_cell(spec, worlds, barriers, clients, ops_per_client):
+    """LinkBench on the paper's MySQL world (dedicated log drive,
+    doublewrite on) built from ``spec``."""
+    sim = setups.fresh_world(spec=spec, worlds=worlds)
+    engine, _devices = setups.mysql_setup(sim, PAGE_SIZE, barriers, True,
+                                          buffer_gb=BUFFER_GB,
+                                          device_kind=DEVICE_KIND)
+    return _measure(engine, sim, clients, ops_per_client)
+
+
+def run_width(width, barriers, clients=CLIENTS, ops_per_client=None,
+              spec=setups.DEFAULT_SPEC, worlds=None):
     """One stripe-sweep cell: striped data target + dedicated log."""
-    if ops_per_client is None:
-        ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
-    sim = setups.fresh_world()
-    db_bytes = setups.scaled_db_bytes()
-    data_target, _members = setups.make_data_target(
-        sim, DEVICE_KIND, int(db_bytes * 2.5), width=width)
-    log_device = setups.make_device(
-        sim, DEVICE_KIND, capacity_bytes=max(units.GIB, db_bytes // 4),
-        name="%s.log" % DEVICE_KIND)
-    model = setups.queue_topology()
-    data_fs = FileSystem(sim, data_target, barriers=barriers,
-                         queue_model=model)
-    log_fs = FileSystem(sim, log_device, barriers=barriers,
-                        queue_model=model)
-    config = InnoDBConfig(page_size=PAGE_SIZE,
-                          buffer_pool_bytes=setups.scaled(BUFFER_GB))
-    engine = InnoDBEngine(sim, data_fs, log_fs, config)
-    record = _measure(engine, sim, clients, ops_per_client)
-    record.update({"width": width,
-                   "mode": "durable-cache" if not barriers
-                   else "flush-cache"})
+    record = _run_cell(spec._replace(data_devices=width, mirror=1), worlds,
+                       barriers, clients, ops_per_client)
+    record.update({"width": width, "mode": _mode(barriers)})
     return record
 
 
 def run_placement(colocated, width=ABLATION_WIDTH, clients=CLIENTS,
-                  ops_per_client=None, barriers=True):
+                  ops_per_client=None, barriers=True,
+                  spec=setups.DEFAULT_SPEC, worlds=None):
     """One log-placement arm at stripe width ``width``.
 
     Colocated: data and WAL carve region views out of *one* shared
@@ -114,21 +118,21 @@ def run_placement(colocated, width=ABLATION_WIDTH, clients=CLIENTS,
     Dedicated: the paper's separate log device.  Barriers default on —
     placement matters most when fsync really flushes.
     """
-    if ops_per_client is None:
-        ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
-    sim = setups.fresh_world()
-    db_bytes = setups.scaled_db_bytes()
-    data_bytes = int(db_bytes * 2.5)
-    log_bytes = max(units.GIB, db_bytes // 4)
-    model = setups.queue_topology()
+    spec = spec._replace(data_devices=width, mirror=1)
     if colocated:
+        sim = setups.fresh_world(spec=spec, worlds=worlds)
+        db_bytes = setups.scaled_db_bytes()
+        data_bytes = int(db_bytes * 2.5)
+        log_bytes = max(units.GIB, db_bytes // 4)
         member_bytes = -(-(data_bytes + log_bytes) // width)
         members = tuple(
             setups.make_device(sim, DEVICE_KIND,
                                capacity_bytes=member_bytes,
                                name="%s.d%d" % (DEVICE_KIND, index))
             for index in range(width))
-        volume = StripedVolume(sim, members, queue_model=model)
+        volume = StripedVolume(sim, members,
+                               timeout_policy=spec.timeout_policy(),
+                               queue_model=spec.topology)
         data_blocks = units.lba_count(data_bytes)
         data_fs = FileSystem(
             sim, RegionView(volume, 0, data_blocks, name="shared.data"),
@@ -138,105 +142,63 @@ def run_placement(colocated, width=ABLATION_WIDTH, clients=CLIENTS,
                             volume.exported_lbas - data_blocks,
                             name="shared.log"),
             barriers=barriers)
+        config = InnoDBConfig(page_size=PAGE_SIZE,
+                              buffer_pool_bytes=setups.scaled(BUFFER_GB))
+        engine = InnoDBEngine(sim, data_fs, log_fs, config)
+        record = _measure(engine, sim, clients, ops_per_client)
     else:
-        data_target, _members = setups.make_data_target(
-            sim, DEVICE_KIND, data_bytes, width=width)
-        log_device = setups.make_device(sim, DEVICE_KIND,
-                                        capacity_bytes=log_bytes,
-                                        name="%s.log" % DEVICE_KIND)
-        data_fs = FileSystem(sim, data_target, barriers=barriers,
-                             queue_model=model)
-        log_fs = FileSystem(sim, log_device, barriers=barriers,
-                            queue_model=model)
-    config = InnoDBConfig(page_size=PAGE_SIZE,
-                          buffer_pool_bytes=setups.scaled(BUFFER_GB))
-    engine = InnoDBEngine(sim, data_fs, log_fs, config)
-    record = _measure(engine, sim, clients, ops_per_client)
+        record = _run_cell(spec, worlds, barriers, clients, ops_per_client)
     record.update({"width": width,
                    "config": "colocated" if colocated else "dedicated"})
     return record
 
 
 def run_mirror(mirror, barriers=False, clients=CLIENTS,
-               ops_per_client=None):
+               ops_per_client=None, spec=setups.DEFAULT_SPEC, worlds=None):
     """One mirroring cell: ``mirror`` replicated data devices (RAID-1,
     block checksums, read-repair) plus the dedicated log drive.
     ``mirror`` 1 is the bare single-device world — the overhead
     baseline."""
-    if ops_per_client is None:
-        ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
-    sim = setups.fresh_world()
-    db_bytes = setups.scaled_db_bytes()
-    data_target, _members = setups.make_data_target(
-        sim, DEVICE_KIND, int(db_bytes * 2.5), width=1, mirror=mirror)
-    log_device = setups.make_device(
-        sim, DEVICE_KIND, capacity_bytes=max(units.GIB, db_bytes // 4),
-        name="%s.log" % DEVICE_KIND)
-    model = setups.queue_topology()
-    data_fs = FileSystem(sim, data_target, barriers=barriers,
-                         queue_model=model)
-    log_fs = FileSystem(sim, log_device, barriers=barriers,
-                        queue_model=model)
-    config = InnoDBConfig(page_size=PAGE_SIZE,
-                          buffer_pool_bytes=setups.scaled(BUFFER_GB))
-    engine = InnoDBEngine(sim, data_fs, log_fs, config)
-    record = _measure(engine, sim, clients, ops_per_client)
-    record.update({"mirror": mirror,
-                   "mode": "durable-cache" if not barriers
-                   else "flush-cache"})
+    record = _run_cell(spec._replace(data_devices=1, mirror=mirror), worlds,
+                       barriers, clients, ops_per_client)
+    record.update({"mirror": mirror, "mode": _mode(barriers)})
     return record
 
 
 def run_interface(interface, sq=1, barriers=False, clients=CLIENTS,
-                  ops_per_client=None, queue_depth=None):
-    """One interface-sweep cell: the width-1 world behind an explicit
-    queue model.
+                  ops_per_client=None, spec=setups.DEFAULT_SPEC, worlds=None):
+    """One interface-sweep cell: the width-1 world behind a named host
+    interface.
 
     ``interface`` is ``"sata"`` (the calibrated single NCQ — the
     reference cell) or ``"nvme"`` with ``sq`` submission queues; under
     NVMe with several queues the log stream pins to the last SQ, so
-    redo flushes never queue behind data-page writes.  Built with an
-    explicit :class:`QueueTopology` — independent of ``set_topology``,
-    so the sweep is self-describing and reruns exactly.
+    redo flushes never queue behind data-page writes.  The cell keeps
+    ``spec``'s queue depth and replaces only the interface, so the
+    sweep is self-describing and reruns exactly.
     """
-    if ops_per_client is None:
-        ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
     if interface == "sata":
         sq = 1
-        model = QueueTopology(interface="sata", queue_depth=queue_depth)
-    else:
-        affinity = {"log": sq - 1} if sq > 1 else None
-        model = QueueTopology(interface="nvme", submission_queues=sq,
-                              queue_depth=queue_depth, affinity=affinity)
-    sim = setups.fresh_world()
-    db_bytes = setups.scaled_db_bytes()
-    data_target, _members = setups.make_data_target(
-        sim, DEVICE_KIND, int(db_bytes * 2.5), width=1)
-    log_device = setups.make_device(
-        sim, DEVICE_KIND, capacity_bytes=max(units.GIB, db_bytes // 4),
-        name="%s.log" % DEVICE_KIND)
-    data_fs = FileSystem(sim, data_target, barriers=barriers,
-                         queue_model=model)
-    log_fs = FileSystem(sim, log_device, barriers=barriers,
-                        queue_model=model)
-    config = InnoDBConfig(page_size=PAGE_SIZE,
-                          buffer_pool_bytes=setups.scaled(BUFFER_GB))
-    engine = InnoDBEngine(sim, data_fs, log_fs, config)
-    record = _measure(engine, sim, clients, ops_per_client)
+    topology = QueueTopology.for_interface(interface, sq,
+                                           spec.topology.queue_depth)
+    record = _run_cell(spec._replace(data_devices=1, mirror=1,
+                                     topology=topology),
+                       worlds, barriers, clients, ops_per_client)
     record.update({"interface": interface, "sq": sq,
-                   "mode": "durable-cache" if not barriers
-                   else "flush-cache"})
+                   "mode": _mode(barriers)})
     return record
 
 
 def run_all(widths=WIDTHS, ops_per_client=None, ablation=True,
-            sq_counts=SQ_COUNTS):
-    """The full sweep; returns the JSON-ready report dict."""
+            sq_counts=SQ_COUNTS, spec=setups.DEFAULT_SPEC, worlds=None):
+    """The full sweep under ``spec``; returns the JSON-ready report
+    dict."""
     throughput = []
     for label, barriers in MODES:
         for width in widths:
             record = run_width(width, barriers,
-                               ops_per_client=ops_per_client)
+                               ops_per_client=ops_per_client, spec=spec,
+                               worlds=worlds)
             throughput.append(record)
             print("  %-13s width=%d  %8.0f tps  p99=%.2fms  "
                   "(sim %.2fs, wall %.1fs)"
@@ -249,13 +211,14 @@ def run_all(widths=WIDTHS, ops_per_client=None, ablation=True,
         for colocated in (False, True):
             record = run_placement(colocated, width=max(
                 w for w in widths if w <= ABLATION_WIDTH),
-                ops_per_client=ops_per_client)
+                ops_per_client=ops_per_client, spec=spec, worlds=worlds)
             placement.append(record)
             print("  log %-10s width=%d  %8.0f tps  p99=%.2fms"
                   % (record["config"], record["width"], record["tps"],
                      record["p99_write_s"] * 1e3))
         for mirror in (1, MIRROR_WIDTH):
-            record = run_mirror(mirror, ops_per_client=ops_per_client)
+            record = run_mirror(mirror, ops_per_client=ops_per_client,
+                                spec=spec, worlds=worlds)
             mirroring.append(record)
             print("  mirror=%d      %8.0f tps  p99=%.2fms"
                   % (mirror, record["tps"],
@@ -265,7 +228,8 @@ def run_all(widths=WIDTHS, ops_per_client=None, ablation=True,
         cells = [("sata", 1)] + [("nvme", sq) for sq in sq_counts]
         for interface, sq in cells:
             record = run_interface(interface, sq,
-                                   ops_per_client=ops_per_client)
+                                   ops_per_client=ops_per_client,
+                                   spec=spec, worlds=worlds)
             interfaces.append(record)
             print("  %-5s sq=%d     %8.0f tps  p99=%.2fms"
                   % (interface, sq, record["tps"],
@@ -335,7 +299,7 @@ def format_table(report):
     return "\n".join(lines)
 
 
-def main(argv=None):
+def main(argv=None, spec=setups.DEFAULT_SPEC, worlds=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in ("-h", "--help"):
         print(__doc__)
@@ -353,28 +317,6 @@ def main(argv=None):
         index = argv.index("--ops")
         ops = int(argv[index + 1])
         del argv[index:index + 2]
-    interface = "sata"
-    if "--interface" in argv:
-        index = argv.index("--interface")
-        interface = argv[index + 1]
-        del argv[index:index + 2]
-    submission_queues = None
-    if "--sq" in argv:
-        index = argv.index("--sq")
-        submission_queues = int(argv[index + 1])
-        del argv[index:index + 2]
-    queue_depth = None
-    if "--queue-depth" in argv:
-        index = argv.index("--queue-depth")
-        queue_depth = int(argv[index + 1])
-        del argv[index:index + 2]
-    if interface != "sata" or submission_queues is not None \
-            or queue_depth is not None:
-        # Re-shape the width/placement/mirror cells too: the whole
-        # sweep then runs behind the requested host interface.
-        setups.set_topology(interface=interface,
-                            submission_queues=submission_queues,
-                            queue_depth=queue_depth)
     if smoke:
         widths = (1, 2)
         sq_counts = (1, 2)
@@ -383,7 +325,7 @@ def main(argv=None):
         widths = WIDTHS
         sq_counts = SQ_COUNTS
     report = run_all(widths=widths, ops_per_client=ops,
-                     sq_counts=sq_counts)
+                     sq_counts=sq_counts, spec=spec, worlds=worlds)
     print()
     print(format_table(report))
     with open(out_path, "w") as handle:

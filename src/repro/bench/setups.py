@@ -1,34 +1,52 @@
-"""Shared experiment plumbing: devices, file systems, engines, scaling.
+"""World construction for every bench: one :class:`WorldSpec` in, one
+simulated world out.
 
-Every bench builds its world through these helpers so the scale-down
-policy lives in one place.  Environment knobs:
+A bench passes the paper's own knobs — device kind, cache mode,
+barriers, doublewrite, page size — as arguments.  Everything else about
+the world lives in a :class:`WorldSpec`, which the CLI's world flags
+fill in:
 
-* ``REPRO_SCALE``   — divide the paper's 100GB databases by this factor
+* ``data_devices`` (``--devices N``) stripes the data target over N
+  member devices; ``mirror`` (``--mirror N``) replicates it across N
+  checksum-verified devices instead; ``dedicated_log``
+  (``--log-device``) moves the single-drive Couchbase world's append
+  log onto its own device.  The MySQL and commercial worlds always
+  have a separate log drive.
+* ``topology`` (``--interface sata|nvme``, ``--sq N``,
+  ``--queue-depth N``) is the :class:`repro.host.QueueTopology` every
+  queue of the world is built from.
+* ``gray_faults`` / ``gray_seed`` (``--gray-faults PROFILE``) inject a
+  gray-fault profile into every device and arm the command-lifecycle
+  timeout stack on every file system, so a bench degrades instead of
+  deadlocking.
+* ``metrics_interval`` (``--metrics-interval S``) and ``profile``
+  (``--profile``) give each world a windowed metrics registry or a
+  simulator self-profiler.
+
+A spec is immutable.  The CLI builds one per invocation and passes it
+to the bench, whose :func:`fresh_world` call returns a :class:`World`
+that carries it; the helpers below read it off the simulator they are
+handed.  A plain :class:`~repro.sim.Simulator` reads as ``WorldSpec()``,
+the healthy single-device SATA world.  Nothing here outlives a call:
+the worlds a bench armed for metrics or profiling land in a list the
+caller owns.
+
+Environment knobs, read on every call:
+
+* ``REPRO_SCALE`` — divide the paper's 100GB databases by this factor
   (default 256; smaller = closer to the paper, slower).
-* ``REPRO_QUICK``   — set to 1 to cut operation counts ~4x for smoke
+* ``REPRO_QUICK`` — set to 1 to cut operation counts ~4x for smoke
   runs of the full benchmark suite.
-* ``set_gray_faults`` (the ``--gray-faults <profile>`` CLI flag) — every
-  device built afterwards carries the named gray-fault profile and every
-  file system arms the command-lifecycle timeout stack, so any bench
-  table can be rerun against a stalling or hanging device.
-* ``set_topology`` (the ``--devices N`` / ``--mirror N`` /
-  ``--log-device`` CLI flags) — data targets built afterwards stripe
-  over N member devices or mirror across N checksum-verified replicas,
-  and the single-drive Couchbase world moves its append log onto a
-  dedicated device via a placement volume.  The same knob selects the
-  host interface (``--interface sata|nvme`` / ``--sq N`` /
-  ``--queue-depth N``): every queue the world builds afterwards comes
-  from one :class:`repro.host.QueueTopology`, either the calibrated
-  single-queue SATA NCQ or an NVMe-style multi-queue model.
 """
 
 import os
+from typing import NamedTuple
 
 from ..db.commercial import CommercialConfig, CommercialEngine
 from ..db.couchstore import CouchstoreConfig, CouchstoreEngine
 from ..db.innodb import InnoDBConfig, InnoDBEngine
 from ..devices import make_durassd, make_hdd, make_ssd_a, make_ssd_b
-from ..failures.grayfaults import GrayFaultModel, make_profile
+from ..failures.grayfaults import PROFILES, GrayFaultModel, make_profile
 from ..host import (
     FileSystem,
     MirroredVolume,
@@ -37,7 +55,7 @@ from ..host import (
     StripedVolume,
 )
 from ..host.lifecycle import TimeoutPolicy
-from ..host.queues import INTERFACES, QueueTopology
+from ..host.queues import QueueTopology
 from ..sim import Simulator, units
 from ..telemetry import MetricsRegistry, Telemetry
 
@@ -51,137 +69,157 @@ DEVICE_MAKERS = {
 }
 
 
-#: (profile, seed) armed by --gray-faults, or None for healthy devices
-_GRAY_FAULTS = None
+class _WorldFields(NamedTuple):
+    data_devices: int = 1
+    mirror: int = 1
+    dedicated_log: bool = False
+    topology: QueueTopology = QueueTopology()
+    gray_faults: str = None
+    gray_seed: int = 0
+    metrics_interval: float = None
+    profile: bool = False
 
-#: counter salting successive devices so they stall at different instants
-_GRAY_DEVICE_COUNT = 0
 
+class WorldSpec(_WorldFields):
+    """The world-wide settings of a bench run (see the module docstring).
 
-def set_gray_faults(profile, seed=0):
-    """Arm gray-fault injection for every subsequently built world.
-
-    ``profile`` is a name from :data:`repro.failures.grayfaults.PROFILES`
-    or ``None``/"none" to disarm.  With faults armed, file systems get a
-    timeout policy so benches degrade instead of deadlocking.
+    ``WorldSpec()`` is the calibrated world: one healthy device behind
+    the SATA NCQ, no metrics, no profiler.  Construction validates:
+    counts are >= 1, striping and mirroring are mutually exclusive, the
+    gray-fault profile exists and the metrics interval is positive.
     """
-    global _GRAY_FAULTS, _GRAY_DEVICE_COUNT
-    _GRAY_DEVICE_COUNT = 0
-    if profile is None or profile == "none":
-        _GRAY_FAULTS = None
-        return
-    make_profile(profile, seed)  # validate the name early
-    _GRAY_FAULTS = (profile, seed)
 
+    __slots__ = ()
 
-def gray_timeout_policy():
-    """The lifecycle policy benches run with under --gray-faults."""
-    if _GRAY_FAULTS is None:
-        return None
-    _profile, seed = _GRAY_FAULTS
-    return TimeoutPolicy(deadline=0.01, backoff_base=1e-3, seed=seed)
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.data_devices < 1:
+            raise ValueError("data_devices must be >= 1")
+        if spec.mirror < 1:
+            raise ValueError("mirror must be >= 1")
+        if spec.mirror > 1 and spec.data_devices > 1:
+            raise ValueError("mirror and striping are mutually exclusive")
+        if spec.gray_faults is not None and spec.gray_faults not in PROFILES:
+            raise ValueError("unknown gray-fault profile %r (known: %s)"
+                             % (spec.gray_faults, ", ".join(sorted(PROFILES))))
+        if spec.metrics_interval is not None and spec.metrics_interval <= 0:
+            raise ValueError("metrics interval must be positive")
+        return spec
 
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, validated like a new spec."""
+        return WorldSpec(**dict(self._asdict(), **changes))
 
-#: data-target stripe width, mirroring, dedicated-log placement, and the
-#: host interface every queue is built through
-_TOPOLOGY = {"data_devices": 1, "dedicated_log": False, "mirror": 1,
-             "interface": "sata", "submission_queues": 2,
-             "queue_depth": None}
-
-
-def set_topology(data_devices=1, dedicated_log=False, mirror=1,
-                 interface="sata", submission_queues=None,
-                 queue_depth=None):
-    """Shape every subsequently built world's block topology.
-
-    ``data_devices`` > 1 stripes the data target over that many member
-    devices (RAID-0, per-member queues).  ``mirror`` > 1 replicates it
-    instead (RAID-1 with block checksums and read-repair) — mutually
-    exclusive with striping.  ``dedicated_log`` moves the log of the
-    single-drive Couchbase world onto its own device via a placement
-    volume (the MySQL/commercial worlds already dedicate a log drive).
-
-    ``interface`` selects the host queue model: ``"sata"`` (the
-    calibrated single 32-slot NCQ) or ``"nvme"`` (``submission_queues``
-    SQ/CQ pairs with the log stream pinned to the last queue).
-    ``queue_depth`` overrides the per-queue slot count.  Width 1,
-    mirror 1, no dedicated log, SATA at the default depth is the
-    calibrated byte-identical path.
-    """
-    global _TOPOLOGY
-    data_devices = int(data_devices)
-    if data_devices < 1:
-        raise ValueError("data_devices must be >= 1")
-    mirror = int(mirror)
-    if mirror < 1:
-        raise ValueError("mirror must be >= 1")
-    if mirror > 1 and data_devices > 1:
-        raise ValueError("mirror and striping are mutually exclusive")
-    if interface not in INTERFACES:
-        raise ValueError("interface must be one of %s" % (INTERFACES,))
-    if submission_queues is None:
-        submission_queues = 2
-    submission_queues = int(submission_queues)
-    if submission_queues < 1:
-        raise ValueError("submission_queues must be >= 1")
-    if queue_depth is not None:
-        queue_depth = int(queue_depth)
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-    _TOPOLOGY = {"data_devices": data_devices,
-                 "dedicated_log": bool(dedicated_log),
-                 "mirror": mirror,
-                 "interface": interface,
-                 "submission_queues": submission_queues,
-                 "queue_depth": queue_depth}
-
-
-def topology():
-    return dict(_TOPOLOGY)
-
-
-def queue_topology():
-    """The armed :class:`QueueTopology`, or ``None`` on the default.
-
-    Returning ``None`` for plain SATA at the default depth matters: the
-    construction sites then take the exact legacy code path, keeping the
-    calibrated benchmarks byte-identical.  Under NVMe with more than one
-    submission queue the ``log`` stream (WAL/journal writes) pins to the
-    last queue so redo flushes never sit behind data-page traffic.
-    """
-    interface = _TOPOLOGY["interface"]
-    depth = _TOPOLOGY["queue_depth"]
-    if interface == "sata":
-        if depth is None:
+    def timeout_policy(self):
+        """The lifecycle policy file systems run with under gray faults;
+        ``None`` (no deadlines) on healthy devices."""
+        if self.gray_faults is None:
             return None
-        return QueueTopology(interface="sata", queue_depth=depth)
-    queues = _TOPOLOGY["submission_queues"]
-    affinity = {"log": queues - 1} if queues > 1 else None
-    return QueueTopology(interface="nvme", queue_depth=depth,
-                         submission_queues=queues, affinity=affinity)
+        return TimeoutPolicy(deadline=0.01, backoff_base=1e-3,
+                             seed=self.gray_seed)
+
+    def to_json(self):
+        return dict(self._asdict(), topology=self.topology.to_json())
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(**dict(data,
+                          topology=QueueTopology.from_json(data["topology"])))
+
+
+DEFAULT_SPEC = WorldSpec()
+
+
+class World(Simulator):
+    """A simulator built from a :class:`WorldSpec`.
+
+    It numbers the gray-faulted devices built on it, so each device's
+    fault schedule depends on its place in this world alone: the same
+    spec builds the same world however many worlds came before.
+    """
+
+    def __init__(self, spec, telemetry=None):
+        super().__init__(telemetry)
+        self.spec = spec
+        self.gray_devices = 0
+
+
+def spec_of(sim):
+    """The spec ``sim`` was built from; ``WorldSpec()`` for a plain
+    simulator."""
+    return getattr(sim, "spec", DEFAULT_SPEC)
+
+
+def fresh_world(telemetry=None, spec=DEFAULT_SPEC, worlds=None):
+    """A :class:`World` for one bench run under ``spec``.
+
+    With ``spec.metrics_interval`` and no explicit hub, the world gets a
+    trace-disabled hub with an enabled metrics registry — spans stay off
+    (their overhead would distort latency-sensitive benches far more
+    than windowed counter snapshots do).  With ``spec.profile``, a
+    :class:`~repro.sim.profiler.SimProfiler` rides whatever hub the
+    world ends up with.  A world armed either way is appended to
+    ``worlds``, a list the caller owns, for post-run export.
+    """
+    armed = False
+    if telemetry is None and spec.metrics_interval is not None:
+        telemetry = Telemetry(
+            enabled=False,
+            metrics=MetricsRegistry(interval=spec.metrics_interval))
+        armed = True
+    if spec.profile:
+        if telemetry is None:
+            telemetry = Telemetry(enabled=False)
+        if telemetry.profiler is None:
+            from ..sim.profiler import SimProfiler
+            telemetry.profiler = SimProfiler()
+            armed = True
+    world = World(spec, telemetry)
+    if armed and worlds is not None:
+        worlds.append(world)
+    return world
+
+
+def make_device(sim, kind="durassd", cache_enabled=True, capacity_bytes=None,
+                name=None):
+    maker = DEVICE_MAKERS[kind]
+    if capacity_bytes is None:
+        device = maker(sim, cache_enabled=cache_enabled, name=name)
+    else:
+        device = maker(sim, cache_enabled=cache_enabled,
+                       capacity_bytes=capacity_bytes, name=name)
+    spec = spec_of(sim)
+    if spec.gray_faults is not None:
+        # Salted by build order so the devices stall at different instants.
+        salt = "%s-%d" % (kind, sim.gray_devices)
+        sim.gray_devices += 1
+        device.inject_gray_faults(GrayFaultModel(
+            make_profile(spec.gray_faults, spec.gray_seed), salt=salt))
+    return device
 
 
 def make_data_target(sim, device_kind, capacity_bytes, width=None,
-                     mirror=None, timeout_policy=None, queue_model=None):
+                     mirror=None, queue_model=None):
     """``(target_or_device, member_devices)`` for the data extent.
 
-    Width 1 returns the raw device — :class:`FileSystem` wraps it in a
-    :class:`SingleDevice`, keeping the calibrated path byte-identical.
-    Striped members named ``<kind>.d<i>`` each carry ``capacity /
-    width`` (rounded up) behind their own queue + lifecycle; mirror
-    replicas named ``<kind>.m<i>`` each carry the full capacity behind
-    a checksum-verified :class:`MirroredVolume`.
+    ``width``, ``mirror`` and ``queue_model`` default to the world's
+    spec.  Width 1 returns the raw device — :class:`FileSystem` wraps it
+    in a :class:`SingleDevice`.  Striped members named ``<kind>.d<i>``
+    each carry ``capacity / width`` (rounded up) behind their own queue
+    + lifecycle; mirror replicas named ``<kind>.m<i>`` each carry the
+    full capacity behind a checksum-verified :class:`MirroredVolume`.
     """
-    width = _TOPOLOGY["data_devices"] if width is None else width
-    mirror = _TOPOLOGY["mirror"] if mirror is None else mirror
-    if queue_model is None:
-        queue_model = queue_topology()
+    spec = spec_of(sim)
+    width = spec.data_devices if width is None else width
+    mirror = spec.mirror if mirror is None else mirror
+    queue_model = queue_model or spec.topology
     if mirror > 1:
         members = tuple(
             make_device(sim, device_kind, capacity_bytes=capacity_bytes,
                         name="%s.m%d" % (device_kind, index))
             for index in range(mirror))
-        volume = MirroredVolume(sim, members, timeout_policy=timeout_policy,
+        volume = MirroredVolume(sim, members,
+                                timeout_policy=spec.timeout_policy(),
                                 queue_model=queue_model)
         return volume, members
     if width <= 1:
@@ -192,7 +230,7 @@ def make_data_target(sim, device_kind, capacity_bytes, width=None,
         make_device(sim, device_kind, capacity_bytes=member_bytes,
                     name="%s.d%d" % (device_kind, index))
         for index in range(width))
-    volume = StripedVolume(sim, members, timeout_policy=timeout_policy,
+    volume = StripedVolume(sim, members, timeout_policy=spec.timeout_policy(),
                            queue_model=queue_model)
     return volume, members
 
@@ -219,179 +257,63 @@ def scaled(buffer_gb):
     return int(buffer_gb * units.GIB) // scale_factor()
 
 
-#: metrics window interval armed by --metrics-interval, or None (off)
-_METRICS_INTERVAL = None
-
-#: simulators built with an armed registry, for post-run series export
-_METRIC_SIMS = []
-
-
-def set_metrics_interval(interval):
-    """Arm continuous windowed metrics for subsequently built worlds.
-
-    Each :func:`fresh_world` call that does not bring its own telemetry
-    hub gets one whose metrics registry samples every ``interval``
-    simulated seconds; the simulators are remembered (:func:`metric_sims`)
-    so the CLI can export their series after the bench finishes.
-    ``None`` disarms — the byte-identical default path, where worlds get
-    a disabled hub and every instrument is a shared no-op.
-    """
-    global _METRICS_INTERVAL
-    if interval is not None and interval <= 0:
-        raise ValueError("metrics interval must be positive")
-    _METRICS_INTERVAL = interval
-    del _METRIC_SIMS[:]
-
-
-def metrics_interval():
-    return _METRICS_INTERVAL
-
-
-def metric_sims():
-    """Simulators built since arming, each carrying a live registry."""
-    return list(_METRIC_SIMS)
-
-
-#: self-profiling armed by --profile: every fresh world gets a profiler
-_PROFILE = False
-
-#: profilers attached since arming, in world-build order
-_PROFILERS = []
-
-
-def set_profile(enabled=True):
-    """Arm simulator self-profiling for subsequently built worlds.
-
-    Each :func:`fresh_world` gets a
-    :class:`~repro.sim.profiler.SimProfiler` attached (collected via
-    :func:`profilers` for post-run reporting).  Disarmed — the default —
-    worlds run the untouched class-method event loop: the profiler
-    attaches by instance-level override, so the off path costs nothing.
-    """
-    global _PROFILE
-    _PROFILE = bool(enabled)
-    del _PROFILERS[:]
-
-
-def profile_enabled():
-    return _PROFILE
-
-
-def profilers():
-    """Profilers attached since arming, in world-build order."""
-    return list(_PROFILERS)
-
-
-def fresh_world(telemetry=None):
-    """A simulator for one bench world.
-
-    With ``--metrics-interval`` armed and no explicit hub, the world
-    gets a trace-disabled hub with an enabled metrics registry — spans
-    stay off (their overhead would distort latency-sensitive benches
-    far more than windowed counter snapshots do).  With ``--profile``
-    armed, a :class:`~repro.sim.profiler.SimProfiler` rides whatever
-    hub the world ends up with.
-    """
-    metric_sim = False
-    if telemetry is None and _METRICS_INTERVAL is not None:
-        telemetry = Telemetry(
-            enabled=False,
-            metrics=MetricsRegistry(interval=_METRICS_INTERVAL))
-        metric_sim = True
-    if _PROFILE:
-        if telemetry is None:
-            telemetry = Telemetry(enabled=False)
-        if telemetry.profiler is None:
-            from ..sim.profiler import SimProfiler
-            profiler = SimProfiler()
-            telemetry.profiler = profiler
-            _PROFILERS.append(profiler)
-    sim = Simulator(telemetry)
-    if metric_sim:
-        _METRIC_SIMS.append(sim)
-    return sim
-
-
-def make_device(sim, kind="durassd", cache_enabled=True, capacity_bytes=None,
-                name=None):
-    global _GRAY_DEVICE_COUNT
-    maker = DEVICE_MAKERS[kind]
-    if capacity_bytes is None:
-        device = maker(sim, cache_enabled=cache_enabled, name=name)
-    else:
-        device = maker(sim, cache_enabled=cache_enabled,
-                       capacity_bytes=capacity_bytes, name=name)
-    if _GRAY_FAULTS is not None:
-        profile, seed = _GRAY_FAULTS
-        salt = "%s-%d" % (kind, _GRAY_DEVICE_COUNT)
-        _GRAY_DEVICE_COUNT += 1
-        device.inject_gray_faults(
-            GrayFaultModel(make_profile(profile, seed), salt=salt))
-    return device
-
-
-def mysql_setup(sim, page_size, barriers, doublewrite, buffer_gb=10,
-                device_kind="durassd", **config_overrides):
-    """The paper's MySQL world: two drives, XFS, O_DIRECT."""
+def _data_and_log(sim, device_kind, barriers, **fs_options):
+    """The two-drive layout of the MySQL and commercial worlds: a data
+    target sized for the database plus a dedicated log drive, each
+    under its own file system."""
+    spec = spec_of(sim)
     db_bytes = scaled_db_bytes()
-    policy = gray_timeout_policy()
-    data_target, data_devices = make_data_target(
-        sim, device_kind, int(db_bytes * 2.5), timeout_policy=policy)
+    data_target, data_devices = make_data_target(sim, device_kind,
+                                                 int(db_bytes * 2.5))
     # The log drive gets a distinct name: probes identify instances by
     # their device attr, so two same-kind drives must not collide.
     log_device = make_device(sim, device_kind,
                              capacity_bytes=max(units.GIB, db_bytes // 4),
                              name="%s.log" % device_kind)
-    model = queue_topology()
+    policy = spec.timeout_policy()
     data_fs = FileSystem(sim, data_target, barriers=barriers,
-                         timeout_policy=policy, queue_model=model)
+                         timeout_policy=policy, queue_model=spec.topology,
+                         **fs_options)
     log_fs = FileSystem(sim, log_device, barriers=barriers,
-                        timeout_policy=policy, queue_model=model)
+                        timeout_policy=policy, queue_model=spec.topology,
+                        **fs_options)
+    return data_fs, log_fs, data_devices + (log_device,)
+
+
+def mysql_setup(sim, page_size, barriers, doublewrite, buffer_gb=10,
+                device_kind="durassd", **config_overrides):
+    """The paper's MySQL world: two drives, XFS, O_DIRECT."""
+    data_fs, log_fs, devices = _data_and_log(sim, device_kind, barriers)
     config = InnoDBConfig(page_size=page_size,
                           buffer_pool_bytes=scaled(buffer_gb),
                           doublewrite=doublewrite, **config_overrides)
-    engine = InnoDBEngine(sim, data_fs, log_fs, config)
-    return engine, data_devices + (log_device,)
+    return InnoDBEngine(sim, data_fs, log_fs, config), devices
 
 
 def commercial_setup(sim, page_size, barriers, buffer_gb=2,
                      device_kind="durassd", **config_overrides):
     """The paper's commercial-DBMS world: ext4, O_DSYNC data files."""
-    db_bytes = scaled_db_bytes()
-    policy = gray_timeout_policy()
-    data_target, data_devices = make_data_target(
-        sim, device_kind, int(db_bytes * 2.5), timeout_policy=policy)
-    log_device = make_device(sim, device_kind,
-                             capacity_bytes=max(units.GIB, db_bytes // 4),
-                             name="%s.log" % device_kind)
-    model = queue_topology()
-    data_fs = FileSystem(sim, data_target, barriers=barriers,
-                         coalesce_barriers=True, timeout_policy=policy,
-                         queue_model=model)
-    log_fs = FileSystem(sim, log_device, barriers=barriers,
-                        coalesce_barriers=True, timeout_policy=policy,
-                        queue_model=model)
+    data_fs, log_fs, devices = _data_and_log(sim, device_kind, barriers,
+                                             coalesce_barriers=True)
     config = CommercialConfig(page_size=page_size,
                               buffer_pool_bytes=scaled(buffer_gb),
                               **config_overrides)
-    engine = CommercialEngine(sim, data_fs, log_fs, config)
-    return engine, data_devices + (log_device,)
+    return CommercialEngine(sim, data_fs, log_fs, config), devices
 
 
 def couchbase_setup(sim, batch_size, barriers, device_kind="durassd",
                     **config_overrides):
     """The paper's Couchbase world: one drive, XFS.
 
-    Under ``set_topology``, the data extent stripes and/or the append
-    log moves onto a dedicated device behind a placement volume; the
-    default topology is the paper's single drive.
+    Under the spec the data extent stripes or mirrors, and with
+    ``dedicated_log`` the append log moves onto its own device behind a
+    placement volume; the default is the paper's single drive.
     """
-    policy = gray_timeout_policy()
-    model = queue_topology()
-    data_target, devices = make_data_target(sim, device_kind,
-                                            2 * units.GIB,
-                                            timeout_policy=policy)
-    if _TOPOLOGY["dedicated_log"]:
+    spec = spec_of(sim)
+    policy = spec.timeout_policy()
+    model = spec.topology
+    data_target, devices = make_data_target(sim, device_kind, 2 * units.GIB)
+    if spec.dedicated_log:
         if not hasattr(data_target, "flush"):  # raw device at width 1
             data_target = SingleDevice(sim, data_target,
                                        timeout_policy=policy,

@@ -35,9 +35,10 @@ ROWS = [
 ]
 
 
-def measure_cell(device_kind, mode, fsync_period, ios=None, telemetry=None):
+def measure_cell(device_kind, mode, fsync_period, ios=None, telemetry=None,
+                 spec=setups.DEFAULT_SPEC, worlds=None):
     """One fio run; returns IOPS."""
-    sim = setups.fresh_world(telemetry)
+    sim = setups.fresh_world(telemetry, spec, worlds)
     cache_enabled = mode != "off"
     device = setups.make_device(sim, device_kind,
                                 cache_enabled=cache_enabled)
@@ -66,7 +67,7 @@ def _ios_for(device_kind, mode, fsync_period):
 TRACED_CELL = ("durassd", "on", 8)
 
 
-def run(telemetry=None):
+def run(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
     """Measure the full table; returns {(device, mode): [iops...]}.
 
     ``telemetry`` (optional, one enabled hub) is threaded into the
@@ -78,7 +79,8 @@ def run(telemetry=None):
         results[(device_kind, mode)] = [
             measure_cell(device_kind, mode, period,
                          telemetry=telemetry if (device_kind, mode, period)
-                         == TRACED_CELL else None)
+                         == TRACED_CELL else None,
+                         spec=spec, worlds=worlds)
             for period in FSYNC_PERIODS]
     return results
 
@@ -94,8 +96,8 @@ def format_table(results):
         "Table 1: 4KB random-write IOPS vs writes-per-fsync", headers, rows)
 
 
-def main(telemetry=None):
-    print(format_table(run(telemetry)))
+def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_table(run(telemetry, spec, worlds)))
 
 
 if __name__ == "__main__":

@@ -25,10 +25,9 @@ PAPER_HDD = {
 
 
 def _measure(device_kind, rw, numjobs, fsync_every, barriers, page_size,
-             cache_enabled=True):
-    sim = setups.fresh_world()
-    device = setups.make_device(sim, device_kind,
-                                cache_enabled=cache_enabled)
+             spec=setups.DEFAULT_SPEC, worlds=None):
+    sim = setups.fresh_world(spec=spec, worlds=worlds)
+    device = setups.make_device(sim, device_kind)
     filesystem = FileSystem(sim, device, barriers=barriers)
     per_job = setups.ops_scale(60 if numjobs > 1 else 400)
     if device_kind == "hdd":
@@ -39,29 +38,23 @@ def _measure(device_kind, rw, numjobs, fsync_every, barriers, page_size,
     return run_fio(sim, filesystem, job).iops
 
 
-def run():
+def run(spec=setups.DEFAULT_SPEC, worlds=None):
     """Returns {section: {row_label: [iops per page size]}}."""
+    def row(device_kind, rw, numjobs, fsync_every, barriers):
+        return [_measure(device_kind, rw, numjobs, fsync_every, barriers,
+                         page_size, spec=spec, worlds=worlds)
+                for page_size in PAGE_SIZES]
+
     durassd = {
-        "read-only (128 thr)": [
-            _measure("durassd", "randread", 128, 0, True, ps)
-            for ps in PAGE_SIZES],
-        "write-only (1-fsync)": [
-            _measure("durassd", "randwrite", 1, 1, True, ps)
-            for ps in PAGE_SIZES],
-        "write-only (256-fsync)": [
-            _measure("durassd", "randwrite", 1, 256, True, ps)
-            for ps in PAGE_SIZES],
-        "write-only (128 nobarrier)": [
-            _measure("durassd", "randwrite", 128, 0, False, ps)
-            for ps in PAGE_SIZES],
+        "read-only (128 thr)": row("durassd", "randread", 128, 0, True),
+        "write-only (1-fsync)": row("durassd", "randwrite", 1, 1, True),
+        "write-only (256-fsync)": row("durassd", "randwrite", 1, 256, True),
+        "write-only (128 nobarrier)": row("durassd", "randwrite", 128, 0,
+                                          False),
     }
     hdd = {
-        "read-only (128 thr)": [
-            _measure("hdd", "randread", 128, 0, True, ps)
-            for ps in PAGE_SIZES],
-        "write-only (128 thr)": [
-            _measure("hdd", "randwrite", 128, 0, True, ps)
-            for ps in PAGE_SIZES],
+        "read-only (128 thr)": row("hdd", "randread", 128, 0, True),
+        "write-only (128 thr)": row("hdd", "randwrite", 128, 0, True),
     }
     return {"durassd": durassd, "hdd": hdd}
 
@@ -81,8 +74,8 @@ def format_table(results):
     return "\n\n".join(out)
 
 
-def main():
-    print(format_table(run()))
+def main(spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_table(run(spec, worlds)))
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ takeaways: means drop 5-45x, P99 drops ~two orders of magnitude.
 
 from ..sim import units
 from ..workloads.linkbench import OPERATION_MIX
+from . import setups
 from .figure5 import run_config
 from .tableio import render_table
 
@@ -27,16 +28,19 @@ PAPER_MEANS = {
 }
 
 
-def run(ops_per_client=None, telemetry=None):
+def run(ops_per_client=None, telemetry=None, spec=setups.DEFAULT_SPEC,
+        worlds=None):
     """(default_result, best_result) LinkBench runs.
 
     ``telemetry`` is threaded into the default (ON/ON 16KB) run — the
     configuration whose latency tail the paper dissects.
     """
     default = run_config(True, True, 16 * units.KIB,
-                         ops_per_client=ops_per_client, telemetry=telemetry)
+                         ops_per_client=ops_per_client, telemetry=telemetry,
+                         spec=spec, worlds=worlds)
     best = run_config(False, False, 4 * units.KIB,
-                      ops_per_client=ops_per_client)
+                      ops_per_client=ops_per_client, spec=spec,
+                      worlds=worlds)
     return default, best
 
 
@@ -63,7 +67,7 @@ def format_table(default, best):
         headers, rows)
     gain = (default.reads.mean + default.writes.mean) / max(
         1e-9, best.reads.mean + best.writes.mean)
-    from ..host.trace import render_latency_histogram
+    from .charts import render_latency_histogram
     histograms = (
         "\nread latency, default (ON/ON 16KB):\n"
         + render_latency_histogram(default.reads)
@@ -73,8 +77,8 @@ def format_table(default, best):
             % gain + histograms)
 
 
-def main(telemetry=None):
-    default, best = run(telemetry=telemetry)
+def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
+    default, best = run(telemetry=telemetry, spec=spec, worlds=worlds)
     print(format_table(default, best))
 
 

@@ -20,8 +20,9 @@ PAPER = {
 }
 
 
-def run_config(barrier, page_size, clients=64, txns_per_client=None):
-    sim = setups.fresh_world()
+def run_config(barrier, page_size, clients=64, txns_per_client=None,
+               spec=setups.DEFAULT_SPEC, worlds=None):
+    sim = setups.fresh_world(spec=spec, worlds=worlds)
     engine, _devices = setups.commercial_setup(sim, page_size, barrier,
                                                buffer_gb=2)
     workload = TPCCWorkload(engine, TPCCConfig(scale=setups.scale_factor()))
@@ -31,9 +32,10 @@ def run_config(barrier, page_size, clients=64, txns_per_client=None):
                         warmup_txns=15)
 
 
-def run():
+def run(spec=setups.DEFAULT_SPEC, worlds=None):
     """{barrier: [TPCCResult per page size]}"""
-    return {barrier: [run_config(barrier, page_size)
+    return {barrier: [run_config(barrier, page_size, spec=spec,
+                                 worlds=worlds)
                       for page_size in PAGE_SIZES]
             for barrier in (True, False)}
 
@@ -52,8 +54,8 @@ def format_table(results):
                     % " / ".join("%.1fx" % g for g in gains))
 
 
-def main():
-    print(format_table(run()))
+def main(spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_table(run(spec, worlds)))
 
 
 if __name__ == "__main__":

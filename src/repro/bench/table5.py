@@ -21,8 +21,9 @@ PAPER = {
 }
 
 
-def run_config(barrier, update_fraction, batch_size, ops=None):
-    sim = setups.fresh_world()
+def run_config(barrier, update_fraction, batch_size, ops=None,
+               spec=setups.DEFAULT_SPEC, worlds=None):
+    sim = setups.fresh_world(spec=spec, worlds=worlds)
     engine, _devices = setups.couchbase_setup(sim, batch_size, barrier)
     workload = YCSBWorkload(engine, YCSBConfig(
         "A", update_fraction=update_fraction,
@@ -32,13 +33,14 @@ def run_config(barrier, update_fraction, batch_size, ops=None):
     return workload.run(clients=1, ops_per_client=ops, warmup_ops=30)
 
 
-def run():
+def run(spec=setups.DEFAULT_SPEC, worlds=None):
     """{(barrier, update_fraction): [ops/s per batch size]}"""
     results = {}
     for barrier in (True, False):
         for update_fraction in (1.0, 0.5):
             results[(barrier, update_fraction)] = [
-                run_config(barrier, update_fraction, batch).ops_per_second
+                run_config(barrier, update_fraction, batch, spec=spec,
+                           worlds=worlds).ops_per_second
                 for batch in BATCH_SIZES]
     return results
 
@@ -61,8 +63,8 @@ def format_table(results):
                     % (on_gap, off_gap))
 
 
-def main():
-    print(format_table(run()))
+def main(spec=setups.DEFAULT_SPEC, worlds=None):
+    print(format_table(run(spec, worlds)))
 
 
 if __name__ == "__main__":

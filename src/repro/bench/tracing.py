@@ -12,21 +12,23 @@ benchmark run instead, use ``python -m repro <experiment> --telemetry``.
 """
 
 from ..telemetry import Telemetry
+from . import setups
 from .scenarios import TRACED
 
 #: the shared traced-scenario registry (see repro.bench.scenarios)
 SCENARIOS = TRACED
 
 
-def run_scenario(name, sample_interval=0.002):
+def run_scenario(name, sample_interval=0.002, spec=setups.DEFAULT_SPEC,
+                 worlds=None):
     """Run a traced scenario; returns ``(telemetry, outcome_line)``."""
     fn = SCENARIOS.get(name)
     telemetry = Telemetry(enabled=True, sample_interval=sample_interval)
-    outcome = fn(telemetry)
+    outcome = fn(telemetry, spec, worlds)
     return telemetry, outcome
 
 
-def main(argv):
+def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
     """``python -m repro trace <experiment> [--out X] [--jsonl Y]``."""
     args = list(argv)
     if not args or args[0] in ("-h", "--help", "list"):
@@ -65,7 +67,8 @@ def main(argv):
             return 2
     try:
         telemetry, outcome = run_scenario(name,
-                                          sample_interval=sample_interval)
+                                          sample_interval=sample_interval,
+                                          spec=spec, worlds=worlds)
     except KeyError as error:
         print(error.args[0])
         return 2

@@ -377,15 +377,10 @@ def build_world(scenario, telemetry=None):
     all_durable = all(device.claims_durable_cache for device in devices)
     barriers = (not all_durable) if scenario.barriers is None \
         else scenario.barriers
-    # None = the legacy SATA construction path, byte-identical to every
-    # committed torture artifact; the NVMe topology routes the log
-    # stream to its last submission queue like the bench worlds do.
-    queue_model = None
-    if scenario.interface == "nvme":
-        queues = scenario.submission_queues
-        queue_model = QueueTopology(
-            interface="nvme", submission_queues=queues,
-            affinity={"log": queues - 1} if queues > 1 else None)
+    # The bench worlds' topology for the interface: NVMe routes the log
+    # stream to its last submission queue.
+    queue_model = QueueTopology.for_interface(scenario.interface,
+                                              scenario.submission_queues)
     volume = None
     if scenario.stripe > 1:
         data_target = StripedVolume(sim, data_devices,

@@ -1,5 +1,5 @@
-"""Host I/O stack: NCQ, volumes, the file system (fsync/barrier policy),
-and fio."""
+"""Host I/O stack: queue models, volumes, the file system (fsync/barrier
+policy), and fio."""
 
 from .filesystem import FSYNC_SYSCALL_TIME, FileHandle, FileSystem, FileView
 from .fio import FioJob, FioResult, run_fio
@@ -16,7 +16,6 @@ from .lifecycle import (
     DeviceTimeoutError,
     TimeoutPolicy,
 )
-from .ncq import CommandQueue
 from .queues import (
     DEFAULT_QUEUE_DEPTH,
     NvmeMultiQueue,
@@ -24,7 +23,6 @@ from .queues import (
     QueueTopology,
     SataNcq,
 )
-from .trace import IOTracer, render_latency_histogram
 from .volume import (
     BlockTarget,
     MirroredVolume,
@@ -41,7 +39,6 @@ __all__ = [
     "BlockChecksums",
     "BlockTarget",
     "CommandLifecycle",
-    "CommandQueue",
     "CorruptDataError",
     "DEFAULT_QUEUE_DEPTH",
     "DetectedDataLossError",
@@ -68,7 +65,5 @@ __all__ = [
     "as_target",
     "FioJob",
     "FioResult",
-    "IOTracer",
-    "render_latency_histogram",
     "run_fio",
 ]

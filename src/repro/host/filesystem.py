@@ -123,12 +123,10 @@ class FileSystem:
     #: LBAs reserved at the end of the log region for the journal.
     JOURNAL_BLOCKS = 64
 
-    def __init__(self, sim, device, barriers=True, queue_depth=None,
-                 ordered_queue=True, coalesce_barriers=False, rng=None,
-                 timeout_policy=None, queue_model=None):
+    def __init__(self, sim, device, barriers=True, coalesce_barriers=False,
+                 rng=None, timeout_policy=None, queue_model=None):
         self.sim = sim
-        self.target = as_target(sim, device, queue_depth=queue_depth,
-                                ordered_queue=ordered_queue, rng=rng,
+        self.target = as_target(sim, device, rng=rng,
                                 timeout_policy=timeout_policy,
                                 queue_model=queue_model)
         self.barriers = barriers

@@ -11,8 +11,7 @@ class.  Two implementations ship:
   flush-cache barriers are never issued (Section 3.3); a conventional
   queue is free to reorder within a bounded dispatch window, which is
   what produces unserializable write orderings on volatile devices
-  after a power cut.  This path is byte-identical to the historical
-  ``CommandQueue``.
+  after a power cut.
 * :class:`NvmeMultiQueue` — N submission/completion queue pairs with
   per-queue depth, round-robin or weighted arbitration, per-queue
   command lifecycles, and queue-affinity routing (a request tagged with
@@ -361,6 +360,19 @@ class QueueTopology:
                               timeout_policy=timeout_policy,
                               affinity=self.affinity)
 
+    @classmethod
+    def for_interface(cls, interface="sata", submission_queues=2,
+                      queue_depth=None):
+        """The topology the bench and torture worlds run a host
+        interface with: under NVMe with more than one submission queue
+        the ``log`` stream (WAL/journal writes) pins to the last queue,
+        so redo flushes never sit behind data-page traffic."""
+        affinity = None
+        if interface == "nvme" and submission_queues > 1:
+            affinity = {"log": submission_queues - 1}
+        return cls(interface=interface, queue_depth=queue_depth,
+                   submission_queues=submission_queues, affinity=affinity)
+
     def to_json(self):
         return {
             "interface": self.interface,
@@ -377,17 +389,6 @@ class QueueTopology:
     def from_json(cls, data):
         return cls(**data)
 
-
-def resolve_queue_model(queue_model, queue_depth=None, ordered_queue=True,
-                        reorder_window=8):
-    """The topology construction sites build queues from.
-
-    ``queue_model`` (a :class:`QueueTopology`) wins when given; the
-    legacy per-site kwargs otherwise describe the historical SATA
-    queue, so callers that never heard of queue models keep their exact
-    behavior.
-    """
-    if queue_model is not None:
-        return queue_model
-    return QueueTopology(queue_depth=queue_depth, ordered=ordered_queue,
-                         reorder_window=reorder_window)
+    def __eq__(self, other):
+        return isinstance(other, QueueTopology) \
+            and self.to_json() == other.to_json()

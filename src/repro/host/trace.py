@@ -15,8 +15,6 @@ without touching the device model itself.
     ``docs/OBSERVABILITY.md``.
 """
 
-from bisect import bisect_right
-
 from ..sim import LatencyRecorder, units
 
 
@@ -146,30 +144,3 @@ class IOTracer:
             "bytes_written": self.bytes_written(),
         }
 
-
-def render_latency_histogram(recorder, buckets=12, width=40):
-    """ASCII latency histogram (log-spaced) for a LatencyRecorder."""
-    samples = recorder.sorted_samples()
-    if not samples:
-        return "(no samples)"
-    low = max(samples[0], 1e-7)
-    high = samples[-1]
-    if high <= low:
-        high = low * 10
-    edges = [low * (high / low) ** (i / buckets)
-             for i in range(buckets + 1)]
-    # Samples are sorted: bucket i gets everything in (edges[i],
-    # edges[i+1]], plus bucket boundaries — one bisect per edge instead
-    # of a linear edge scan per sample.  Values past the last edge land
-    # in the final bucket, matching the old first-match semantics.
-    bounds = [0] + [bisect_right(samples, edge) for edge in edges[1:-1]] \
-        + [len(samples)]
-    counts = [bounds[i + 1] - bounds[i] for i in range(buckets)]
-    peak = max(counts)
-    lines = []
-    for index, count in enumerate(counts):
-        bar = "#" * (width * count // peak if peak else 0)
-        lines.append("%9.3fms-%9.3fms |%-*s %d"
-                     % (edges[index] * 1e3, edges[index + 1] * 1e3,
-                        width, bar, count))
-    return "\n".join(lines)

@@ -37,7 +37,7 @@ from .integrity import (
     register_integrity_metrics,
 )
 from .lifecycle import DeviceTimeoutError
-from .queues import resolve_queue_model
+from .queues import QueueTopology
 
 #: a mirror member is declared dead on either hard failure mode: the
 #: device reported itself gone, or the lifecycle's retry ladder gave up
@@ -116,19 +116,19 @@ class BlockTarget:
         device.install_persistent(device_lba, value)
 
 
-def as_target(sim, device_or_target, queue_depth=None, ordered_queue=True,
-              rng=None, timeout_policy=None, queue_model=None):
+def as_target(sim, device_or_target, rng=None, timeout_policy=None,
+              queue_model=None):
     """Adapt a raw device to a :class:`SingleDevice`; pass targets through.
 
     The queue knobs only apply when wrapping a raw device — an existing
     target already owns its queues.  ``queue_model`` (a
     :class:`~repro.host.queues.QueueTopology`) selects the host
-    interface; the legacy kwargs describe the historical SATA queue.
+    interface; ``None`` means ``QueueTopology()``, the calibrated SATA
+    NCQ.
     """
     if isinstance(device_or_target, BlockTarget):
         return device_or_target
-    return SingleDevice(sim, device_or_target, queue_depth=queue_depth,
-                        ordered_queue=ordered_queue, rng=rng,
+    return SingleDevice(sim, device_or_target, rng=rng,
                         timeout_policy=timeout_policy,
                         queue_model=queue_model)
 
@@ -141,15 +141,13 @@ class SingleDevice(BlockTarget):
     byte-identical to the historical file system built on ``dev``.
     """
 
-    def __init__(self, sim, device, queue_depth=None, ordered_queue=True,
-                 rng=None, timeout_policy=None, queue_model=None):
+    def __init__(self, sim, device, rng=None, timeout_policy=None,
+                 queue_model=None):
         self.sim = sim
         self.device = device
         self.name = device.name
-        model = resolve_queue_model(queue_model, queue_depth,
-                                    ordered_queue)
-        self.queue = model.build(sim, device, rng=rng,
-                                 timeout_policy=timeout_policy)
+        self.queue = (queue_model or QueueTopology()).build(
+            sim, device, rng=rng, timeout_policy=timeout_policy)
 
     @property
     def exported_lbas(self):
@@ -210,8 +208,8 @@ class StripedVolume(BlockTarget):
     read fragments reassembled positionally.
 
     Each member gets its own queue model (built from ``queue_model``,
-    a :class:`~repro.host.queues.QueueTopology`, or the legacy SATA
-    kwargs) and, when a ``timeout_policy`` is armed, its own
+    a :class:`~repro.host.queues.QueueTopology`; ``None`` means the
+    default SATA NCQ) and, when a ``timeout_policy`` is armed, its own
     :class:`~repro.host.lifecycle.CommandLifecycle` — a deadline expiry
     aborts and soft-resets only the member that stalled.
 
@@ -223,9 +221,8 @@ class StripedVolume(BlockTarget):
     can no longer serve half its stripes.
     """
 
-    def __init__(self, sim, devices, chunk_blocks=8, queue_depth=None,
-                 ordered_queue=True, rng=None, timeout_policy=None,
-                 queue_model=None):
+    def __init__(self, sim, devices, chunk_blocks=8, rng=None,
+                 timeout_policy=None, queue_model=None):
         if not devices:
             raise ValueError("a striped volume needs at least one device")
         if chunk_blocks < 1:
@@ -237,8 +234,7 @@ class StripedVolume(BlockTarget):
         self.width = len(devices)
         self._devices = tuple(devices)
         self.name = "stripe[%s]" % ",".join(d.name for d in devices)
-        model = resolve_queue_model(queue_model, queue_depth,
-                                    ordered_queue)
+        model = queue_model or QueueTopology()
         self._queues = tuple(
             model.build(sim, device, rng=rng,
                         timeout_policy=timeout_policy)
@@ -416,17 +412,15 @@ class MirroredVolume(BlockTarget):
     fail-stop, never a hang, never a fabricated answer.
     """
 
-    def __init__(self, sim, devices, checksums=None, queue_depth=None,
-                 ordered_queue=True, rng=None, timeout_policy=None,
-                 queue_model=None):
+    def __init__(self, sim, devices, checksums=None, rng=None,
+                 timeout_policy=None, queue_model=None):
         if len(devices) < 2:
             raise ValueError("a mirrored volume needs at least two devices")
         self.sim = sim
         self.width = len(devices)
         self._devices = list(devices)
         self.name = "mirror[%s]" % ",".join(d.name for d in devices)
-        self._queue_model = resolve_queue_model(queue_model, queue_depth,
-                                                ordered_queue)
+        self._queue_model = queue_model or QueueTopology()
         self._rng = rng
         self._timeout_policy = timeout_policy
         self._queues = [

@@ -19,7 +19,7 @@ from repro.bench.figure5 import run_config
 from repro.bench.regress import compare
 from repro.devices import IORequest, make_durassd
 from repro.failures.grayfaults import GrayFaultModel, GrayFaultProfile
-from repro.host import CommandQueue, StripedVolume
+from repro.host import SataNcq, StripedVolume
 from repro.host.lifecycle import TimeoutPolicy
 from repro.sim import Simulator, units
 from repro.telemetry import Telemetry
@@ -483,14 +483,6 @@ class TestValidateProbeAttrs:
         assert any("attr keys must be exactly" in e for e in errors)
 
 
-@pytest.fixture
-def restore_world():
-    """Reset the bench globals however the test exits."""
-    yield
-    setups.set_gray_faults("none")
-    setups.set_topology(1)
-
-
 def _slot_coverage(events):
     """Decompose every completed ncq.slot span; returns the span list
     and the worst (residue, uncovered-after-service) pair."""
@@ -528,12 +520,11 @@ class TestSpanCoverageEndToEnd:
     """Satellite regression: completed commands' child spans cover
     their wall time, under retries/resets and striped fan-out."""
 
-    def test_gray_striped_commands_fully_covered(self, restore_world):
-        setups.set_gray_faults("stalls")
-        setups.set_topology(2)
+    def test_gray_striped_commands_fully_covered(self):
+        spec = setups.WorldSpec(data_devices=2, gray_faults="stalls")
         telemetry = Telemetry(enabled=True)
         run_config(False, False, 16 * units.KIB, clients=16,
-                   ops_per_client=12, telemetry=telemetry)
+                   ops_per_client=12, telemetry=telemetry, spec=spec)
         events = telemetry.events
         slots, worst_residue, worst_uncovered = _slot_coverage(events)
         assert slots, "no ncq.slot spans recorded"
@@ -594,7 +585,7 @@ class TestSpanCoverageEndToEnd:
         device = make_durassd(sim, capacity_bytes=64 * units.MIB)
         device.inject_gray_faults(GrayFaultModel(
             GrayFaultProfile(hang_at=0.0, hang_permanent=False)))
-        queue = CommandQueue(
+        queue = SataNcq(
             sim, device, depth=4,
             timeout_policy=TimeoutPolicy(deadline=5e-3, max_attempts=3,
                                          backoff_base=1e-4, seed=1))
@@ -619,7 +610,7 @@ class TestSpanCoverageEndToEnd:
         assert totals["gray_fault"] > 0.0
         assert totals["other"] == 0.0
 
-    def test_healthy_commands_fully_covered(self, restore_world):
+    def test_healthy_commands_fully_covered(self):
         telemetry = Telemetry(enabled=True)
         run_config(True, True, 16 * units.KIB, clients=8,
                    ops_per_client=10, telemetry=telemetry)

@@ -27,7 +27,7 @@ from repro.failures.death import (
 )
 from repro.failures.injector import PowerFailureInjector
 from repro.failures.torture import TortureScenario
-from repro.host import CommandQueue, MirroredVolume, Rebuilder, Scrubber
+from repro.host import MirroredVolume, Rebuilder, SataNcq, Scrubber
 from repro.host.integrity import DetectedDataLossError
 from repro.host.lifecycle import DeviceTimeoutError, TimeoutPolicy
 from repro.sim import Simulator, units
@@ -210,7 +210,7 @@ class TestHardErrors:
         device = make_member(sim, "dev")
         policy = TimeoutPolicy(deadline=5e-3, max_attempts=3,
                                backoff_base=1e-4, seed=1)
-        queue = CommandQueue(sim, device, depth=4, timeout_policy=policy)
+        queue = SataNcq(sim, device, depth=4, timeout_policy=policy)
         device.fail_stop("test")
 
         def worker():

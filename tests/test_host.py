@@ -3,7 +3,7 @@
 import pytest
 
 from repro.devices import make_durassd, make_hdd, make_ssd_a
-from repro.host import CommandQueue, FileSystem, FioJob, run_fio
+from repro.host import FileSystem, FioJob, SataNcq, run_fio
 from repro.host.filesystem import FSYNC_SYSCALL_TIME
 from repro.sim import Simulator, units
 
@@ -13,7 +13,7 @@ from conftest import run_process
 class TestCommandQueue:
     def test_depth_limits_outstanding(self, sim):
         dev = make_ssd_a(sim)
-        queue = CommandQueue(sim, dev, depth=4)
+        queue = SataNcq(sim, dev, depth=4)
         from repro.devices import IORequest
 
         def worker(i):
@@ -26,7 +26,7 @@ class TestCommandQueue:
 
     def test_flush_passthrough(self, sim):
         dev = make_ssd_a(sim)
-        queue = CommandQueue(sim, dev, depth=4)
+        queue = SataNcq(sim, dev, depth=4)
 
         def flusher():
             yield queue.flush()
@@ -36,7 +36,7 @@ class TestCommandQueue:
 
     def test_bad_depth(self, sim):
         with pytest.raises(ValueError):
-            CommandQueue(sim, make_ssd_a(sim), depth=0)
+            SataNcq(sim, make_ssd_a(sim), depth=0)
 
 
 class TestFileSystem:
@@ -267,7 +267,7 @@ class TestNCQOrdering:
         def completion_order(ordered):
             sim = Simulator()
             device = make_ssd_a(sim)
-            queue = CommandQueue(sim, device, ordered=ordered,
+            queue = SataNcq(sim, device, ordered=ordered,
                                  rng=make_rng(3), reorder_window=50)
             finished = []
 
@@ -284,5 +284,5 @@ class TestNCQOrdering:
         assert completion_order(False) != list(range(10))
 
     def test_ordered_is_default(self, sim):
-        queue = CommandQueue(sim, make_durassd(sim))
+        queue = SataNcq(sim, make_durassd(sim))
         assert queue.ordered

@@ -1,10 +1,11 @@
-"""Tests for the I/O tracer and the latency histogram."""
+"""Tests for the I/O tracer and the latency histogram it feeds."""
 
 import pytest
 
+from repro.bench.charts import render_latency_histogram
 from repro.devices import IORequest, make_durassd
 from repro.host import FileSystem, FioJob, run_fio
-from repro.host.trace import IOTracer, render_latency_histogram
+from repro.host.trace import IOTracer
 from repro.sim import LatencyRecorder, Simulator, units
 
 from conftest import run_process

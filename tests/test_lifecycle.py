@@ -4,7 +4,7 @@ import pytest
 
 from repro.devices import IORequest, make_durassd, make_ssd_a
 from repro.failures.grayfaults import GrayFaultModel, GrayFaultProfile
-from repro.host import CommandQueue, FileSystem
+from repro.host import FileSystem, SataNcq
 from repro.host.lifecycle import DeviceTimeoutError, TimeoutPolicy
 from repro.sim import Simulator, units
 from repro.sim.rng import make_rng
@@ -51,7 +51,7 @@ class TestTimeoutPolicy:
 class TestPassthrough:
     def test_no_policy_means_legacy_path(self, sim):
         dev = make_ssd_a(sim)
-        queue = CommandQueue(sim, dev, depth=4)
+        queue = SataNcq(sim, dev, depth=4)
         assert queue.lifecycle.policy is None
 
         def worker():
@@ -62,7 +62,7 @@ class TestPassthrough:
 
     def test_healthy_device_never_times_out(self, sim):
         dev = make_durassd(sim)
-        queue = CommandQueue(sim, dev, depth=4,
+        queue = SataNcq(sim, dev, depth=4,
                              timeout_policy=fast_policy())
 
         def worker(i):
@@ -147,7 +147,7 @@ class TestSlotLeak:
     def test_queue_reaches_full_depth_after_100_interrupts(self):
         sim = Simulator()
         device = make_ssd_a(sim, capacity_bytes=64 * units.MIB)
-        queue = CommandQueue(sim, device, depth=4)
+        queue = SataNcq(sim, device, depth=4)
         # Interrupt 100 dispatches at staggered instants: some are hit
         # while holding a slot mid-service, some while queued behind the
         # depth limit (acquire_guarded must withdraw those requests).
@@ -197,7 +197,7 @@ class TestReorderWindow:
         sim = Simulator()
         device = make_ssd_a(sim, capacity_bytes=64 * units.MIB)
         device.record_acks = True
-        queue = CommandQueue(sim, device, depth=8, ordered=False,
+        queue = SataNcq(sim, device, depth=8, ordered=False,
                              reorder_window=8, rng=make_rng(seed))
 
         def worker(i):

@@ -249,26 +249,22 @@ class TestSummaryAndAggregate:
 
 class TestBenchArming:
     def test_set_profile_arms_fresh_worlds(self):
+        """A ``profile=True`` spec arms each world and hands it to the
+        caller's list; the default spec arms nothing."""
         from repro.bench import setups
-        setups.set_profile(True)
-        try:
-            sim = setups.fresh_world()
-            assert sim._profiler is not None
-            assert setups.profilers() == [sim._profiler]
-        finally:
-            setups.set_profile(False)
-        assert setups.fresh_world()._profiler is None
-        assert setups.profilers() == []
+        worlds = []
+        sim = setups.fresh_world(spec=setups.WorldSpec(profile=True),
+                                 worlds=worlds)
+        assert sim._profiler is not None
+        assert worlds == [sim]
+        assert setups.fresh_world(worlds=worlds)._profiler is None
+        assert worlds == [sim]
 
     def test_set_profile_rides_explicit_hub(self):
         from repro.bench import setups
-        setups.set_profile(True)
-        try:
-            telemetry = Telemetry(enabled=False)
-            sim = setups.fresh_world(telemetry)
-            assert telemetry.profiler is sim._profiler
-        finally:
-            setups.set_profile(False)
+        telemetry = Telemetry(enabled=False)
+        sim = setups.fresh_world(telemetry, setups.WorldSpec(profile=True))
+        assert telemetry.profiler is sim._profiler
 
 
 class TestProfileReport:

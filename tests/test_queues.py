@@ -20,14 +20,13 @@ import pytest
 from repro.db import InnoDBConfig, InnoDBEngine
 from repro.devices import IORequest, make_durassd, make_ssd_a
 from repro.host import (
-    CommandQueue,
     FileSystem,
     NvmeMultiQueue,
     QueueModel,
     QueueTopology,
     SataNcq,
 )
-from repro.host.queues import DEFAULT_QUEUE_DEPTH, resolve_queue_model
+from repro.host.queues import DEFAULT_QUEUE_DEPTH
 from repro.sim import Simulator, units
 from repro.telemetry import Telemetry
 from repro.workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
@@ -36,9 +35,10 @@ from conftest import run_process
 
 
 class TestProtocol:
-    def test_command_queue_is_the_sata_model(self):
-        """The legacy name keeps working for every existing import."""
-        assert CommandQueue is SataNcq
+    def test_command_queue_is_the_sata_model(self, sim):
+        """The default topology's command queue is the SATA NCQ model."""
+        assert isinstance(QueueTopology().build(sim, make_durassd(sim)),
+                          SataNcq)
         assert SataNcq.interface == "sata"
         assert NvmeMultiQueue.interface == "nvme"
 
@@ -103,20 +103,24 @@ class TestQueueTopology:
                            arbitration="weighted", weights=(1,))
 
     def test_resolve_defaults_to_legacy_sata(self, sim):
-        topo = resolve_queue_model(None, queue_depth=None)
-        assert topo.interface == "sata"
-        model = topo.build(sim, make_durassd(sim))
+        """A file system given no queue model runs on ``QueueTopology()``:
+        one SATA NCQ at the default depth."""
+        assert QueueTopology().interface == "sata"
+        fs = FileSystem(sim, make_durassd(sim), barriers=False)
+        model = fs.target.queue
         assert isinstance(model, SataNcq)
         assert model.depth == DEFAULT_QUEUE_DEPTH
 
-    def test_resolve_prefers_explicit_model(self):
+    def test_resolve_prefers_explicit_model(self, sim):
         explicit = QueueTopology(interface="nvme")
-        assert resolve_queue_model(explicit, queue_depth=4) is explicit
+        fs = FileSystem(sim, make_durassd(sim), barriers=False,
+                        queue_model=explicit)
+        assert isinstance(fs.target.queue, NvmeMultiQueue)
 
 
 def _seeded_world(queue_model=None, clients=8, ops=12):
     """An InnoDB + LinkBench world, optionally behind an explicit
-    queue topology on both file systems (None = the legacy path)."""
+    queue topology on both file systems (None = the default one)."""
     telemetry = Telemetry(enabled=True)
     sim = Simulator(telemetry)
     data_fs = FileSystem(sim, make_durassd(sim, capacity_bytes=units.GIB),
