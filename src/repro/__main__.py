@@ -56,9 +56,6 @@ and build one :class:`~repro.bench.setups.WorldSpec` from them::
     --gray-faults PROFILE  inject a gray-fault profile into every device
     --metrics-interval S   windowed metrics, exported as <command>-metrics.csv
     --profile              self-profile, reported as <command>-profile.json
-
-``torture``, ``chaos``, ``integrity`` and ``failover`` keep their own
-scenario flags.
 """
 
 import argparse
@@ -87,8 +84,11 @@ from .bench import (
     torture,
     tracing,
 )
-from .bench.scenarios import GRAY_PROFILES
+from .bench.scenarios import CORRUPTION_PROFILES, DEATH_PROFILES, \
+    GRAY_PROFILES
 from .bench.setups import WorldSpec
+from .failures.chaos import chaos_scenario
+from .failures.torture import ENGINES
 from .host.queues import INTERFACES, QueueTopology
 
 EXPERIMENTS = {
@@ -125,12 +125,137 @@ WORLD_COMMANDS = {
     "trace": tracing.main,
 }
 
-#: fault campaigns: their own scenario types and parsers, ``main(argv)``
+
+def count(text):
+    """An argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1: %s" % text)
+    return value
+
+
+def paces(text):
+    """An argparse type: comma-separated rebuild paces > 0 (seconds)."""
+    values = tuple(float(pace) for pace in text.split(","))
+    if min(values) <= 0:
+        raise argparse.ArgumentTypeError("paces must be > 0: %s" % text)
+    return values
+
+
+def _add_campaigns(commands):
+    """The fault campaigns: scenario flags of their own, no world flags."""
+    def campaign(name, module, seed=11, epilog=None):
+        parser = commands.add_parser(
+            name, description=module.__doc__, epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            allow_abbrev=False)
+        parser.add_argument("--smoke", action="store_true",
+                            help="the quick CI gate")
+        parser.add_argument("--ops", type=count, metavar="N")
+        parser.add_argument("--seed", type=int, default=seed)
+        return parser
+
+    def engine_and_device(parser, devices):
+        parser.add_argument("engine", nargs="?", choices=ENGINES,
+                            default="innodb", metavar="ENGINE")
+        parser.add_argument("device", nargs="?", choices=devices,
+                            default="durassd", metavar="DEVICE")
+
+    sub = campaign("torture", torture)
+    engine_and_device(sub, torture.DEVICES)
+    sub.add_argument("--barriers", choices=("auto", "on", "off"),
+                     default="auto")
+    sub.add_argument("--no-doublewrite", action="store_true")
+    sub.add_argument("--max-trials", type=count, metavar="N")
+    sub.add_argument("--out", metavar="PATH")
+
+    # --seed: the smoke gate's default is 11, a sweep's is 0
+    sub = campaign("chaos", chaos, seed=None, epilog=chaos.profile_listing())
+    engine_and_device(sub, chaos.DEVICES)
+    sub.add_argument("--seeds", type=count, default=1, metavar="N")
+    sub.add_argument("--profile", choices=GRAY_PROFILES.names(),
+                     metavar="NAME")
+    sub.add_argument("--corruption", choices=CORRUPTION_PROFILES.names(),
+                     metavar="NAME")
+    sub.add_argument("--death", choices=DEATH_PROFILES.names(),
+                     metavar="NAME")
+    sub.add_argument("--death-target", default="data")
+    sub.add_argument("--mirror", type=count, default=1, metavar="N")
+    sub.add_argument("--spares", type=int, default=0, metavar="N")
+    sub.add_argument("--interface", choices=INTERFACES, default="sata")
+    sub.add_argument("--sq", type=count, default=2, metavar="N")
+    sub.add_argument("--out", metavar="PATH")
+    sub.add_argument("--replay", metavar="PATH")
+    sub.add_argument("--list-profiles", action="store_true")
+
+    sub = campaign("integrity", integrity,
+                   epilog="corruption profiles:\n"
+                   + "\n".join(CORRUPTION_PROFILES.listing()))
+    sub.add_argument("--profile", choices=CORRUPTION_PROFILES.names(),
+                     metavar="NAME")
+    sub.add_argument("--mirror", type=count, metavar="N")
+
+    sub = campaign("failover", failover,
+                   epilog="death profiles:\n"
+                   + "\n".join(DEATH_PROFILES.listing()))
+    sub.add_argument("--death", choices=failover.SINGLE_DEATHS,
+                     default="mid-death", metavar="NAME")
+    sub.add_argument("--pace", type=paces, metavar="P[,P...]")
+
+
+def _torture(args, parser):
+    if args.smoke:
+        return torture.smoke(ops=args.ops, seed=args.seed)
+    return torture.full(
+        args.engine, args.device, ops=args.ops, seed=args.seed,
+        barriers={"auto": None, "on": True, "off": False}[args.barriers],
+        doublewrite=not args.no_doublewrite, max_trials=args.max_trials,
+        out_path=args.out)
+
+
+def _chaos(args, parser):
+    if args.list_profiles:
+        print(chaos.profile_listing())
+        return 0
+    if args.replay:
+        return chaos.replay(args.replay)
+    if args.smoke:
+        return chaos.smoke(ops=args.ops,
+                           seed=11 if args.seed is None else args.seed)
+    world = dict(mirror=args.mirror, death_target=args.death_target,
+                 spares=args.spares, interface=args.interface,
+                 submission_queues=args.sq)
+    try:
+        chaos_scenario(engine=args.engine, device=args.device, **world)
+    except ValueError as error:
+        parser.error(str(error))
+    return chaos.sweep(
+        args.engine, args.device, args.profile, seeds=args.seeds,
+        ops=args.ops, base_seed=0 if args.seed is None else args.seed,
+        out_path=args.out, corruption=args.corruption, death=args.death,
+        **world)
+
+
+def _integrity(args, parser):
+    if args.smoke:
+        return integrity.smoke(seed=args.seed, ops=args.ops)
+    return integrity.sweep(profiles=[args.profile] if args.profile else None,
+                           seed=args.seed, ops=args.ops, mirror=args.mirror)
+
+
+def _failover(args, parser):
+    if args.smoke:
+        return failover.smoke(seed=args.seed, ops=args.ops)
+    return failover.sweep(seed=args.seed, ops=args.ops, death=args.death,
+                          paces=args.pace or failover.PACES)
+
+
+#: fault campaigns: each runs as ``run(args, parser)``
 CAMPAIGNS = {
-    "torture": torture.main,
-    "chaos": chaos.main,
-    "integrity": integrity.main,
-    "failover": failover.main,
+    "torture": _torture,
+    "chaos": _chaos,
+    "integrity": _integrity,
+    "failover": _failover,
 }
 
 
@@ -163,8 +288,7 @@ def build_parser():
     for name in WORLD_COMMANDS:
         commands.add_parser(name, parents=[world], add_help=False,
                             allow_abbrev=False)
-    for name in CAMPAIGNS:
-        commands.add_parser(name, add_help=False)
+    _add_campaigns(commands)
     return parser
 
 
@@ -264,8 +388,10 @@ def main(argv=None):
     parser = build_parser()
     args, rest = parser.parse_known_args(argv)
     command = args.command
+    if rest and command not in WORLD_COMMANDS:
+        parser.error("unrecognized arguments: %s" % " ".join(rest))
     if command in CAMPAIGNS:
-        return CAMPAIGNS[command](rest)
+        return CAMPAIGNS[command](args, parser)
     try:
         spec = world_spec(args)
     except ValueError as error:
@@ -275,8 +401,6 @@ def main(argv=None):
         status = WORLD_COMMANDS[command](rest, spec=spec, worlds=worlds)
         _emit(command, worlds)
         return status
-    if rest:
-        parser.error("unrecognized arguments: %s" % " ".join(rest))
     if command == "all":
         for name in ORDER:
             print("=" * 70)

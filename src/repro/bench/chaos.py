@@ -24,12 +24,17 @@ to replayable JSON artifacts with ``--out``.
 """
 
 import json
-import sys
 import time
 
 from ..failures import chaos as harness
+from ..failures.campaign import CHAOS_FORMAT, replay_artifact
 from . import setups
-from .scenarios import CORRUPTION_PROFILES, DEATH_PROFILES, GRAY_PROFILES
+from .scenarios import (
+    CORRUPTION_PROFILES,
+    DEATH_PROFILES,
+    GRAY_PROFILES,
+    run_gate,
+)
 
 DEVICES = ("hdd", "ssd-a", "ssd-b", "durassd")
 
@@ -39,20 +44,11 @@ SMOKE_PROFILES = ("mild", "gc-storm", "pause", "hang")
 SMOKE_BASE_OPS = 40
 
 
-def run_profile(engine, device, profile, seed, ops, gray_target="both",
-                stripe=1, corruption=None, mirror=1, checksums=None,
-                scrub=None, death=None, death_target="data", spares=0,
-                rebuild_pace=None, interface="sata", submission_queues=2):
+def run_profile(engine, device, profile, seed, ops, **kwargs):
+    """One chaos run; ``kwargs`` are :func:`chaos_scenario` options."""
     scenario = harness.chaos_scenario(engine=engine, device=device,
                                       profile=profile, seed=seed, ops=ops,
-                                      gray_target=gray_target, stripe=stripe,
-                                      corruption=corruption, mirror=mirror,
-                                      checksums=checksums, scrub=scrub,
-                                      death=death, death_target=death_target,
-                                      spares=spares,
-                                      rebuild_pace=rebuild_pace,
-                                      interface=interface,
-                                      submission_queues=submission_queues)
+                                      **kwargs)
     result = harness.run_chaos(scenario)
     return scenario, result
 
@@ -83,155 +79,107 @@ def _print_result(label, result, elapsed):
         print("    violation: %s" % violation)
 
 
+#: the stream completed and no promise broke
+_COMPLETES = (lambda result: result.completed and not result.failed, None)
+
+
 def smoke(ops=None, seed=11):
     """Quick chaos pass over every device preset; the CI chaos gate."""
     ops = ops if ops is not None else setups.ops_scale(SMOKE_BASE_OPS)
-    print("chaos smoke: %d ops per run, seed %d" % (ops, seed))
-    exit_code = 0
+    # Floor the op count where an injection needs a long enough stream
+    # to land (a hang, a kill) and still leave writes behind it.
+    floor = max(ops, SMOKE_BASE_OPS)
+    cells = []
     for device in DEVICES:
-        for profile in SMOKE_PROFILES:
-            begin = time.time()
-            _scenario, result = run_profile("innodb", device, profile,
-                                            seed, ops)
-            _print_result("innodb/%s/%s" % (device, profile), result,
-                          time.time() - begin)
-            if result.failed or not result.completed:
-                exit_code = 1
+        cells += [("innodb/%s/%s" % (device, profile),
+                   {"device": device, "profile": profile}, (_COMPLETES,))
+                  for profile in SMOKE_PROFILES]
         # The terminal case: a permanently hung data device must demote
         # the engine to read-only — completing the stream with rejected
-        # writes — never deadlock the workload.  Floor the op count so
-        # quick mode still leaves enough writes after the hang instant
-        # to reach the escalation limit.
-        begin = time.time()
-        _scenario, result = run_profile("innodb", device, "hang-permanent",
-                                        seed, max(ops, SMOKE_BASE_OPS),
-                                        gray_target="data")
-        _print_result("innodb/%s/hang-permanent" % device, result,
-                      time.time() - begin)
-        if result.failed or not result.completed or not result.read_only:
-            if not result.read_only:
-                print("    permanent hang did not demote to read-only")
-            exit_code = 1
-    # One sick stripe member: gray faults on data member 1 only.  The
-    # stream must still complete (the host retries around the sick
-    # member's timeouts) and the post-run power-cut recovery must check
-    # clean — the healthy members' write-order invariants hold even
-    # while their sibling is misbehaving.
-    begin = time.time()
-    _scenario, result = run_profile("innodb", "durassd", "gc-storm",
-                                    seed, max(ops, SMOKE_BASE_OPS),
-                                    gray_target="data:1", stripe=2)
-    _print_result("innodb/durassd/gc-storm (stripe=2, member 1)", result,
-                  time.time() - begin)
-    if result.failed or not result.completed:
-        exit_code = 1
-    # The same gray-fault ladder behind the NVMe multi-queue host
-    # interface: deadlines, aborts and soft resets must work per
-    # submission queue, and the post-run power-cut recovery must still
-    # check clean — the queue model changes dispatch, not durability.
-    begin = time.time()
-    _scenario, result = run_profile("innodb", "durassd", "gc-storm",
-                                    seed, max(ops, SMOKE_BASE_OPS),
-                                    gray_target="data",
-                                    interface="nvme", submission_queues=2)
-    _print_result("innodb/durassd/gc-storm (nvme, sq=2)", result,
-                  time.time() - begin)
-    if result.failed or not result.completed:
-        exit_code = 1
-    # Silent corruption against an armed defense: bit rot on both
-    # mirror replicas (independent salts), checksums verifying every
-    # read, the scrubber patrolling in the background.  The stream must
-    # complete with zero undetected corrupt reads (the passive audit
-    # layer is the oracle) and the integrity SLO rules must fire so the
-    # verdict carries a corruption-detection latency.  Floor the op
-    # count: corruption surfaces only once reads miss the caches.
-    begin = time.time()
-    _scenario, result = run_profile("innodb", "durassd", "none",
-                                    seed, max(ops * 5, 200),
-                                    corruption="corruption-mix", mirror=2)
-    _print_result("innodb/durassd/corruption-mix (mirror=2)", result,
-                  time.time() - begin)
-    if result.failed or not result.completed:
-        exit_code = 1
-    if result.undetected_corrupt_reads:
-        print("    undetected corrupt reads: %d"
-              % result.undetected_corrupt_reads)
-        exit_code = 1
-    if not result.alerts:
-        print("    corruption fired no SLO alert")
-        exit_code = 1
-    # False-positive control: same defenses armed, no corruption
-    # injected.  The integrity rules must stay silent.
-    begin = time.time()
-    _scenario, result = run_profile("innodb", "durassd", "none",
-                                    seed, max(ops, SMOKE_BASE_OPS),
-                                    mirror=2, checksums=True, scrub=True)
-    _print_result("innodb/durassd/none (mirror=2, armed)", result,
-                  time.time() - begin)
-    if result.failed or not result.completed:
-        exit_code = 1
-    # Whole-device fail-stop with a hot spare: mirror member 0 dies
-    # mid-stream, the survivor serves degraded, the rebuilder copies
-    # the tracked blocks onto the spare.  The verdict must carry a
-    # member-down detection latency and a rebuild MTTR, with zero
-    # acked-write loss — a completed rebuild is the PASS condition.
-    begin = time.time()
-    _scenario, result = run_profile("innodb", "durassd", "none",
-                                    seed, max(ops, SMOKE_BASE_OPS),
-                                    death="mid-death",
-                                    death_target="data:0", mirror=2,
-                                    spares=1, checksums=True)
-    _print_result("innodb/durassd/mid-death (mirror=2, spare)", result,
-                  time.time() - begin)
-    info = result.failover or {}
-    if result.failed or not result.completed or not result.clean:
-        exit_code = 1
-    if info.get("data_loss_blocks"):
-        print("    acked writes lost with a survivor present")
-        exit_code = 1
-    if not info.get("rebuilds_completed"):
-        print("    hot-spare rebuild did not complete")
-        exit_code = 1
-    if result.detection_latency_s is None:
-        print("    member death fired no SLO alert")
-        exit_code = 1
-    # Second failure during rebuild: both mirror members die (the
-    # second mid-rebuild, the pace is slowed so the window is open).
-    # The cell must complete — and must *loudly* report detected data
-    # loss; a silent PASS here is the one unforgivable outcome.
-    begin = time.time()
-    _scenario, result = run_profile("innodb", "durassd", "none",
-                                    seed, max(ops, SMOKE_BASE_OPS),
-                                    death="double-death",
-                                    death_target="data", mirror=2,
-                                    spares=1, rebuild_pace=5e-3)
-    _print_result("innodb/durassd/double-death (mirror=2, spare)", result,
-                  time.time() - begin)
-    if not result.completed:
-        exit_code = 1
-    if not any(violation.startswith("death:data-loss-detected")
-               for violation in result.violations):
-        print("    second death did not report detected data loss")
-        exit_code = 1
-    print("chaos smoke: %s" % ("ok" if exit_code == 0 else "FAILED"))
-    return exit_code
+        # writes — never deadlock the workload.
+        cells.append((
+            "innodb/%s/hang-permanent" % device,
+            {"device": device, "profile": "hang-permanent", "ops": floor,
+             "gray_target": "data"},
+            (_COMPLETES, (lambda result: result.read_only,
+                          "permanent hang did not demote to read-only"))))
+    cells += [
+        # One sick stripe member: gray faults on data member 1 only.
+        # The stream must still complete (the host retries around the
+        # sick member's timeouts) and the post-run power-cut recovery
+        # must check clean — the healthy members' write-order
+        # invariants hold even while their sibling is misbehaving.
+        ("innodb/durassd/gc-storm (stripe=2, member 1)",
+         {"profile": "gc-storm", "ops": floor, "gray_target": "data:1",
+          "stripe": 2}, (_COMPLETES,)),
+        # The same gray-fault ladder behind the NVMe multi-queue host
+        # interface: deadlines, aborts and soft resets must work per
+        # submission queue, and the post-run power-cut recovery must
+        # still check clean — the queue model changes dispatch, not
+        # durability.
+        ("innodb/durassd/gc-storm (nvme, sq=2)",
+         {"profile": "gc-storm", "ops": floor, "gray_target": "data",
+          "interface": "nvme", "submission_queues": 2}, (_COMPLETES,)),
+        # False-positive control: integrity defenses armed, no
+        # corruption injected.  The integrity rules must stay silent.
+        # (Corruption against the armed mirror is the integrity gate's
+        # ``corruption-mix / mirror2+scrub`` cell.)
+        ("innodb/durassd/none (mirror=2, armed)",
+         {"profile": "none", "ops": floor, "mirror": 2, "checksums": True,
+          "scrub": True}, (_COMPLETES,)),
+        # Whole-device fail-stop with a hot spare: mirror member 0 dies
+        # mid-stream, the survivor serves degraded, the rebuilder copies
+        # the tracked blocks onto the spare.  The verdict must carry a
+        # member-down detection latency and a rebuild MTTR, with zero
+        # acked-write loss — a completed rebuild is the PASS condition.
+        ("innodb/durassd/mid-death (mirror=2, spare)",
+         {"profile": "none", "ops": floor, "death": "mid-death",
+          "death_target": "data:0", "mirror": 2, "spares": 1,
+          "checksums": True},
+         ((lambda result: (result.completed and not result.failed
+                           and result.clean), None),
+          (lambda result: not (result.failover or {}).get(
+              "data_loss_blocks"),
+           "acked writes lost with a survivor present"),
+          (lambda result: (result.failover or {}).get("rebuilds_completed"),
+           "hot-spare rebuild did not complete"),
+          (lambda result: result.detection_latency_s is not None,
+           "member death fired no SLO alert"))),
+        # Second failure during rebuild: both mirror members die (the
+        # second mid-rebuild, the pace is slowed so the window is open).
+        # The cell must complete — and must *loudly* report detected
+        # data loss; a silent PASS here is the one unforgivable outcome.
+        ("innodb/durassd/double-death (mirror=2, spare)",
+         {"profile": "none", "ops": floor, "death": "double-death",
+          "death_target": "data", "mirror": 2, "spares": 1,
+          "rebuild_pace": 5e-3},
+         ((lambda result: result.completed, None),
+          (lambda result: any(
+              violation.startswith("death:data-loss-detected")
+              for violation in result.violations),
+           "second death did not report detected data loss"))),
+    ]
+
+    def run(device="durassd", ops=ops, **kwargs):
+        return run_profile("innodb", device, seed=seed, ops=ops,
+                           **kwargs)[1]
+
+    return run_gate(
+        "chaos smoke", "%d ops per run, seed %d" % (ops, seed), cells, run,
+        lambda label, result, elapsed, _ok: _print_result(label, result,
+                                                          elapsed))
 
 
 def sweep_seeds(engine, device, profile, seeds, ops, base_seed=0,
-                out_path=None, corruption=None, mirror=1, death=None,
-                death_target="data", spares=0, interface="sata",
-                submission_queues=2):
+                out_path=None, corruption=None, death=None, **world):
     """``seeds`` independent runs of one profile; minimize the first
     failure to a replayable artifact when ``--out`` is given."""
     exit_code = 0
     for seed in range(base_seed, base_seed + seeds):
         begin = time.time()
         scenario, result = run_profile(engine, device, profile, seed, ops,
-                                       corruption=corruption, mirror=mirror,
-                                       death=death,
-                                       death_target=death_target,
-                                       spares=spares, interface=interface,
-                                       submission_queues=submission_queues)
+                                       corruption=corruption, death=death,
+                                       **world)
         label = "%s/%s/%s" % (engine, device, profile)
         if corruption:
             label += "+%s" % corruption
@@ -257,103 +205,53 @@ def sweep_seeds(engine, device, profile, seeds, ops, base_seed=0,
     return exit_code
 
 
+def sweep(engine="innodb", device="durassd", profile=None, seeds=1,
+          ops=None, base_seed=0, out_path=None, corruption=None,
+          death=None, **world):
+    """``seeds`` runs of one gray-fault profile, or of every one.
+
+    Corruption or death alone is a valid chaos run: the gray-fault
+    dimension then defaults to the healthy control instead of sweeping.
+    ``world`` holds the topology flags (``mirror``, ``death_target``,
+    ``spares``, ``interface``, ``submission_queues``).
+    """
+    ops = ops if ops is not None else setups.ops_scale(120)
+    if profile:
+        profiles = [profile]
+    elif corruption or death:
+        profiles = ["none"]
+    else:
+        profiles = [name for name in GRAY_PROFILES if name != "none"]
+    exit_code = 0
+    for name in profiles:
+        code = sweep_seeds(engine, device, name, seeds, ops,
+                           base_seed=base_seed, out_path=out_path,
+                           corruption=corruption, death=death, **world)
+        exit_code = exit_code or code
+    return exit_code
+
+
 def replay(path):
     """Re-run a minimized chaos artifact and report its verdict."""
     with open(path) as handle:
         artifact = json.load(handle)
+    if artifact.get("format") != CHAOS_FORMAT:
+        print("%s: not a chaos artifact (format %r)"
+              % (path, artifact.get("format")))
+        return 2
     begin = time.time()
-    result = harness.replay_artifact(artifact)
+    result = replay_artifact(artifact)
     _print_result("replay %s" % path, result, time.time() - begin)
     print("  recorded violations: %r" % (artifact.get("violations"),))
     return 1 if (result.failed or not result.completed) else 0
 
 
-def _print_profiles():
+def profile_listing():
     """Every named fault profile the chaos harness can inject."""
-    print("gray-fault profiles (--profile NAME):")
-    for line in GRAY_PROFILES.listing():
-        print(line)
-    print("corruption profiles (--corruption NAME):")
-    for line in CORRUPTION_PROFILES.listing():
-        print(line)
-    print("death profiles (--death NAME):")
-    for line in DEATH_PROFILES.listing():
-        print(line)
-
-
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        _print_profiles()
-        return 0
-    if "--list-profiles" in argv:
-        _print_profiles()
-        return 0
-
-    def take_option(name, default=None):
-        if name in argv:
-            index = argv.index(name)
-            value = argv[index + 1]
-            del argv[index:index + 2]
-            return value
-        return default
-
-    smoke_mode = "--smoke" in argv
-    if smoke_mode:
-        argv.remove("--smoke")
-    replay_path = take_option("--replay")
-    ops = take_option("--ops")
-    seed = int(take_option("--seed", "0"))
-    seeds = int(take_option("--seeds", "1"))
-    profile = take_option("--profile")
-    out_path = take_option("--out")
-    corruption = take_option("--corruption")
-    mirror = int(take_option("--mirror", "1"))
-    death = take_option("--death")
-    death_target = take_option("--death-target", "data")
-    spares = int(take_option("--spares", "0"))
-    interface = take_option("--interface", "sata")
-    submission_queues = int(take_option("--sq", "2"))
-    if replay_path:
-        return replay(replay_path)
-    if smoke_mode:
-        return smoke(ops=int(ops) if ops else None,
-                     seed=seed if seed else 11)
-    engine = argv[0] if argv else "innodb"
-    device = argv[1] if len(argv) > 1 else "durassd"
-    ops = int(ops) if ops else setups.ops_scale(120)
-    if profile and profile not in GRAY_PROFILES:
-        print("no gray-fault profile %r (have: %s)"
-              % (profile, ", ".join(GRAY_PROFILES.names())))
-        return 2
-    if corruption and corruption not in CORRUPTION_PROFILES:
-        print("no corruption profile %r (have: %s)"
-              % (corruption, ", ".join(CORRUPTION_PROFILES.names())))
-        return 2
-    if death and death not in DEATH_PROFILES:
-        print("no death profile %r (have: %s)"
-              % (death, ", ".join(DEATH_PROFILES.names())))
-        return 2
-    if (corruption or death) and not profile:
-        # corruption or death alone is a valid chaos run: default the
-        # gray-fault dimension to the healthy control instead of
-        # sweeping it.
-        profiles = ["none"]
-    else:
-        profiles = [profile] if profile else [name for name in GRAY_PROFILES
-                                              if name != "none"]
-    exit_code = 0
-    for name in profiles:
-        code = sweep_seeds(engine, device, name, seeds, ops,
-                           base_seed=seed, out_path=out_path,
-                           corruption=corruption, mirror=mirror,
-                           death=death, death_target=death_target,
-                           spares=spares, interface=interface,
-                           submission_queues=submission_queues)
-        exit_code = exit_code or code
-    return exit_code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    lines = ["gray-fault profiles (--profile NAME):"]
+    lines += GRAY_PROFILES.listing()
+    lines.append("corruption profiles (--corruption NAME):")
+    lines += CORRUPTION_PROFILES.listing()
+    lines.append("death profiles (--death NAME):")
+    lines += DEATH_PROFILES.listing()
+    return "\n".join(lines)

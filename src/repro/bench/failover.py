@@ -23,8 +23,7 @@ kills the survivor mid-rebuild: it must *report detected data loss* —
 loudly, never a hang, never a silent PASS.
 """
 
-import sys
-import time
+from collections import namedtuple
 
 from ..failures import chaos as harness
 from ..telemetry.histogram import DEFAULT_LOG_EDGES, percentile_from_counts
@@ -32,7 +31,7 @@ from ..telemetry.hub import Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry import series
 from . import setups
-from .scenarios import DEATH_PROFILES
+from .scenarios import DEATH_PROFILES, run_gate
 
 #: rebuild throttle settings swept by the full bench (seconds per block)
 PACES = (2e-4, 5e-4, 2e-3)
@@ -40,10 +39,17 @@ PACES = (2e-4, 5e-4, 2e-3)
 #: long enough that the kill lands mid-stream with writes on both sides
 BASE_OPS = 200
 
+#: the death profiles one cell can kill member 0 with (``--death``)
+SINGLE_DEATHS = tuple(name for name in DEATH_PROFILES.names()
+                      if name not in ("none", "double-death"))
+
+#: one cell's outcome: the chaos result and the foreground p99 (seconds)
+Cell = namedtuple("Cell", "result p99")
+
 
 def run_cell(seed, ops, death=None, pace=None, spares=1, engine="innodb",
              device="durassd", death_target="data:0"):
-    """One failover cell; returns ``(result, foreground_p99_s)``."""
+    """One failover cell; returns its :data:`Cell`."""
     scenario = harness.chaos_scenario(
         engine=engine, device=device, profile="none", seed=seed, ops=ops,
         mirror=2, checksums=True, death=death, death_target=death_target,
@@ -51,7 +57,7 @@ def run_cell(seed, ops, death=None, pace=None, spares=1, engine="innodb",
     telemetry = Telemetry(enabled=False, metrics=MetricsRegistry(
         interval=harness.CHAOS_METRICS_INTERVAL))
     result = harness.run_chaos(scenario, telemetry=telemetry)
-    return result, _cmd_p99(telemetry.metrics)
+    return Cell(result, _cmd_p99(telemetry.metrics))
 
 
 def _cmd_p99(registry):
@@ -70,18 +76,24 @@ def _cmd_p99(registry):
                                   0.99, upper=last["max"])
 
 
-def _print_cell(label, result, p99, elapsed, expect_rebuild, expect_loss):
+#: the stream completed and no promise broke
+_COMPLETES = (lambda cell: cell.result.completed and not cell.result.failed,
+              None)
+#: zero acked blocks lost while a survivor was present
+_SAFE = (lambda cell: (cell.result.clean and not (
+    cell.result.failover or {}).get("data_loss_blocks")), None)
+#: the spare's copy completed
+_REBUILT = (lambda cell: (cell.result.failover or {}).get(
+    "rebuilds_completed"), None)
+#: the second-failure cell passes only by *reporting* the loss
+_LOSS_REPORTED = (lambda cell: any(
+    violation.startswith("death:data-loss-detected")
+    for violation in cell.result.violations), None)
+
+
+def _print_cell(label, cell, elapsed, ok):
+    result, p99 = cell
     info = result.failover or {}
-    ok = result.completed and not result.failed
-    if expect_loss:
-        # the second-failure cell passes only by *reporting* the loss
-        ok = ok and any(
-            violation.startswith("death:data-loss-detected")
-            for violation in result.violations)
-    else:
-        ok = ok and result.clean and not info.get("data_loss_blocks")
-    if expect_rebuild and not info.get("rebuilds_completed"):
-        ok = False
     mttr = ("%.0fms" % (info["rebuild_mttr_s"] * 1e3)
             if info.get("rebuild_mttr_s") is not None else "-")
     detect = ("%.1fms" % (result.detection_latency_s * 1e3)
@@ -94,93 +106,36 @@ def _print_cell(label, result, p99, elapsed, expect_rebuild, expect_loss):
              elapsed))
     for violation in result.violations:
         print("    violation: %s" % violation)
-    return ok
 
 
-def _run_suite(paces, seed, ops, death):
+def _run_suite(title, header, paces, seed, ops, death):
     """Control, the pace sweep, then the second-failure cell."""
-    exit_code = 0
-    begin = time.time()
-    result, p99 = run_cell(seed, ops, death=None, spares=0)
-    if not _print_cell("control / no-death", result, p99,
-                       time.time() - begin, expect_rebuild=False,
-                       expect_loss=False):
-        exit_code = 1
-    for pace in paces:
-        begin = time.time()
-        result, p99 = run_cell(seed, ops, death=death, pace=pace)
-        if not _print_cell("%s / pace=%g" % (death, pace), result, p99,
-                           time.time() - begin, expect_rebuild=True,
-                           expect_loss=False):
-            exit_code = 1
+    cells = [("control / no-death", {"spares": 0}, (_COMPLETES, _SAFE))]
+    cells += [("%s / pace=%g" % (death, pace),
+               {"death": death, "pace": pace},
+               (_COMPLETES, _SAFE, _REBUILT)) for pace in paces]
     # Second failure mid-rebuild: slow the copy so the one-copy window
     # is still open when the survivor dies.
-    begin = time.time()
-    result, p99 = run_cell(seed, ops, death="double-death",
-                           death_target="data", pace=5e-3)
-    if not _print_cell("double-death / pace=0.005", result, p99,
-                       time.time() - begin, expect_rebuild=False,
-                       expect_loss=True):
-        exit_code = 1
-    return exit_code
+    cells.append(("double-death / pace=0.005",
+                  {"death": "double-death", "death_target": "data",
+                   "pace": 5e-3}, (_COMPLETES, _LOSS_REPORTED)))
+    return run_gate(title, header, cells,
+                    lambda **kwargs: run_cell(seed, ops, **kwargs),
+                    _print_cell)
 
 
 def sweep(seed=11, ops=None, death="mid-death", paces=PACES):
     ops = ops if ops is not None else max(setups.ops_scale(BASE_OPS),
                                           BASE_OPS)
-    print("failover sweep: %d ops per cell, seed %d, death=%s"
-          % (ops, seed, death))
-    exit_code = _run_suite(tuple(paces), seed, ops, death)
-    print("failover sweep: %s" % ("ok" if exit_code == 0 else "FAILED"))
-    return exit_code
+    return _run_suite("failover sweep",
+                      "%d ops per cell, seed %d, death=%s"
+                      % (ops, seed, death), tuple(paces), seed, ops, death)
 
 
 def smoke(seed=11, ops=None):
     """The CI failover gate: control, one rebuild, one double death."""
     ops = ops if ops is not None else max(setups.ops_scale(BASE_OPS),
                                           BASE_OPS // 2)
-    print("failover smoke: %d ops per cell, seed %d" % (ops, seed))
-    exit_code = _run_suite((5e-4,), seed, ops, "mid-death")
-    print("failover smoke: %s" % ("ok" if exit_code == 0 else "FAILED"))
-    return exit_code
-
-
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        print("death profiles:")
-        for line in DEATH_PROFILES.listing():
-            print(line)
-        return 0
-
-    def take_option(name, default=None):
-        if name in argv:
-            index = argv.index(name)
-            value = argv[index + 1]
-            del argv[index:index + 2]
-            return value
-        return default
-
-    smoke_mode = "--smoke" in argv
-    if smoke_mode:
-        argv.remove("--smoke")
-    ops = take_option("--ops")
-    seed = int(take_option("--seed", "11"))
-    death = take_option("--death", "mid-death")
-    paces = take_option("--pace")
-    if death not in DEATH_PROFILES or death in ("none", "double-death"):
-        usable = [name for name in DEATH_PROFILES.names()
-                  if name not in ("none", "double-death")]
-        print("no single-death profile %r (have: %s)"
-              % (death, ", ".join(usable)))
-        return 2
-    if smoke_mode:
-        return smoke(seed=seed, ops=int(ops) if ops else None)
-    return sweep(seed=seed, ops=int(ops) if ops else None, death=death,
-                 paces=(tuple(float(pace) for pace in paces.split(","))
-                        if paces else PACES))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return _run_suite("failover smoke",
+                      "%d ops per cell, seed %d" % (ops, seed), (5e-4,),
+                      seed, ops, "mid-death")

@@ -26,12 +26,9 @@ corruption-free control with the same defenses armed must stay silent
 — no alerts, no mismatches — pinning the false-positive rate at zero.
 """
 
-import sys
-import time
-
 from ..failures import chaos as harness
 from . import setups
-from .scenarios import CORRUPTION_PROFILES
+from .scenarios import CORRUPTION_PROFILES, run_gate
 
 #: (label, chaos_scenario kwargs) — the defense arms swept per profile
 DEFENSES = (
@@ -48,22 +45,36 @@ BASE_OPS = 200
 SWEEP_OPS = 400
 
 
-def run_cell(corruption, defense_kwargs, seed, ops, engine="innodb",
-             device="durassd"):
+def run_cell(seed, ops, corruption=None, engine="innodb", device="durassd",
+             **defense):
     """One integrity cell; returns the chaos-harness result."""
     scenario = harness.chaos_scenario(
         engine=engine, device=device, profile="none", seed=seed, ops=ops,
-        corruption=corruption, **defense_kwargs)
+        corruption=corruption, **defense)
     return harness.run_chaos(scenario)
 
 
-def _print_cell(label, result, elapsed, expect_alerts):
-    ok = (result.completed and not result.failed
-          and result.undetected_corrupt_reads == 0)
-    if expect_alerts and not result.alerts:
-        ok = False
-    if not expect_alerts and result.alerts:
-        ok = False
+def _checks(expect_alerts):
+    """A cell passes when the stream completes, zero corrupt reads were
+    served undetected, and the integrity SLO rules fire exactly when
+    corruption was injected."""
+    return ((lambda result: result.completed and not result.failed, None),
+            (lambda result: result.undetected_corrupt_reads == 0, None),
+            (lambda result: bool(result.alerts) == expect_alerts, None))
+
+
+def _cell(profile, defense):
+    """``profile`` injected against one ``(label, kwargs)`` defense."""
+    label, kwargs = defense
+    return ("%s / %s" % (profile, label), dict(kwargs, corruption=profile),
+            _checks(True))
+
+
+#: false-positive control: defenses armed, nothing injected
+_CONTROL = ("control / mirror2+scrub", DEFENSES[0][1], _checks(False))
+
+
+def _print_cell(label, result, elapsed, ok):
     detect = ("%.0fms" % (result.detection_latency_s * 1e3)
               if result.detection_latency_s is not None else "-")
     print("%-36s %-5s det=%-6s caught=%-4d undetected=%-3d alerts=%-2d "
@@ -73,7 +84,12 @@ def _print_cell(label, result, elapsed, expect_alerts):
              len(result.alerts), elapsed))
     for violation in result.violations:
         print("    violation: %s" % violation)
-    return ok
+
+
+def _run(title, cells, seed, ops):
+    return run_gate(title, "%d ops per cell, seed %d" % (ops, seed),
+                    cells, lambda **kwargs: run_cell(seed, ops, **kwargs),
+                    _print_cell)
 
 
 def sweep(profiles=None, seed=11, ops=None, mirror=None):
@@ -87,86 +103,15 @@ def sweep(profiles=None, seed=11, ops=None, mirror=None):
                      else "checksums",
                      {"mirror": mirror, "checksums": True,
                       "scrub": mirror > 1}),)
-    print("integrity sweep: %d ops per cell, seed %d" % (ops, seed))
-    exit_code = 0
-    for profile in profiles:
-        for label, kwargs in defenses:
-            begin = time.time()
-            result = run_cell(profile, kwargs, seed, ops)
-            if not _print_cell("%s / %s" % (profile, label), result,
-                               time.time() - begin, expect_alerts=True):
-                exit_code = 1
-    # False-positive control: defenses armed, nothing injected.
-    begin = time.time()
-    result = run_cell(None, {"mirror": 2, "checksums": True, "scrub": True},
-                      seed, ops)
-    if not _print_cell("control / mirror2+scrub", result,
-                       time.time() - begin, expect_alerts=False):
-        exit_code = 1
-    print("integrity sweep: %s" % ("ok" if exit_code == 0 else "FAILED"))
-    return exit_code
+    cells = [_cell(profile, defense)
+             for profile in profiles for defense in defenses]
+    return _run("integrity sweep", cells + [_CONTROL], seed, ops)
 
 
 def smoke(seed=11, ops=None):
     """The CI integrity gate: one cell per defense plus the control."""
     ops = ops if ops is not None else max(setups.ops_scale(BASE_OPS),
                                           BASE_OPS)
-    print("integrity smoke: %d ops per cell, seed %d" % (ops, seed))
-    exit_code = 0
-    cells = (
-        ("corruption-mix", DEFENSES[0]),
-        ("bit-rot", DEFENSES[1]),
-    )
-    for profile, (label, kwargs) in cells:
-        begin = time.time()
-        result = run_cell(profile, kwargs, seed, ops)
-        if not _print_cell("%s / %s" % (profile, label), result,
-                           time.time() - begin, expect_alerts=True):
-            exit_code = 1
-    begin = time.time()
-    result = run_cell(None, {"mirror": 2, "checksums": True, "scrub": True},
-                      seed, ops)
-    if not _print_cell("control / mirror2+scrub", result,
-                       time.time() - begin, expect_alerts=False):
-        exit_code = 1
-    print("integrity smoke: %s" % ("ok" if exit_code == 0 else "FAILED"))
-    return exit_code
-
-
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        print("corruption profiles:")
-        for line in CORRUPTION_PROFILES.listing():
-            print(line)
-        return 0
-
-    def take_option(name, default=None):
-        if name in argv:
-            index = argv.index(name)
-            value = argv[index + 1]
-            del argv[index:index + 2]
-            return value
-        return default
-
-    smoke_mode = "--smoke" in argv
-    if smoke_mode:
-        argv.remove("--smoke")
-    ops = take_option("--ops")
-    seed = int(take_option("--seed", "11"))
-    profile = take_option("--profile")
-    mirror = take_option("--mirror")
-    if profile and profile not in CORRUPTION_PROFILES:
-        print("no corruption profile %r (have: %s)"
-              % (profile, ", ".join(CORRUPTION_PROFILES.names())))
-        return 2
-    if smoke_mode:
-        return smoke(seed=seed, ops=int(ops) if ops else None)
-    return sweep(profiles=[profile] if profile else None, seed=seed,
-                 ops=int(ops) if ops else None,
-                 mirror=int(mirror) if mirror else None)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    cells = [_cell("corruption-mix", DEFENSES[0]),
+             _cell("bit-rot", DEFENSES[1]), _CONTROL]
+    return _run("integrity smoke", cells, seed, ops)

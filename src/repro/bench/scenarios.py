@@ -18,7 +18,13 @@ Two sets live here because several CLIs share them:
   (``repro chaos --death``, ``repro failover``).
 
 The explain CLI registers its own set (:mod:`repro.bench.explain`).
+
+:func:`run_gate` is the one loop behind the fault-campaign gates
+(``repro torture|chaos|integrity|failover --smoke``): each gate is a
+table of cells, one row per cell.
 """
+
+import time
 
 from ..devices import make_durassd
 from ..failures.corruption import (
@@ -191,3 +197,31 @@ for _name in sorted(_DEATH_MAKERS):
         _DEATH_DESCRIPTIONS.get(_name, "fail-stop death schedule"),
         (lambda name: lambda seed=0: make_death_schedule(name, seed))(
             _name))
+
+
+# --- fault-campaign gates ------------------------------------------------
+def run_gate(title, header, cells, run, show):
+    """Run one campaign gate; returns its exit code (0 when every check
+    of every cell passed).
+
+    ``cells`` holds ``(label, kwargs, checks)`` rows.  A row runs
+    ``run(**kwargs)``; each check is ``(passes, message)``: the cell
+    fails when ``passes(outcome)`` is false, and ``message`` (when not
+    ``None``) is printed under the row.  ``show(label, outcome,
+    elapsed, ok)`` prints the row itself.
+    """
+    print("%s: %s" % (title, header))
+    exit_code = 0
+    for label, kwargs, checks in cells:
+        begin = time.time()
+        outcome = run(**kwargs)
+        failures = [message for passes, message in checks
+                    if not passes(outcome)]
+        show(label, outcome, time.time() - begin, not failures)
+        for message in failures:
+            if message is not None:
+                print("    %s" % message)
+        if failures:
+            exit_code = 1
+    print("%s: %s" % (title, "ok" if exit_code == 0 else "FAILED"))
+    return exit_code

@@ -16,11 +16,11 @@ sweep can be minimized to a replayable JSON artifact with ``--out``.
 """
 
 import json
-import sys
 import time
 
 from ..failures import torture as harness
 from . import setups
+from .scenarios import run_gate
 
 DEVICES = ("hdd", "ssd-a", "ssd-b", "durassd")
 
@@ -49,44 +49,42 @@ def _print_summary(label, result, elapsed):
         print("    first failing cut: t=%.6f" % result.first_failure)
 
 
+#: a sweep passes when no promising configuration broke its promise
+_CLEAN = ((lambda result: result.clean, None),)
+
+
 def smoke(ops=None, seed=11):
     """Quick sweep of every device preset; the CI torture gate."""
     ops = ops if ops is not None else setups.ops_scale(SMOKE_BASE_OPS)
-    print("torture smoke: %d ops per sweep, seed %d" % (ops, seed))
-    exit_code = 0
-    for device in DEVICES:
-        begin = time.time()
-        _scenario, result = run_sweep("innodb", device, ops, seed=seed)
-        _print_summary("innodb/%s" % device, result, time.time() - begin)
-        if not result.clean:
-            exit_code = 1
-    # Striped data target: a power cut must leave every stripe member
-    # mutually consistent — the checker sees one flat LBA space, so any
-    # member that lags an acked barrier shows up as a torn page or a
-    # lost committed write.
-    begin = time.time()
-    _scenario, result = run_sweep("innodb", "durassd", ops, seed=seed,
-                                  stripe=2)
-    _print_summary("innodb/durassd (stripe=2)", result, time.time() - begin)
-    if not result.clean:
-        exit_code = 1
-    # Negative control: with barriers off on a volatile cache the sweep
-    # MUST surface anomalies, or the detector itself is broken.
-    begin = time.time()
-    _scenario, control = run_sweep("innodb", "ssd-a", ops, seed=seed,
-                                   barriers=False)
-    found = sum(len(trial.violations) for trial in control.trials)
-    _print_summary("innodb/ssd-a (no barriers)", control,
-                   time.time() - begin)
-    if found == 0:
-        print("    negative control found no violations: detector broken")
-        exit_code = 1
-    print("torture smoke: %s" % ("ok" if exit_code == 0 else "FAILED"))
-    return exit_code
+    cells = [("innodb/%s" % device, {"device": device}, _CLEAN)
+             for device in DEVICES]
+    cells += [
+        # Striped data target: a power cut must leave every stripe
+        # member mutually consistent — the checker sees one flat LBA
+        # space, so any member that lags an acked barrier shows up as a
+        # torn page or a lost committed write.
+        ("innodb/durassd (stripe=2)", {"device": "durassd", "stripe": 2},
+         _CLEAN),
+        # Negative control: with barriers off on a volatile cache the
+        # sweep MUST surface anomalies, or the detector itself is broken.
+        ("innodb/ssd-a (no barriers)", {"device": "ssd-a",
+                                        "barriers": False},
+         ((lambda result: result.summary()["violations"],
+           "negative control found no violations: detector broken"),)),
+    ]
+    return run_gate(
+        "torture smoke", "%d ops per sweep, seed %d" % (ops, seed), cells,
+        lambda **kwargs: run_sweep("innodb", ops=ops, seed=seed,
+                                   **kwargs)[1],
+        lambda label, result, elapsed, _ok: _print_summary(label, result,
+                                                           elapsed))
 
 
-def full(engine, device, ops, seed, barriers, doublewrite, max_trials,
-         out_path=None):
+def full(engine="innodb", device="durassd", ops=None, seed=11,
+         barriers=None, doublewrite=True, max_trials=None, out_path=None):
+    """Sweep one configuration; ``out_path`` receives the minimized
+    repro of a failing or violating sweep."""
+    ops = ops if ops is not None else setups.ops_scale(200)
     begin = time.time()
     scenario, result = run_sweep(engine, device, ops, seed=seed,
                                  barriers=barriers, doublewrite=doublewrite,
@@ -116,48 +114,3 @@ def full(engine, device, ops, seed, barriers, doublewrite, max_trials,
             print("  minimized repro (%d ops, cut t=%.6f): %s"
                   % (len(artifact["ops"]), artifact["cut_time"], out_path))
     return 1 if result.failures else 0
-
-
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-
-    def take_option(name, default=None):
-        if name in argv:
-            index = argv.index(name)
-            value = argv[index + 1]
-            del argv[index:index + 2]
-            return value
-        return default
-
-    smoke_mode = "--smoke" in argv
-    if smoke_mode:
-        argv.remove("--smoke")
-    no_doublewrite = "--no-doublewrite" in argv
-    if no_doublewrite:
-        argv.remove("--no-doublewrite")
-    ops = take_option("--ops")
-    seed = int(take_option("--seed", "11"))
-    barriers = take_option("--barriers", "auto")
-    max_trials = take_option("--max-trials")
-    out_path = take_option("--out")
-    if barriers not in ("auto", "on", "off"):
-        print("--barriers must be auto, on or off")
-        return 2
-    barriers = None if barriers == "auto" else (barriers == "on")
-    if smoke_mode:
-        return smoke(ops=int(ops) if ops else None, seed=seed)
-    engine = argv[0] if argv else "innodb"
-    device = argv[1] if len(argv) > 1 else "durassd"
-    return full(engine, device,
-                ops=int(ops) if ops else setups.ops_scale(200),
-                seed=seed, barriers=barriers,
-                doublewrite=not no_doublewrite,
-                max_trials=int(max_trials) if max_trials else None,
-                out_path=out_path)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,14 +7,8 @@ from .checker import (
     check_write_order,
     latest_acked_values,
 )
-from .chaos import (
-    ChaosResult,
-    chaos_scenario,
-    make_chaos_artifact,
-    minimize_chaos,
-    run_chaos,
-)
-from .chaos import replay_artifact as replay_chaos_artifact
+from .campaign import make_artifact, replay_artifact
+from .chaos import ChaosResult, chaos_scenario, minimize_chaos, run_chaos
 from .checker import check_undetected_corruption
 from .corruption import (
     CORRUPTION_PROFILES,
@@ -42,10 +36,8 @@ from .torture import (
     SweepResult,
     build_world,
     generate_ops,
-    make_artifact,
     minimize,
     record,
-    replay_artifact,
     run_trial,
     sweep,
     verify_determinism,
@@ -80,7 +72,6 @@ __all__ = [
     "generate_ops",
     "latest_acked_values",
     "make_artifact",
-    "make_chaos_artifact",
     "make_corruption_profile",
     "make_death_schedule",
     "make_profile",
@@ -88,7 +79,6 @@ __all__ = [
     "minimize_chaos",
     "record",
     "replay_artifact",
-    "replay_chaos_artifact",
     "run_chaos",
     "run_trial",
     "run_until_power_cut",

@@ -25,34 +25,33 @@ One chaos run asserts three properties:
    (``expect_read_only``), not into a convoy.
 
 A violating run minimizes to the shortest failing operation prefix and
-round-trips through a self-contained JSON artifact, exactly like the
-torture harness.
+round-trips through a self-contained JSON artifact.  The client, the
+post-cut check, the verdict rule, the artifact codec and the bisection
+are shared with the torture harness (:mod:`repro.failures.campaign`).
 """
 
-import json
 import math
 
-from ..db import dbrecovery
-from ..db.degrade import DegradedError
-from ..db.pages import TornPageError
-from ..devices.base import DeviceDeadError
-from ..host.integrity import CorruptDataError
-from ..host.lifecycle import DeviceTimeoutError, TimeoutPolicy
+from ..host.lifecycle import TimeoutPolicy
 from ..telemetry.hub import Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.slo import SLOMonitor, default_chaos_rules
-from .checker import (
-    check_device,
-    check_undetected_corruption,
-    check_write_order,
+from .campaign import (
+    CHAOS_FORMAT,
+    Verdict,
+    check_after_cut,
+    check_reads,
+    client,
+    make_artifact,
+    new_tally,
+    run_uncut,
+    shrink_prefix,
 )
 from .corruption import make_corruption_profile
 from .death import DeviceDeathSchedule, make_death_schedule
 from .grayfaults import GrayFaultProfile, make_profile
 from .injector import PowerFailureInjector
 from .torture import TortureScenario, build_world, generate_ops
-
-CHAOS_ARTIFACT_FORMAT = "repro.chaos/1"
 
 #: default allowed completion-time inflation vs the fault-free run
 DEFAULT_DEGRADATION_BOUND = 8.0
@@ -151,10 +150,13 @@ def chaos_scenario(device="durassd", profile="mild", seed=0, ops=120,
                            submission_queues=submission_queues)
 
 
-class ChaosResult:
+class ChaosResult(Verdict):
     """Outcome of one chaos run: op tallies, counters, verdict."""
 
+    artifact_format = CHAOS_FORMAT
+
     def __init__(self, scenario):
+        super().__init__()
         self.scenario = scenario
         self.ops_total = 0
         self.ops_ok = 0
@@ -162,15 +164,11 @@ class ChaosResult:
         self.ops_rejected = 0
         self.ops_failed_hard = 0
         self.ops_corrupt_detected = 0
-        self.undetected_corrupt_reads = 0
-        self.integrity_expected = False
         self.completed = False
         self.read_only = False
         self.duration = 0.0
         self.baseline_duration = None
         self.degradation_ratio = None
-        self.expected_clean = True
-        self.violations = []
         self.host_counters = {}
         self.gray_counters = {}
         self.db_counters = {}
@@ -184,24 +182,6 @@ class ChaosResult:
         # Failover verdict: member deaths, degraded windows, rebuild
         # MTTR and detected data loss (None when nothing ever died).
         self.failover = None
-
-    @property
-    def clean(self):
-        return not self.violations
-
-    @property
-    def failed(self):
-        """A violation where the configuration promised none.
-
-        An integrity-armed world (checksums or mirror) additionally
-        fails on any ``integrity:`` violation: detection is promised
-        even when corruption voids the crash-consistency promise.
-        """
-        if self.expected_clean and bool(self.violations):
-            return True
-        return self.integrity_expected and any(
-            violation.startswith("integrity:")
-            for violation in self.violations)
 
     def to_json(self):
         return {
@@ -256,33 +236,6 @@ def _merge_gray_counters(world):
     return merged
 
 
-def _chaos_client(workload, ops, progress, outcomes):
-    """Sequential client that survives per-operation gray failures.
-
-    Timeout escalations and degraded-mode rejections are tolerated and
-    tallied — the client must always make progress to the next
-    operation; any *other* exception is a harness bug and propagates.
-    """
-    for index, (name, node) in enumerate(ops):
-        try:
-            yield from workload._operation(name, node)
-        except DeviceTimeoutError:
-            outcomes["timed_out"] += 1
-        except DeviceDeadError:
-            # A fail-stopped device (or fully dead volume) answers
-            # every command with a hard error: tolerated, tallied.
-            outcomes["dead"] = outcomes.get("dead", 0) + 1
-        except (CorruptDataError, TornPageError):
-            # A checksum (host or database page) turned a corrupt read
-            # into an error: detected, fail-stop, tolerated.
-            outcomes["corrupt"] = outcomes.get("corrupt", 0) + 1
-        except DegradedError:
-            outcomes["rejected"] += 1
-        else:
-            outcomes["ok"] += 1
-        progress["completed"] = index + 1
-
-
 def _ladder_seconds(policy):
     """Worst-case seconds one command spends on the full escalation
     ladder (all deadlines, resets and maximal backoffs)."""
@@ -310,15 +263,10 @@ def baseline_duration(scenario, ops, telemetry=None):
     quiet["death"] = None
     quiet["spares"] = 0
     world = build_world(TortureScenario.from_json(quiet), telemetry)
-    progress = {"completed": 0}
-    outcomes = {"ok": 0, "timed_out": 0, "rejected": 0}
-    done = world.sim.process(
-        _chaos_client(world.workload, ops, progress, outcomes))
-    world.sim.run_until(done)
-    world.engine.stop_cleaner()
-    if outcomes["ok"] != len(ops):
+    tally = run_uncut(world, ops)
+    if tally["ok"] != len(ops):
         raise RuntimeError("fault-free baseline failed operations: %r"
-                           % (outcomes,))
+                           % (tally,))
     return world.sim.now
 
 
@@ -512,28 +460,21 @@ def run_chaos(scenario, ops=None, telemetry=None, baseline=None,
     sim = world.sim
     result.expected_clean = world.expected_clean
     result.integrity_expected = world.integrity_expected
-    progress = {"completed": 0}
-    outcomes = {"ok": 0, "timed_out": 0, "rejected": 0}
-    client = sim.process(
-        _chaos_client(world.workload, ops, progress, outcomes))
+    tally = new_tally()
+    stream = sim.process(client(world.workload, ops, tally))
     watchdog = sim.timeout(horizon_guard(scenario, ops))
     with sim.telemetry.span("chaos.run", "failures",
                             device=scenario.device,
                             ops=len(ops)) as span:
-        sim.run_until(sim.any_of([client, watchdog]))
+        sim.run_until(sim.any_of([stream, watchdog]))
         world.engine.stop_cleaner()
-        result.ops_ok = outcomes["ok"]
-        result.ops_timed_out = outcomes["timed_out"]
-        result.ops_rejected = outcomes["rejected"]
-        result.ops_failed_hard = outcomes.get("dead", 0)
-        result.ops_corrupt_detected = outcomes.get("corrupt", 0)
-        result.undetected_corrupt_reads = \
-            check_undetected_corruption(world.audit)
-        if result.undetected_corrupt_reads:
-            result.violations.append(
-                "integrity:undetected-corrupt-read:count=%d"
-                % result.undetected_corrupt_reads)
-        result.completed = client.triggered
+        result.ops_ok = tally["ok"]
+        result.ops_timed_out = tally["timed_out"]
+        result.ops_rejected = tally["rejected"]
+        result.ops_failed_hard = tally["dead"]
+        result.ops_corrupt_detected = tally["corrupt"]
+        check_reads(world, result)
+        result.completed = stream.triggered
         result.duration = sim.now
         result.read_only = getattr(world.engine, "degradation",
                                    None) is not None \
@@ -552,7 +493,7 @@ def run_chaos(scenario, ops=None, telemetry=None, baseline=None,
             # tolerance stack is that nothing hangs forever.
             result.expected_clean = True
             result.violations.append(
-                "liveness:stuck-at-op-%d" % progress["completed"])
+                "liveness:stuck-at-op-%d" % tally["completed"])
             _evaluate_slo(world, scenario, profile, result)
             _evaluate_failover(world, scenario, result)
             span.annotate(stuck=True)
@@ -582,70 +523,15 @@ def run_chaos(scenario, ops=None, telemetry=None, baseline=None,
                     "degradation:%.2fx>bound-%.2fx"
                     % (result.degradation_ratio, bound))
         if crash_check and _crash_checkable(world):
-            _crash_and_check(world, result)
+            # Safety: whatever aborts, resets and retries happened
+            # mid-run, the acked state must survive a crash exactly as
+            # it would have without gray faults.
+            injector = PowerFailureInjector(sim, world.devices)
+            injector.execute_cut()
+            injector.reboot_all()
+            check_after_cut(world, result.violations)
         span.annotate(violations=len(result.violations))
     return result
-
-
-def _crash_and_check(world, result):
-    """Cut power after the stream, recover, check every invariant.
-
-    This is the safety half: whatever aborts, resets and retries
-    happened mid-run, the acked state must survive a crash exactly as
-    it would have without gray faults.
-    """
-    sim = world.sim
-    injector = PowerFailureInjector(sim, world.devices)
-    injector.execute_cut()
-    injector.reboot_all()
-    for device in world.devices:
-        report = check_device(device)
-        inversions = check_write_order(device)
-        # An armed corruption model deliberately violates block-level
-        # durability beneath the FTL; the integrity verdicts higher in
-        # the stack take over for those devices.
-        if device.claims_durable_cache and device.corruption is None:
-            for violation in report.violations:
-                result.violations.append(
-                    "device:%s:%s:lba=%d" % (device.name, violation.kind,
-                                             violation.lba))
-            for missing, present in inversions:
-                result.violations.append(
-                    "device:%s:reorder:%d>%d" % (device.name, missing,
-                                                 present))
-    durable_log = world.log_device.claims_durable_cache
-    report = dbrecovery.recover(world.engine, durable_log)
-    dbrecovery.check_consistency(world.engine, report)
-    for txn_id in report.lost_committed_txns:
-        result.violations.append("db:lost-txn:%s" % (txn_id,))
-    for key in report.torn_unrepairable:
-        result.violations.append("db:torn-page:%s" % (key,))
-    for kind, key, found, want in report.consistency_violations:
-        result.violations.append(
-            "db:%s:%s:found=%s:want=%s" % (kind, key, found, want))
-
-
-def make_chaos_artifact(scenario, ops, result):
-    """A self-contained, replayable description of one chaos failure."""
-    return {
-        "format": CHAOS_ARTIFACT_FORMAT,
-        "scenario": scenario.to_json(),
-        "ops": [[name, node] for name, node in ops],
-        "violations": list(result.violations),
-        "result": result.to_json(),
-    }
-
-
-def replay_artifact(artifact, telemetry=None):
-    """Re-run a minimized chaos repro from its JSON alone."""
-    if isinstance(artifact, (str, bytes)):
-        artifact = json.loads(artifact)
-    if artifact.get("format") != CHAOS_ARTIFACT_FORMAT:
-        raise ValueError("not a chaos artifact: %r"
-                         % (artifact.get("format"),))
-    scenario = TortureScenario.from_json(artifact["scenario"])
-    ops = [(name, node) for name, node in artifact["ops"]]
-    return run_chaos(scenario, ops, telemetry=telemetry)
 
 
 def minimize_chaos(scenario, ops, predicate=None, telemetry=None):
@@ -657,23 +543,12 @@ def minimize_chaos(scenario, ops, predicate=None, telemetry=None):
     if predicate is None:
         predicate = lambda result: not result.clean
 
-    def prefix_violation(length):
-        prefix = ops[:length]
+    def probe(prefix):
         result = run_chaos(scenario, prefix, telemetry=telemetry)
         return result if predicate(result) else None
 
-    full = prefix_violation(len(ops))
-    if full is None:
+    found = shrink_prefix(ops, probe)
+    if found is None:
         return None
-    low, high = 1, len(ops)
-    best = (len(ops), full)
-    while low < high:
-        middle = (low + high) // 2
-        found = prefix_violation(middle)
-        if found is not None:
-            best = (middle, found)
-            high = middle
-        else:
-            low = middle + 1
-    length, result = best
-    return make_chaos_artifact(scenario, ops[:length], result)
+    length, result = found
+    return make_artifact(scenario, ops[:length], result)

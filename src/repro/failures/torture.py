@@ -20,8 +20,9 @@ argument:
    database redo pass — and recover again.
 3. **Minimize**: a failing schedule is reduced to the shortest
    operation prefix plus the earliest failing cut point, and emitted as
-   a self-contained JSON artifact that :func:`replay_artifact`
-   reproduces with no other inputs.
+   a self-contained JSON artifact that
+   :func:`~repro.failures.campaign.replay_artifact` reproduces with no
+   other inputs.
 
 The verdict policy keys on ``StorageDevice.claims_durable_cache``: a
 device claiming a durable cache must check clean at block level at
@@ -32,13 +33,9 @@ still swept — their violations are what the paper's Table 1 anomaly
 discussion is about — but they do not fail the sweep.
 """
 
-import json
-
 from ..db import dbrecovery
 from ..db.commercial import CommercialConfig, CommercialEngine
-from ..db.degrade import DegradedError
 from ..db.innodb import InnoDBConfig, InnoDBEngine
-from ..db.pages import TornPageError
 from ..devices import make_durassd, make_hdd, make_ssd_a, make_ssd_b
 from ..host import (
     FileSystem,
@@ -49,7 +46,6 @@ from ..host import (
     VerifyingTarget,
     as_target,
 )
-from ..host.integrity import CorruptDataError
 from ..host.lifecycle import TimeoutPolicy
 from ..host.queues import INTERFACES, QueueTopology
 from ..sim import Simulator, units
@@ -60,18 +56,22 @@ from ..workloads.linkbench import (
     LinkBenchWorkload,
     NodeSampler,
 )
-from .checker import (
-    check_device,
-    check_undetected_corruption,
-    check_write_order,
+from .campaign import (
+    TORTURE_FORMAT,
+    Verdict,
+    check_after_cut,
+    check_reads,
+    client,
+    make_artifact,
+    new_tally,
+    run_uncut,
+    shrink_prefix,
 )
 from .corruption import CorruptionConfig, CorruptionModel
 from .death import DeviceDeathModel, DeviceDeathSchedule
 from .faults import FaultConfig, TransientFaultModel
 from .grayfaults import GrayFaultModel, GrayFaultProfile
 from .injector import PowerFailureInjector
-
-ARTIFACT_FORMAT = "repro.torture/1"
 
 #: Offset past the final ack for the "after everything was acked" cut.
 _AFTER_LAST_ACK = 1e-7
@@ -83,7 +83,7 @@ _DEVICE_MAKERS = {
     "durassd": make_durassd,
 }
 
-_ENGINES = ("innodb", "commercial")
+ENGINES = ("innodb", "commercial")
 
 
 class TortureScenario:
@@ -105,7 +105,7 @@ class TortureScenario:
                  checksums=False, scrub=False, death=None,
                  death_target="data", spares=0, rebuild_pace=None,
                  interface="sata", submission_queues=2):
-        if engine not in _ENGINES:
+        if engine not in ENGINES:
             raise ValueError("unknown engine: %r" % engine)
         if device not in _DEVICE_MAKERS:
             raise ValueError("unknown device: %r" % device)
@@ -495,29 +495,6 @@ def generate_ops(scenario):
     return ops
 
 
-def _client(workload, ops, progress):
-    """Single sequential client replaying a pre-drawn operation list.
-
-    Detected corruption (fail-stop checksum errors) and read-only
-    rejections are tolerated and tallied — in an integrity world the
-    *defense* turning a wrong answer into an error is the correct
-    outcome, and the client must keep replaying the stream.  Classic
-    worlds never raise either, so the handlers are inert there.
-    """
-    for index, (name, node) in enumerate(ops):
-        try:
-            yield from workload._operation(name, node)
-        except (CorruptDataError, TornPageError):
-            # Host checksum or database page checksum fired: the wrong
-            # answer became an error.  Both are detection points in the
-            # threat model.
-            progress["corrupt_detected"] = \
-                progress.get("corrupt_detected", 0) + 1
-        except DegradedError:
-            progress["rejected"] = progress.get("rejected", 0) + 1
-        progress["completed"] = index + 1
-
-
 class Recording:
     """Result of the record phase: cut candidates + determinism marks."""
 
@@ -546,10 +523,7 @@ def record(scenario, ops=None, telemetry=None):
     if ops is None:
         ops = generate_ops(scenario)
     world = build_world(scenario, telemetry)
-    progress = {"completed": 0}
-    done = world.sim.process(_client(world.workload, ops, progress))
-    world.sim.run_until(done)
-    world.engine.stop_cleaner()
+    run_uncut(world, ops)
     ack_times = sorted({rec.time for device in world.devices
                         for rec in device.ack_log})
     candidates = []
@@ -571,43 +545,21 @@ def verify_determinism(scenario, ops=None):
             and first.end_time == second.end_time)
 
 
-class TrialResult:
+class TrialResult(Verdict):
     """One rebuilt world, one (possibly nested) cut, one verdict."""
 
+    artifact_format = TORTURE_FORMAT
+
     def __init__(self, cut_time, nested=None):
+        super().__init__()
         self.cut_time = cut_time
         self.nested = nested
         self.fired = False
         self.nested_performed = False
         self.ops_completed = 0
-        self.device_reports = {}
-        self.order_inversions = {}
         self.db_report = None
-        self.violations = []
-        self.expected_clean = True
-        self.integrity_expected = False
-        self.undetected_corrupt_reads = 0
         self.corrupt_detected = 0
         self.recovery_seconds = 0.0
-
-    @property
-    def clean(self):
-        return not self.violations
-
-    @property
-    def failed(self):
-        """A violation where the configuration promised none.
-
-        An integrity-armed world additionally fails on any
-        ``integrity:`` violation even when silent corruption voided the
-        crash-consistency promise — checksums promise *detection*
-        regardless of whether the data can be recovered.
-        """
-        if self.expected_clean and self.violations:
-            return True
-        return self.integrity_expected and any(
-            violation.startswith("integrity:")
-            for violation in self.violations)
 
     def to_json(self):
         return {
@@ -667,8 +619,8 @@ def run_trial(scenario, ops, cut_time, nested=None, telemetry=None):
     world = build_world(scenario, telemetry)
     sim = world.sim
     injector = PowerFailureInjector(sim, world.devices)
-    progress = {"completed": 0}
-    done = sim.process(_client(world.workload, ops, progress))
+    tally = new_tally()
+    done = sim.process(client(world.workload, ops, tally))
     cut = injector.schedule_cut(cut_time)
     result = TrialResult(cut_time, nested)
     result.expected_clean = world.expected_clean
@@ -678,71 +630,34 @@ def run_trial(scenario, ops, cut_time, nested=None, telemetry=None):
                             cut_time=cut_time) as span:
         sim.run_until(done)
         result.fired = cut.fired
-        result.ops_completed = progress["completed"]
-        result.corrupt_detected = progress.get("corrupt_detected", 0)
-        # The integrity safety verdict holds at *every* instant, cut or
-        # no cut: no acked read returned corrupted data undetected.
-        result.undetected_corrupt_reads = \
-            check_undetected_corruption(world.audit)
-        if result.undetected_corrupt_reads:
-            result.violations.append(
-                "integrity:undetected-corrupt-read:count=%d"
-                % result.undetected_corrupt_reads)
+        result.ops_completed = tally["completed"]
+        result.corrupt_detected = tally["corrupt"]
+        check_reads(world, result)
+        world.engine.stop_cleaner()
         if not cut.fired:
             # The stream finished before the cut: nothing else to check.
             span.annotate(fired=False)
-            world.engine.stop_cleaner()
             return result
-        world.engine.stop_cleaner()
         sim.telemetry.instant("torture.cut", "failures",
                               at=sim.now, ops_completed=result.ops_completed)
         with sim.telemetry.span("torture.device_recovery", "failures",
                                 nested=bool(nested)):
             result.recovery_seconds = _recover_devices(world, injector,
                                                        nested, result)
-        # Block-level invariants, checked *before* database recovery can
-        # repair (and thereby mask) device-level anomalies.
-        for device in world.devices:
-            report = check_device(device)
-            inversions = check_write_order(device)
-            result.device_reports[device.name] = report
-            result.order_inversions[device.name] = inversions
-            # A device with an armed corruption model deliberately
-            # violates block-level durability — that is the injection,
-            # not a finding.  The verdict moves up the stack: the
-            # volume/database layers must detect (and, mirrored,
-            # repair) it, which the integrity checks above assert.
-            if device.claims_durable_cache and device.corruption is None:
-                for violation in report.violations:
-                    result.violations.append(
-                        "device:%s:%s:lba=%d" % (device.name, violation.kind,
-                                                 violation.lba))
-                for missing, present in inversions:
-                    result.violations.append(
-                        "device:%s:reorder:%d>%d" % (device.name, missing,
-                                                     present))
-        # Database recovery, optionally crashed in the middle and re-run.
-        durable_log = world.log_device.claims_durable_cache
-        with sim.telemetry.span("torture.db_recovery", "failures",
-                                nested=bool(nested)):
-            if nested and nested[0] == "db-recovery":
-                first_pass = dbrecovery.recover(
-                    world.engine, durable_log,
-                    crash_after_installs=nested[1])
-                if first_pass.interrupted:
+        first_pass = None
+        if nested and nested[0] == "db-recovery":
+            def first_pass(durable_log):
+                # Database recovery crashes part-way, then re-runs.
+                crashed = dbrecovery.recover(
+                    world.engine, durable_log, crash_after_installs=nested[1])
+                if crashed.interrupted:
                     result.nested_performed = True
                     injector.execute_cut()
                     injector.reboot_all()
-            report = dbrecovery.recover(world.engine, durable_log)
-            dbrecovery.check_consistency(world.engine, report)
-        result.db_report = report
-        for txn_id in report.lost_committed_txns:
-            result.violations.append("db:lost-txn:%s" % (txn_id,))
-        for key in report.torn_unrepairable:
-            result.violations.append("db:torn-page:%s" % (key,))
-        for kind, key, found, want in report.consistency_violations:
-            result.violations.append(
-                "db:%s:%s:found=%s:want=%s" % (kind, key, found, want))
+        with sim.telemetry.span("torture.check", "failures",
+                                nested=bool(nested)):
+            result.db_report = check_after_cut(world, result.violations,
+                                               first_pass)
         span.annotate(violations=len(result.violations),
                       failed=result.failed)
     return result
@@ -848,32 +763,6 @@ def sweep(scenario, max_trials=None, nested_stride=5, nested_budget=1,
     return result
 
 
-def make_artifact(scenario, ops, cut_time, nested, trial):
-    """A self-contained, replayable description of one failure."""
-    return {
-        "format": ARTIFACT_FORMAT,
-        "scenario": scenario.to_json(),
-        "ops": [[name, node] for name, node in ops],
-        "cut_time": cut_time,
-        "nested": list(nested) if nested else None,
-        "violations": list(trial.violations),
-    }
-
-
-def replay_artifact(artifact, telemetry=None):
-    """Re-run a minimized repro from its JSON alone; returns the trial."""
-    if isinstance(artifact, (str, bytes)):
-        artifact = json.loads(artifact)
-    if artifact.get("format") != ARTIFACT_FORMAT:
-        raise ValueError("not a torture artifact: %r"
-                         % (artifact.get("format"),))
-    scenario = TortureScenario.from_json(artifact["scenario"])
-    ops = [(name, node) for name, node in artifact["ops"]]
-    nested = tuple(artifact["nested"]) if artifact.get("nested") else None
-    return run_trial(scenario, ops, artifact["cut_time"], nested=nested,
-                     telemetry=telemetry)
-
-
 def minimize(scenario, ops, nested=None, probe_budget=8, predicate=None,
              telemetry=None):
     """Shrink a failing schedule to (shortest op prefix, earliest cut).
@@ -893,42 +782,28 @@ def minimize(scenario, ops, nested=None, probe_budget=8, predicate=None,
     if predicate is None:
         predicate = lambda trial: trial.failed
 
-    def prefix_failure(length):
-        prefix = ops[:length]
+    def probe(prefix):
         recording = record(scenario, prefix, telemetry=telemetry)
         probes = recording.cut_candidates[-probe_budget:]
         for cut_time in reversed(probes):
             trial = run_trial(scenario, prefix, cut_time, nested=nested,
                               telemetry=telemetry)
             if predicate(trial):
-                return recording, cut_time, trial
+                return recording, trial
         return None
 
-    if prefix_failure(len(ops)) is None:
+    found = shrink_prefix(ops, probe)
+    if found is None:
         return None
-    low, high = 1, len(ops)
-    best = None
-    while low < high:
-        middle = (low + high) // 2
-        found = prefix_failure(middle)
-        if found is not None:
-            best = (middle, found)
-            high = middle
-        else:
-            low = middle + 1
-    if best is None:
-        length = len(ops)
-        found = prefix_failure(length)
-    else:
-        length, found = best
-    recording, cut_time, trial = found
+    length, (recording, trial) = found
+    prefix = ops[:length]
     # Earliest failing cut for the minimized prefix.
     for candidate in recording.cut_candidates:
-        if candidate >= cut_time:
+        if candidate >= trial.cut_time:
             break
-        earlier = run_trial(scenario, ops[:length], candidate,
-                            nested=nested, telemetry=telemetry)
+        earlier = run_trial(scenario, prefix, candidate, nested=nested,
+                            telemetry=telemetry)
         if predicate(earlier):
-            cut_time, trial = candidate, earlier
+            trial = earlier
             break
-    return make_artifact(scenario, ops[:length], cut_time, nested, trial)
+    return make_artifact(scenario, prefix, trial)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.failures import chaos
+from repro.failures.campaign import make_artifact, replay_artifact
 from repro.failures.grayfaults import GrayFaultProfile
 from repro.failures.torture import TortureScenario, generate_ops
 
@@ -95,13 +96,13 @@ class TestArtifacts:
                                         ops=40)
         ops = generate_ops(scenario)
         original = chaos.run_chaos(scenario, ops)
-        artifact = chaos.make_chaos_artifact(scenario, ops, original)
-        replayed = chaos.replay_artifact(json.dumps(artifact))
+        artifact = make_artifact(scenario, ops, original)
+        replayed = replay_artifact(json.dumps(artifact))
         assert replayed.to_json() == original.to_json()
 
     def test_format_guard(self):
         with pytest.raises(ValueError):
-            chaos.replay_artifact({"format": "bogus"})
+            replay_artifact({"format": "bogus"})
 
     def test_minimize_shrinks_and_replays(self):
         scenario = chaos.chaos_scenario(profile="hang-permanent", seed=5,
@@ -111,7 +112,7 @@ class TestArtifacts:
                                         predicate=lambda r: r.read_only)
         assert artifact is not None
         assert len(artifact["ops"]) < len(ops)
-        replayed = chaos.replay_artifact(artifact)
+        replayed = replay_artifact(artifact)
         assert replayed.read_only
 
     def test_minimize_clean_run_returns_none(self):

@@ -28,7 +28,7 @@ from repro.failures import (
     sweep,
     verify_determinism,
 )
-from repro.failures.torture import ARTIFACT_FORMAT
+from repro.failures.campaign import TORTURE_FORMAT
 from repro.sim import Simulator
 
 
@@ -183,7 +183,7 @@ class TestMinimizeAndReplay:
         artifact = minimize(scenario, ops,
                             predicate=lambda trial: not trial.clean)
         assert artifact is not None
-        assert artifact["format"] == ARTIFACT_FORMAT
+        assert artifact["format"] == TORTURE_FORMAT
         assert 1 <= len(artifact["ops"]) < len(ops)
         assert artifact["violations"]
         # round-trip through the serialized form only
@@ -207,7 +207,7 @@ class TestMinimizeAndReplay:
         recording = record(scenario, ops)
         cut = recording.cut_candidates[0]
         trial = run_trial(scenario, ops, cut)
-        artifact = make_artifact(scenario, ops, cut, None, trial)
+        artifact = make_artifact(scenario, ops, trial)
         text = json.dumps(artifact)  # must be JSON-serializable
         parsed = json.loads(text)
         assert parsed["cut_time"] == cut

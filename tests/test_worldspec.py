@@ -5,7 +5,8 @@ Three claims:
 1. **Round trip and validation** — a :class:`WorldSpec` survives JSON
    and rejects the combinations the CLI used to reject by hand.
 2. **CLI mapping** — every world flag lands in the right spec field;
-   bad combinations are usage errors (exit 2), not tracebacks.
+   bad combinations, and bad fault-campaign flags, are usage errors
+   (exit 2), not tracebacks.
 3. **No shared state** — a world depends only on its own spec, never on
    what the process built before it.
 """
@@ -15,7 +16,7 @@ import json
 import pytest
 
 from repro.__main__ import build_parser, main, world_spec
-from repro.bench import scaling, setups, table1
+from repro.bench import chaos, scaling, setups, table1
 from repro.bench.setups import WorldSpec
 from repro.host import MirroredVolume, NvmeMultiQueue, QueueTopology, SataNcq
 from repro.sim import Simulator, units
@@ -147,14 +148,36 @@ class TestCli:
         ["table1", "--gray-faults", "no-such-profile"],
         ["scaling", "--metrics-interval", "0"],
         ["table1", "--no-such-flag"],
+        ["torture", "--ops"],
+        ["torture", "innodb", "floppy"],
+        ["chaos", "--mirror", "two"],
+        ["chaos", "--profile", "no-such"],
+        ["failover", "--pace"],
+        ["failover", "--death", "double-death"],
+        ["integrity", "--sead", "5"],
     ])
-    def test_bad_flags_are_usage_errors(self, argv, capsys):
+    def test_bad_flags_are_usage_errors(self, argv, capsys, monkeypatch):
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("a simulation started")
+        monkeypatch.setattr(Simulator, "__init__", no_simulation)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["chaos", "--smoke"], 11),
+        (["chaos", "--smoke", "--seed", "0"], 0),
+    ])
+    def test_chaos_smoke_takes_an_explicit_seed_zero(self, argv, seed,
+                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(chaos, "smoke",
+                            lambda **kwargs: calls.append(kwargs) or 0)
+        assert main(argv) == 0
+        assert calls == [{"ops": None, "seed": seed}]
 
 
 class TestNoSharedState:
