@@ -43,6 +43,11 @@ Usage::
     python -m repro profile --speed                 # BENCH_speed.json baseline
     python -m repro scaling --profile               # any bench + wall report
 
+    python -m repro validate trace.json --min-tracks 4  # schema checks
+    python -m repro validate --profile profile.json    # a profile report
+
+    python -m repro <command> --help                # options, scenarios
+
 World flags.  Every bench table, ``all``, ``scaling``, ``regress``,
 ``explain``, ``monitor``, ``profile`` and ``trace`` take the same flags
 and build one :class:`~repro.bench.setups.WorldSpec` from them::
@@ -85,11 +90,12 @@ from .bench import (
     tracing,
 )
 from .bench.scenarios import CORRUPTION_PROFILES, DEATH_PROFILES, \
-    GRAY_PROFILES
+    GRAY_PROFILES, TRACED
 from .bench.setups import WorldSpec
 from .failures.chaos import chaos_scenario
 from .failures.torture import ENGINES
 from .host.queues import INTERFACES, QueueTopology
+from .telemetry import validate
 
 EXPERIMENTS = {
     "table1": ("Table 1: fsync/flush-cache vs 4KB write IOPS",
@@ -114,15 +120,16 @@ ORDER = ["table1", "table2", "figure5", "figure6", "table3", "table4",
 #: experiments whose main() accepts a telemetry hub (--telemetry flag)
 TELEMETRY_CAPABLE = frozenset(tracing.SCENARIOS)
 
-#: commands that take the world flags plus options of their own; each
-#: is called as ``main(argv, spec=..., worlds=...)``
-WORLD_COMMANDS = {
-    "scaling": scaling.main,
-    "regress": regress.main,
-    "explain": explain.main,
-    "monitor": monitor.main,
-    "profile": profile.main,
-    "trace": tracing.main,
+#: the world flags' dests; every other option a world command parses is
+#: a keyword argument of its module's ``main``
+WORLD_FLAGS = ("devices", "mirror", "log_device", "interface", "sq",
+               "queue_depth", "gray_faults", "metrics_interval", "profile")
+
+#: the options ``profile`` refuses with and without ``--speed``, and why
+PROFILE_REFUSED = {
+    True: (("scenario", "json_path", "collapsed_path", "top", "alloc",
+            "ablation"), "--speed takes only --smoke, --ops and --out"),
+    False: (("smoke", "ops"), "--smoke and --ops need --speed"),
 }
 
 
@@ -134,12 +141,126 @@ def count(text):
     return value
 
 
+def seconds(text):
+    """An argparse type: a duration > 0 (seconds)."""
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be > 0: %s" % text)
+    return value
+
+
+def names(text):
+    """An argparse type: a comma-separated list of names."""
+    return [name for name in text.split(",") if name]
+
+
 def paces(text):
     """An argparse type: comma-separated rebuild paces > 0 (seconds)."""
     values = tuple(float(pace) for pace in text.split(","))
     if min(values) <= 0:
         raise argparse.ArgumentTypeError("paces must be > 0: %s" % text)
     return values
+
+
+def _add_world_commands(commands, world):
+    """The world commands: the world flags plus options of their own,
+    run as ``module.main(spec=..., worlds=..., **options)``."""
+    def command(name, module, scenarios=None, aliases=None):
+        epilog = None
+        if scenarios is not None:
+            lines = scenarios.listing() + [
+                "  %-9s alias for %s" % pair
+                for pair in sorted((aliases or {}).items())]
+            epilog = "scenarios:\n" + "\n".join(lines)
+        parser = commands.add_parser(
+            name, parents=[world], description=module.__doc__,
+            epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            allow_abbrev=False)
+        parser.set_defaults(run=module.main, parser=parser)
+        if scenarios is not None:
+            parser.add_argument("scenario", nargs="?", metavar="SCENARIO",
+                                choices=scenarios.names()
+                                + sorted(aliases or ()))
+        return parser
+
+    def paths(parser, *flags):
+        for flag in flags:
+            parser.add_argument("--" + flag, dest=flag + "_path",
+                                metavar="PATH")
+
+    sub = command("scaling", scaling)
+    sub.add_argument("--smoke", action="store_true",
+                     help="CI: widths 1/2, tiny ops")
+    sub.add_argument("--ops", type=count, metavar="N")
+    sub.add_argument("--out", dest="out_path", metavar="PATH",
+                     default=scaling.BASELINE_PATH)
+
+    sub = command("regress", regress)
+    sub.add_argument("--baseline", dest="baseline_path", metavar="PATH",
+                     default=regress.BASELINE_PATH)
+    paths(sub, "json")
+    sub.add_argument("--smoke", action="store_true",
+                     help="CI: width-1 cells only, tolerances %g"
+                     % regress.SMOKE_TOLERANCE)
+    sub.add_argument("--tps-tol", type=float, metavar="FRACTION",
+                     help="default %g" % regress.TPS_TOLERANCE)
+    sub.add_argument("--p99-tol", type=float, metavar="FRACTION",
+                     help="default %g" % regress.P99_TOLERANCE)
+
+    sub = command("explain", explain, explain.SCENARIOS)
+    sub.add_argument("--quick", action="store_true")
+    paths(sub, "json", "out")
+    sub.add_argument("--top", dest="top_k", type=int, default=5,
+                     metavar="N")
+
+    sub = command("monitor", monitor, TRACED)
+    sub.add_argument("--interval", type=seconds,
+                     default=monitor.DEFAULT_INTERVAL, metavar="SECONDS")
+    paths(sub, "out", "json", "prom", "csv")
+    sub.add_argument("--quiet", action="store_true")
+
+    sub = command("profile", profile, TRACED, profile.ALIASES)
+    paths(sub, "out", "json", "collapsed")
+    sub.add_argument("--top", type=int, default=profile.DEFAULT_TOP,
+                     metavar="N")
+    sub.add_argument("--no-alloc", dest="alloc", action="store_false")
+    sub.add_argument("--no-ablation", dest="ablation",
+                     action="store_false")
+    sub.add_argument("--speed", action="store_true",
+                     help="record %s instead of a scenario"
+                     % profile.SPEED_PATH)
+    sub.add_argument("--smoke", action="store_true",
+                     help="with --speed: one width, tiny ops")
+    sub.add_argument("--ops", type=count, metavar="N",
+                     help="with --speed: operations per client")
+
+    sub = command("trace", tracing, tracing.SCENARIOS)
+    sub.add_argument("--out", dest="out_path", default="trace.json",
+                     metavar="PATH")
+    paths(sub, "jsonl")
+    sub.add_argument("--sample-interval", type=seconds, default=0.002,
+                     metavar="SECONDS")
+    sub.add_argument("--quiet", action="store_true")
+
+
+def _add_validate(commands):
+    """The artifact validator: no world flags."""
+    sub = commands.add_parser(
+        "validate", description=validate.__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False)
+    sub.add_argument("paths", nargs="+", metavar="FILE")
+    kinds = sub.add_mutually_exclusive_group()
+    for kind in ("explain", "monitor", "profile"):
+        kinds.add_argument("--" + kind, dest="kind", action="store_const",
+                           const=kind, default="trace",
+                           help="the files are repro.%s/1 reports" % kind)
+    tracks = sub.add_argument_group("trace checks")
+    tracks.add_argument("--min-tracks", type=int, default=0, metavar="N")
+    tracks.add_argument("--require-tracks", type=names, default=(),
+                        metavar="NAME[,NAME...]")
+    tracks.add_argument("--check-probe-attrs", action="store_true")
 
 
 def _add_campaigns(commands):
@@ -284,11 +405,9 @@ def build_parser():
         if name in TELEMETRY_CAPABLE:
             bench.add_argument("--telemetry", action="store_true")
             bench.add_argument("--out", metavar="PATH")
-    # Their own parsers see everything the world flags leave, -h too.
-    for name in WORLD_COMMANDS:
-        commands.add_parser(name, parents=[world], add_help=False,
-                            allow_abbrev=False)
+    _add_world_commands(commands, world)
     _add_campaigns(commands)
+    _add_validate(commands)
     return parser
 
 
@@ -376,6 +495,23 @@ def _run_bench(name, args, spec):
     _emit(name, worlds)
 
 
+def _run_world_command(args, spec):
+    """Hand every option but the world flags to the command's ``main``."""
+    options = {dest: value for dest, value in vars(args).items()
+               if dest not in WORLD_FLAGS + ("command", "run", "parser")}
+    sub = args.parser
+    if args.command == "profile":
+        refused, message = PROFILE_REFUSED[options["speed"]]
+        if any(options[dest] != sub.get_default(dest) for dest in refused):
+            sub.error(message)
+    if options.get("scenario", "") is None and not options.get("speed"):
+        sub.error("a SCENARIO is required; --help lists them")
+    worlds = []
+    status = args.run(spec=spec, worlds=worlds, **options)
+    _emit(args.command, worlds)
+    return status
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] in ("-h", "--help", "list"):
@@ -386,21 +522,21 @@ def main(argv=None):
             print("  %-10s %s%s" % (name, EXPERIMENTS[name][0], flag))
         return 0
     parser = build_parser()
-    args, rest = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
     command = args.command
-    if rest and command not in WORLD_COMMANDS:
-        parser.error("unrecognized arguments: %s" % " ".join(rest))
     if command in CAMPAIGNS:
         return CAMPAIGNS[command](args, parser)
+    if command == "validate":
+        return validate.main(args.paths, kind=args.kind,
+                             min_tracks=args.min_tracks,
+                             require_tracks=args.require_tracks,
+                             check_probe_attrs=args.check_probe_attrs)
     try:
         spec = world_spec(args)
     except ValueError as error:
         parser.error(str(error))
-    if command in WORLD_COMMANDS:
-        worlds = []
-        status = WORLD_COMMANDS[command](rest, spec=spec, worlds=worlds)
-        _emit(command, worlds)
-        return status
+    if hasattr(args, "run"):
+        return _run_world_command(args, spec)
     if command == "all":
         for name in ORDER:
             print("=" * 70)

@@ -248,7 +248,3 @@ def main(spec=setups.DEFAULT_SPEC, worlds=None):
     print()
     print(format_victim_policies(run_victim_policies(spec=spec,
                                                      worlds=worlds)))
-
-
-if __name__ == "__main__":
-    main()

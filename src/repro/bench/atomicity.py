@@ -140,7 +140,3 @@ def main(spec=setups.DEFAULT_SPEC, worlds=None):
     print()
     print(format_sqlite_table(run_sqlite_comparison(spec=spec,
                                                     worlds=worlds)))
-
-
-if __name__ == "__main__":
-    main()

@@ -20,7 +20,6 @@ stay under 1%), so CI can gate on it.
 """
 
 import json
-import sys
 
 from ..sim import units
 from ..telemetry import Telemetry
@@ -82,42 +81,12 @@ def run_scenario(name, quick=False, top_k=5, spec=setups.DEFAULT_SPEC,
     return report_mod.build(name, modes, meta=meta, top_k=top_k)
 
 
-def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
-    args = list(argv)
-    if not args or args[0] in ("-h", "--help", "list"):
-        print(__doc__)
-        print("scenarios:")
-        for line in SCENARIOS.listing():
-            print(line)
-        return 0
-    name = args.pop(0)
-    quick, json_path, out_path, top_k = False, None, None, 5
-    while args:
-        flag = args.pop(0)
-        if flag in ("--json", "--out", "--top") and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--quick":
-            quick = True
-        elif flag == "--json":
-            json_path = args.pop(0)
-        elif flag == "--out":
-            out_path = args.pop(0)
-        elif flag == "--top":
-            try:
-                top_k = int(args.pop(0))
-            except ValueError:
-                print("--top wants an integer")
-                return 2
-        else:
-            print("unknown option: %r" % flag)
-            return 2
-    try:
-        report = run_scenario(name, quick=quick, top_k=top_k, spec=spec,
-                              worlds=worlds)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
+def main(scenario, quick=False, json_path=None, out_path=None, top_k=5,
+         spec=setups.DEFAULT_SPEC, worlds=None):
+    """``python -m repro explain``: build, write and self-check one
+    scenario's report."""
+    report = run_scenario(scenario, quick=quick, top_k=top_k, spec=spec,
+                          worlds=worlds)
     markdown = report_mod.render_markdown(report)
     if out_path is not None:
         with open(out_path, "w") as handle:
@@ -139,7 +108,3 @@ def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
           % max(analysis["max_residue_s"]
                 for analysis in report["modes"].values()))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -23,7 +23,6 @@ path) the instruments are shared no-ops and results stay byte-identical.
 """
 
 import json
-import sys
 
 from ..telemetry import (
     MetricsRegistry,
@@ -205,56 +204,13 @@ def render_markdown(report):
     return "\n".join(lines)
 
 
-def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
-    args = list(argv)
-    if not args or args[0] in ("-h", "--help", "list"):
-        print(__doc__)
-        print("scenarios:")
-        for line in TRACED.listing():
-            print(line)
-        print("\noptions: --interval SECONDS (default %g), --out PATH,"
-              "\n         --json PATH, --prom PATH, --csv PATH, --quiet,"
-              "\n         plus the world flags of every bench"
-              % DEFAULT_INTERVAL)
-        return 0
-    name = args.pop(0)
-    interval = DEFAULT_INTERVAL
-    out_path = json_path = prom_path = csv_path = None
-    quiet = False
-    value_flags = ("--interval", "--out", "--json", "--prom", "--csv")
-    while args:
-        flag = args.pop(0)
-        if flag in value_flags and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--interval":
-            try:
-                interval = float(args.pop(0))
-            except ValueError:
-                print("--interval wants seconds, e.g. 0.01")
-                return 2
-            if interval <= 0:
-                print("--interval must be positive")
-                return 2
-        elif flag == "--out":
-            out_path = args.pop(0)
-        elif flag == "--json":
-            json_path = args.pop(0)
-        elif flag == "--prom":
-            prom_path = args.pop(0)
-        elif flag == "--csv":
-            csv_path = args.pop(0)
-        elif flag == "--quiet":
-            quiet = True
-        else:
-            print("unknown option: %r" % flag)
-            return 2
-    try:
-        report, registry = run_scenario(name, interval=interval, spec=spec,
-                                        worlds=worlds)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
+def main(scenario, interval=DEFAULT_INTERVAL, out_path=None, json_path=None,
+         prom_path=None, csv_path=None, quiet=False,
+         spec=setups.DEFAULT_SPEC, worlds=None):
+    """``python -m repro monitor``: run one scenario under windowed
+    metrics and write its dashboard and exports."""
+    report, registry = run_scenario(scenario, interval=interval, spec=spec,
+                                    worlds=worlds)
     markdown = render_markdown(report)
     if out_path is not None:
         with open(out_path, "w") as handle:
@@ -276,11 +232,7 @@ def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
         print("wrote %s" % csv_path)
     alerts = report["slo"]["alerts"]
     print("%s: %d window(s), %d instrument(s), %d alert(s)%s"
-          % (name, report["windows"], len(report["series"]), len(alerts),
+          % (scenario, report["windows"], len(report["series"]), len(alerts),
              " — " + ", ".join(sorted(set(a["rule"] for a in alerts)))
              if alerts else ""))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -16,7 +16,7 @@ it models" roadmap item.  Three passes over one traced scenario:
    grouped by layer: the object-churn half of the speed question.
 
 The JSON report (``repro.profile/1``) is schema-checked by
-``python -m repro.telemetry.validate --profile`` and carries its own
+``python -m repro validate --profile`` and carries its own
 exactness bar: attributed layer shares must cover >= 95% of the
 measured wall time or the CLI exits non-zero.
 
@@ -40,7 +40,6 @@ wall-clock section).
 """
 
 import json
-import sys
 import time
 import tracemalloc
 
@@ -261,23 +260,7 @@ def run_speed(smoke=False, ops_per_client=None, widths=None,
     }
 
 
-def _speed_main(args, spec):
-    out_path = SPEED_PATH
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    ops = None
-    if "--ops" in args:
-        index = args.index("--ops")
-        ops = int(args[index + 1])
-        del args[index:index + 2]
-    if "--out" in args:
-        index = args.index("--out")
-        out_path = args[index + 1]
-        del args[index:index + 2]
-    if args:
-        print("unknown option: %r" % args[0])
-        return 2
+def _speed_main(smoke, ops, out_path, spec):
     if smoke and ops is None:
         ops = 12
     report = run_speed(smoke=smoke, ops_per_client=ops, spec=spec)
@@ -292,51 +275,16 @@ def _speed_main(args, spec):
     return 0
 
 
-def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
-    args = list(argv)
-    if not args or args[0] in ("-h", "--help", "list"):
-        print(__doc__)
-        print("scenarios:")
-        for line in TRACED.listing():
-            print(line)
-        for alias, target in sorted(ALIASES.items()):
-            print("  %-9s alias for %s" % (alias, target))
-        return 0
-    if args[0] == "--speed":
-        return _speed_main(args[1:], spec)
-    name = args.pop(0)
-    out_path = json_path = collapsed_path = None
-    alloc = ablation = True
-    top = DEFAULT_TOP
-    value_flags = ("--out", "--json", "--collapsed", "--top")
-    while args:
-        flag = args.pop(0)
-        if flag in value_flags and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--out":
-            out_path = args.pop(0)
-        elif flag == "--json":
-            json_path = args.pop(0)
-        elif flag == "--collapsed":
-            collapsed_path = args.pop(0)
-        elif flag == "--top":
-            top = int(args.pop(0))
-        elif flag == "--no-alloc":
-            alloc = False
-        elif flag == "--no-ablation":
-            ablation = False
-        else:
-            print("unknown option: %r" % flag)
-            return 2
-    try:
-        report, profiler = profile_scenario(ALIASES.get(name, name),
-                                            alloc=alloc, ablation=ablation,
-                                            top=top, spec=spec,
-                                            worlds=worlds)
-    except KeyError as error:
-        print(error.args[0])
-        return 2
+def main(scenario=None, out_path=None, json_path=None, collapsed_path=None,
+         top=DEFAULT_TOP, alloc=True, ablation=True, speed=False,
+         smoke=False, ops=None, spec=setups.DEFAULT_SPEC, worlds=None):
+    """``python -m repro profile``: profile one scenario (an alias
+    resolves first), or with ``speed`` record the speed baseline."""
+    if speed:
+        return _speed_main(smoke, ops, out_path or SPEED_PATH, spec)
+    report, profiler = profile_scenario(ALIASES.get(scenario, scenario),
+                                        alloc=alloc, ablation=ablation,
+                                        top=top, spec=spec, worlds=worlds)
     markdown = render_markdown(report)
     if out_path is not None:
         with open(out_path, "w") as handle:
@@ -366,7 +314,3 @@ def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
           % (report["scenario"], report["real_time_factor"],
              report["events_per_sec"], report["coverage"] * 100))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -28,11 +28,10 @@ that proves the simulated metrics did not move.
 """
 
 import json
-import sys
 
 from . import scaling, setups
 
-BASELINE_PATH = "BENCH_scaling.json"
+BASELINE_PATH = scaling.BASELINE_PATH
 
 SPEED_PATH = "BENCH_speed.json"
 
@@ -200,34 +199,14 @@ def format_rows(rows):
     return "\n".join(lines)
 
 
-def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
-    args = list(argv)
-    if args and args[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-    baseline_path, json_path = BASELINE_PATH, None
-    smoke = False
-    tps_tol, p99_tol = TPS_TOLERANCE, P99_TOLERANCE
-    while args:
-        flag = args.pop(0)
-        if flag in ("--baseline", "--json", "--tps-tol",
-                    "--p99-tol") and not args:
-            print("%s requires a value" % flag)
-            return 2
-        if flag == "--baseline":
-            baseline_path = args.pop(0)
-        elif flag == "--json":
-            json_path = args.pop(0)
-        elif flag == "--smoke":
-            smoke = True
-            tps_tol = p99_tol = SMOKE_TOLERANCE
-        elif flag == "--tps-tol":
-            tps_tol = float(args.pop(0))
-        elif flag == "--p99-tol":
-            p99_tol = float(args.pop(0))
-        else:
-            print("unknown option: %r" % flag)
-            return 2
+def main(baseline_path=BASELINE_PATH, json_path=None, smoke=False,
+         tps_tol=None, p99_tol=None, spec=setups.DEFAULT_SPEC, worlds=None):
+    """``python -m repro regress``: diff a fresh run against the
+    baseline; an explicit tolerance wins over ``smoke``'s looser one."""
+    if tps_tol is None:
+        tps_tol = SMOKE_TOLERANCE if smoke else TPS_TOLERANCE
+    if p99_tol is None:
+        p99_tol = SMOKE_TOLERANCE if smoke else P99_TOLERANCE
     try:
         with open(baseline_path) as handle:
             baseline = json.load(handle)
@@ -260,7 +239,3 @@ def main(argv, spec=setups.DEFAULT_SPEC, worlds=None):
           "(tps %.0f%%, p99 %.0f%%)"
           % (len(rows), tps_tol * 100, p99_tol * 100))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

@@ -35,7 +35,6 @@ land against these numbers.
 """
 
 import json
-import sys
 import time
 
 from ..db.innodb import InnoDBConfig, InnoDBEngine
@@ -44,6 +43,9 @@ from ..sim import units
 from ..workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 from . import setups
 from .tableio import render_table
+
+#: the committed perf record ``regress`` diffs against
+BASELINE_PATH = "BENCH_scaling.json"
 
 WIDTHS = (1, 2, 4)
 
@@ -299,24 +301,10 @@ def format_table(report):
     return "\n".join(lines)
 
 
-def main(argv=None, spec=setups.DEFAULT_SPEC, worlds=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in ("-h", "--help"):
-        print(__doc__)
-        return 0
-    out_path = "BENCH_scaling.json"
-    if "--out" in argv:
-        index = argv.index("--out")
-        out_path = argv[index + 1]
-        del argv[index:index + 2]
-    smoke = "--smoke" in argv
-    if smoke:
-        argv.remove("--smoke")
-    ops = None
-    if "--ops" in argv:
-        index = argv.index("--ops")
-        ops = int(argv[index + 1])
-        del argv[index:index + 2]
+def main(smoke=False, ops=None, out_path=BASELINE_PATH,
+         spec=setups.DEFAULT_SPEC, worlds=None):
+    """``python -m repro scaling``: run the sweep, write its JSON report
+    to ``out_path`` and gate on striping beating width 1."""
     if smoke:
         widths = (1, 2)
         sq_counts = (1, 2)
@@ -341,7 +329,3 @@ def main(argv=None, spec=setups.DEFAULT_SPEC, worlds=None):
               % (top, durable[top], min(durable), durable[min(durable)]))
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

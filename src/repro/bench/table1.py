@@ -98,7 +98,3 @@ def format_table(results):
 
 def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
     print(format_table(run(telemetry, spec, worlds)))
-
-
-if __name__ == "__main__":
-    main()

@@ -76,7 +76,3 @@ def format_table(results):
 
 def main(spec=setups.DEFAULT_SPEC, worlds=None):
     print(format_table(run(spec, worlds)))
-
-
-if __name__ == "__main__":
-    main()

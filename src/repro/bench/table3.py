@@ -80,7 +80,3 @@ def format_table(default, best):
 def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
     default, best = run(telemetry=telemetry, spec=spec, worlds=worlds)
     print(format_table(default, best))
-
-
-if __name__ == "__main__":
-    main()

@@ -155,13 +155,19 @@ class CommandLifecycle:
         self._latency.observe(self.sim.now - begin)
         return completed
 
-    def execute_flush(self):
-        """Run one flush-cache command through the lifecycle (generator)."""
-        begin = self.sim.now
+    def flush(self):
+        """Issue one flush-cache command; returns its completion event.
+
+        Without a policy this is the device's own completion event, so
+        pass-through flushes add no process to the simulation."""
         if self.policy is None:
-            result = yield self.device.flush_cache()
-            self._latency.observe(self.sim.now - begin)
-            return result
+            return self.device.flush_cache()
+        return self.sim.process(self.execute_flush())
+
+    def execute_flush(self):
+        """Run one flush-cache command through the escalation ladder
+        (generator; needs a policy)."""
+        begin = self.sim.now
         result = yield from self._run(self.device.flush_cache, "flush", None)
         self._latency.observe(self.sim.now - begin)
         return result

@@ -153,10 +153,8 @@ class SataNcq(QueueModel):
         return completed
 
     def flush(self):
-        """Pass the flush-cache command through to the device."""
-        if self.lifecycle.policy is None:
-            return self.device.flush_cache()
-        return self.sim.process(self.lifecycle.execute_flush())
+        """Issue flush-cache through the command lifecycle."""
+        return self.lifecycle.flush()
 
 
 class NvmeMultiQueue(QueueModel):
@@ -310,10 +308,7 @@ class NvmeMultiQueue(QueueModel):
         """Flush-cache, issued on SQ 0 (the convention real drivers use
         for admin-ish commands); covers writes from every queue because
         the device's cache is shared."""
-        admin = self.lifecycles[0]
-        if admin.policy is None:
-            return self.device.flush_cache()
-        return self.sim.process(admin.execute_flush())
+        return self.lifecycles[0].flush()
 
 
 class QueueTopology:

@@ -1,17 +1,17 @@
 """Schema checks for exported telemetry artifacts.
 
 Usable as a library (``validate_chrome_trace``,
-``validate_probe_attrs``, ``validate_explain_report``) or a CLI — CI's
-smoke jobs run::
+``validate_probe_attrs``, ``validate_explain_report``) or through
+``python -m repro validate`` — CI's smoke jobs run::
 
     REPRO_QUICK=1 python -m repro trace table1 --out trace.json
-    python -m repro.telemetry.validate trace.json --min-tracks 4
+    python -m repro validate trace.json --min-tracks 4
 
     python -m repro explain linkbench --quick --json report.json
-    python -m repro.telemetry.validate --explain report.json
+    python -m repro validate --explain report.json
 
     REPRO_QUICK=1 python -m repro monitor figure5 --quiet --json dash.json
-    python -m repro.telemetry.validate --monitor dash.json
+    python -m repro validate --monitor dash.json
 
 The Chrome checks cover exactly what downstream viewers require: the
 JSON Object Format envelope, per-phase mandatory fields, non-negative
@@ -24,7 +24,6 @@ exactness guarantee (blame sums to wall time, bounded ``other``).
 """
 
 import json
-import sys
 
 _ALLOWED_PHASES = {"X", "i", "C", "M", "B", "E", "b", "e"}
 
@@ -337,6 +336,17 @@ def validate_profile_report(report):
     return errors
 
 
+def _trace_stats(obj):
+    """Event count and sorted named tracks of a parsed Chrome trace."""
+    events = obj.get("traceEvents", []) if isinstance(obj, dict) else []
+    tracks = sorted({event.get("args", {}).get("name")
+                     for event in events
+                     if isinstance(event, dict)
+                     and event.get("ph") == "M"
+                     and event.get("name") == "thread_name"})
+    return {"events": len(events), "tracks": tracks}
+
+
 def validate_trace_file(path, min_tracks=0, require_tracks=(),
                         check_probe_attrs=False):
     """Load ``path`` and validate it; returns (errors, stats dict)."""
@@ -348,131 +358,57 @@ def validate_trace_file(path, min_tracks=0, require_tracks=(),
     errors = validate_chrome_trace(obj, min_tracks=min_tracks,
                                    require_tracks=require_tracks,
                                    check_probe_attrs=check_probe_attrs)
-    events = obj.get("traceEvents", []) if isinstance(obj, dict) else []
-    tracks = sorted({event.get("args", {}).get("name")
-                     for event in events
-                     if isinstance(event, dict)
-                     and event.get("ph") == "M"
-                     and event.get("name") == "thread_name"})
-    stats = {"events": len(events), "tracks": tracks}
-    return errors, stats
+    return errors, _trace_stats(obj)
 
 
-def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    min_tracks = 0
-    require = []
-    paths = []
-    check_attrs = False
-    explain_mode = False
-    monitor_mode = False
-    profile_mode = False
-    while argv:
-        arg = argv.pop(0)
-        if arg == "--min-tracks":
-            min_tracks = int(argv.pop(0))
-        elif arg == "--require-tracks":
-            require = [t for t in argv.pop(0).split(",") if t]
-        elif arg == "--check-probe-attrs":
-            check_attrs = True
-        elif arg == "--explain":
-            explain_mode = True
-        elif arg == "--monitor":
-            monitor_mode = True
-        elif arg == "--profile":
-            profile_mode = True
-        elif arg in ("-h", "--help"):
-            print(__doc__)
-            return 0
-        else:
-            paths.append(arg)
-    if not paths:
-        print("usage: python -m repro.telemetry.validate TRACE.json "
-              "[--min-tracks N] [--require-tracks a,b,c] "
-              "[--check-probe-attrs] | --explain REPORT.json "
-              "| --monitor DASH.json | --profile PROFILE.json")
-        return 2
-    if profile_mode:
-        status = 0
-        for path in paths:
-            try:
-                with open(path) as handle:
-                    report = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print("%s: INVALID\n  - cannot load: %s" % (path, exc))
-                status = 1
-                continue
-            errors = validate_profile_report(report)
-            if errors:
-                status = 1
-                print("%s: INVALID" % path)
-                for error in errors:
-                    print("  - %s" % error)
-            else:
-                print("%s: OK (%s; %s: %d events, %.2fx real time, "
-                      "coverage %.1f%%)"
-                      % (path, report["schema"], report["scenario"],
-                         report["steps"], report["real_time_factor"],
-                         report["coverage"] * 100))
-        return status
-    if monitor_mode:
-        status = 0
-        for path in paths:
-            try:
-                with open(path) as handle:
-                    report = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print("%s: INVALID\n  - cannot load: %s" % (path, exc))
-                status = 1
-                continue
-            errors = validate_monitor_report(report)
-            if errors:
-                status = 1
-                print("%s: INVALID" % path)
-                for error in errors:
-                    print("  - %s" % error)
-            else:
-                print("%s: OK (%s; %d windows, %d series, %d alerts)"
-                      % (path, report["schema"], report["windows"],
-                         len(report["series"]),
-                         len(report["slo"]["alerts"])))
-        return status
-    if explain_mode:
-        status = 0
-        for path in paths:
-            try:
-                with open(path) as handle:
-                    report = json.load(handle)
-            except (OSError, ValueError) as exc:
-                print("%s: INVALID\n  - cannot load: %s" % (path, exc))
-                status = 1
-                continue
-            errors = validate_explain_report(report)
-            if errors:
-                status = 1
-                print("%s: INVALID" % path)
-                for error in errors:
-                    print("  - %s" % error)
-            else:
-                print("%s: OK (%s; modes: %s)"
-                      % (path, report["schema"],
-                         ", ".join(report["modes"])))
-        return status
+def _trace_summary(obj):
+    stats = _trace_stats(obj)
+    return "%d events, tracks: %s" % (stats["events"],
+                                      ", ".join(stats["tracks"]))
+
+
+#: artifact kind -> (validator, summary of a valid artifact)
+KINDS = {
+    "trace": (validate_chrome_trace, _trace_summary),
+    "explain": (validate_explain_report,
+                lambda report: "%s; modes: %s"
+                % (report["schema"], ", ".join(report["modes"]))),
+    "monitor": (validate_monitor_report,
+                lambda report: "%s; %d windows, %d series, %d alerts"
+                % (report["schema"], report["windows"],
+                   len(report["series"]), len(report["slo"]["alerts"]))),
+    "profile": (validate_profile_report,
+                lambda report: "%s; %s: %d events, %.2fx real time, "
+                "coverage %.1f%%"
+                % (report["schema"], report["scenario"], report["steps"],
+                   report["real_time_factor"], report["coverage"] * 100)),
+}
+
+
+def main(paths, kind="trace", min_tracks=0, require_tracks=(),
+         check_probe_attrs=False):
+    """``python -m repro validate``: check each file in ``paths`` as a
+    ``kind`` artifact and print one OK/INVALID verdict per file; the
+    track options apply to traces.  Returns 1 if any file is invalid."""
+    validator, summary = KINDS[kind]
+    options = {}
+    if kind == "trace":
+        options = dict(min_tracks=min_tracks, require_tracks=require_tracks,
+                       check_probe_attrs=check_probe_attrs)
     status = 0
     for path in paths:
-        errors, stats = validate_trace_file(path, min_tracks=min_tracks,
-                                            require_tracks=require,
-                                            check_probe_attrs=check_attrs)
+        try:
+            with open(path) as handle:
+                artifact = json.load(handle)
+        except (OSError, ValueError) as exc:
+            errors = ["cannot load: %s" % exc]
+        else:
+            errors = validator(artifact, **options)
         if errors:
             status = 1
             print("%s: INVALID" % path)
             for error in errors:
                 print("  - %s" % error)
         else:
-            print("%s: OK (%d events, tracks: %s)"
-                  % (path, stats["events"], ", ".join(stats["tracks"])))
+            print("%s: OK (%s)" % (path, summary(artifact)))
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

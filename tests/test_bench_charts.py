@@ -5,8 +5,10 @@ import pytest
 from repro.bench.charts import (
     render_bar_chart,
     render_grouped_bars,
+    render_latency_histogram,
     render_line_chart,
 )
+from repro.sim import LatencyRecorder
 
 
 class TestBarChart:
@@ -64,3 +66,40 @@ class TestLineChart:
 
     def test_empty_series(self):
         assert "(no data)" in render_line_chart("t", [], {})
+
+
+class TestHistogram:
+    def test_renders_buckets(self):
+        recorder = LatencyRecorder()
+        recorder.extend([0.001, 0.001, 0.002, 0.01, 0.1])
+        text = render_latency_histogram(recorder, buckets=5)
+        assert "#" in text
+        assert "ms" in text
+        assert len(text.splitlines()) == 5
+
+    def test_empty_recorder(self):
+        assert render_latency_histogram(LatencyRecorder()) == "(no samples)"
+
+    def test_single_value(self):
+        recorder = LatencyRecorder()
+        recorder.record(0.005)
+        text = render_latency_histogram(recorder, buckets=3)
+        assert text.count("#") > 0
+
+
+class TestHistogramBuckets:
+    def test_counts_cover_every_sample(self):
+        recorder = LatencyRecorder()
+        recorder.extend([0.0001 * (i + 1) for i in range(37)])
+        text = render_latency_histogram(recorder, buckets=6)
+        counts = [int(line.rsplit(" ", 1)[1]) for line in text.splitlines()]
+        assert sum(counts) == 37
+
+    def test_extremes_land_in_end_buckets(self):
+        recorder = LatencyRecorder()
+        recorder.extend([0.001] * 4 + [0.5] * 3)
+        text = render_latency_histogram(recorder, buckets=4)
+        counts = [int(line.rsplit(" ", 1)[1]) for line in text.splitlines()]
+        assert counts[0] == 4
+        assert counts[-1] == 3
+        assert sum(counts) == 7

@@ -361,7 +361,7 @@ class TestTraceCLI:
         path = str(tmp_path / "trace.json")
         telemetry.write_chrome_trace(path)
         result = subprocess.run(
-            [sys.executable, "-m", "repro.telemetry.validate", path,
+            [sys.executable, "-m", "repro", "validate", path,
              "--min-tracks", "4"],
             capture_output=True, text=True, timeout=120, cwd=REPO_ROOT)
         assert result.returncode == 0, result.stdout + result.stderr

@@ -5,8 +5,8 @@ Three claims:
 1. **Round trip and validation** — a :class:`WorldSpec` survives JSON
    and rejects the combinations the CLI used to reject by hand.
 2. **CLI mapping** — every world flag lands in the right spec field;
-   bad combinations, and bad fault-campaign flags, are usage errors
-   (exit 2), not tracebacks.
+   bad combinations and bad flags of any command are usage errors
+   (exit 2), not tracebacks, and every command has a ``--help``.
 3. **No shared state** — a world depends only on its own spec, never on
    what the process built before it.
 """
@@ -15,8 +15,11 @@ import json
 
 import pytest
 
-from repro.__main__ import build_parser, main, world_spec
-from repro.bench import chaos, scaling, setups, table1
+from repro.__main__ import ORDER, build_parser, main, world_spec
+from repro.bench import chaos, explain, profile, regress, scaling, setups, \
+    table1
+from repro.bench.scenarios import CORRUPTION_PROFILES, DEATH_PROFILES, \
+    GRAY_PROFILES, TRACED
 from repro.bench.setups import WorldSpec
 from repro.host import MirroredVolume, NvmeMultiQueue, QueueTopology, SataNcq
 from repro.sim import Simulator, units
@@ -115,6 +118,25 @@ def _parse(*argv):
     return world_spec(build_parser().parse_known_args(list(argv))[0])
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a simulation started")
+    monkeypatch.setattr(Simulator, "__init__", refuse)
+
+
+#: the scenarios (or fault profiles) each command's ``--help`` lists
+LISTINGS = {
+    "trace": TRACED.names(),
+    "monitor": TRACED.names(),
+    "profile": TRACED.names() + sorted(profile.ALIASES),
+    "explain": explain.SCENARIOS.names(),
+    "chaos": GRAY_PROFILES.names(),
+    "integrity": CORRUPTION_PROFILES.names(),
+    "failover": DEATH_PROFILES.names(),
+}
+
+
 class TestCli:
     def test_no_flags_is_the_default_spec(self):
         assert _parse("table1") == WorldSpec()
@@ -155,17 +177,51 @@ class TestCli:
         ["failover", "--pace"],
         ["failover", "--death", "double-death"],
         ["integrity", "--sead", "5"],
+        ["scaling", "--smok"],
+        ["scaling", "--out"],
+        ["regress", "--tps-tol", "abc"],
+        ["profile", "figure5", "--top", "abc"],
+        ["profile", "--speed", "--ops"],
+        ["explain", "linkbench", "--top"],
+        ["monitor", "figure5", "--interval", "0"],
+        ["trace", "nope"],
+        ["validate", "--min-tracks", "abc", "x.json"],
+        ["trace", "--out", "x.json"],
+        ["profile", "figure5", "--speed"],
     ])
-    def test_bad_flags_are_usage_errors(self, argv, capsys, monkeypatch):
-        def no_simulation(*_args, **_kwargs):
-            raise AssertionError("a simulation started")
-        monkeypatch.setattr(Simulator, "__init__", no_simulation)
+    def test_bad_flags_are_usage_errors(self, argv, capsys, no_simulation):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ORDER + [
+        "all", "scaling", "regress", "explain", "monitor", "profile",
+        "trace", "torture", "chaos", "integrity", "failover", "validate"])
+    def test_every_command_has_help(self, command, capsys, no_simulation):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: python -m repro %s " % command)
+        for name in LISTINGS.get(command, ()):
+            assert name in out
+
+    def test_explicit_tolerance_wins_over_smoke(self, tmp_path,
+                                                monkeypatch):
+        cell = {"mode": "durable-cache", "width": 1, "tps": 100.0,
+                "p99_write_s": 0.01}
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"scale_factor": setups.scale_factor(),
+                                    "throughput": [cell]}))
+        fresh = {"throughput": [dict(cell, tps=95.0)]}
+        monkeypatch.setattr(regress, "run_fresh", lambda *_a, **_k: fresh)
+        argv = ["regress", "--baseline", str(path), "--smoke"]
+        assert main(argv) == 0  # a 5% drop is inside the smoke tolerance
+        assert main(argv + ["--tps-tol", "0.01"]) == 1
+        assert main(argv[:1] + ["--tps-tol", "0.01"] + argv[1:]) == 1
 
     @pytest.mark.parametrize("argv, seed", [
         (["chaos", "--smoke"], 11),
