@@ -235,8 +235,13 @@ def make_data_target(sim, device_kind, capacity_bytes, width=None,
     return volume, members
 
 
+#: the paper's databases divided by this unless ``REPRO_SCALE`` says
+#: otherwise: the scale of the committed ``benchmarks/output`` tables
+DEFAULT_SCALE = 256
+
+
 def scale_factor():
-    return int(os.environ.get("REPRO_SCALE", "256"))
+    return int(os.environ.get("REPRO_SCALE", str(DEFAULT_SCALE)))
 
 
 def quick_mode():

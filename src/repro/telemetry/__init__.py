@@ -52,7 +52,7 @@ from .export import (
     write_jsonl,
 )
 from .histogram import DEFAULT_LOG_EDGES, LogHistogram, nearest_rank
-from .hub import NULL_SPAN, Span, Telemetry
+from .hub import NULL_SPAN, EventLog, Span, Telemetry
 from .metrics import NULL_INSTRUMENT, MetricsRegistry
 from .probes import Probe
 from .slo import SLOMonitor, SLORule, default_bench_rules, default_chaos_rules
@@ -62,6 +62,7 @@ __all__ = [
     "CATEGORIES",
     "BlameTable",
     "DEFAULT_LOG_EDGES",
+    "EventLog",
     "LogHistogram",
     "MetricsRegistry",
     "NULL_INSTRUMENT",

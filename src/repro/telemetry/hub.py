@@ -26,9 +26,19 @@ The simulation kernel runs one process at a time.  Each
 
 A span is therefore safe to hold open across ``yield``s: interleaved
 processes each see their own context.
+
+The event log
+-------------
+``Telemetry.events`` is an :class:`EventLog`: every record is one flat
+tuple of atomics, so an armed hub keeps no per-record dict and no
+closed :class:`Span` alive, and the cyclic garbage collector stops
+scanning the log.  Reading it — iteration, indexing, slicing, ``==``
+against a list — yields the same event dicts a list of dicts would,
+freshly built on every read.
 """
 
 import json
+from collections.abc import Sequence
 
 from .metrics import MetricsRegistry
 from .probes import Probe
@@ -49,7 +59,8 @@ class Span:
 
     def __init__(self, telemetry, name, track, parent_id, attrs):
         self.telemetry = telemetry
-        self.span_id = telemetry._next_span_id()
+        telemetry._span_counter += 1
+        self.span_id = telemetry._span_counter
         self.parent_id = parent_id
         self.name = name
         self.track = track
@@ -66,7 +77,8 @@ class Span:
         return self.end - self.start
 
     def annotate(self, **attrs):
-        """Attach attributes discovered mid-span."""
+        """Attach attributes discovered mid-span.  The record is written
+        when the span closes, so later annotations are not recorded."""
         self.attrs.update(attrs)
         return self
 
@@ -90,12 +102,26 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        telemetry = self.telemetry
         if self._process is not None:
             self._process.span = self._saved
         else:
-            self.telemetry._ambient = self._saved
-        self.end = self.telemetry.sim.now
-        self.telemetry._record_span(self)
+            telemetry._ambient = self._saved
+        self.end = end = telemetry.sim.now
+        # EventLog._append, inlined: closing a span is the armed hub's
+        # hottest path.
+        log = telemetry.events
+        attrs = self.attrs
+        if attrs:
+            keys = tuple(attrs)
+            log._records.append((SPAN, self.span_id, self.parent_id,
+                                 self.name, self.track, self.start, end,
+                                 log._shapes.setdefault(keys, keys),
+                                 *attrs.values()))
+        else:
+            log._records.append((SPAN, self.span_id, self.parent_id,
+                                 self.name, self.track, self.start, end,
+                                 ()))
         return False
 
     def __repr__(self):
@@ -127,6 +153,107 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+#: record kinds, stored as the event's ``type`` string
+SPAN, INSTANT, SAMPLE = "span", "instant", "sample"
+
+
+def _event(record):
+    """The event dict of one :class:`EventLog` record, freshly built."""
+    kind = record[0]
+    if kind == SAMPLE:
+        _, probe, ts, value = record
+        event = {"type": SAMPLE, "name": probe.name, "track": probe.track,
+                 "ts": ts, "value": value}
+        if probe.attrs:
+            # Only probes registered with attrs carry the key, so
+            # streams from attr-free worlds are byte-identical to
+            # before attrs existed.
+            event["attrs"] = dict(probe.attrs)
+        return event
+    event = {"type": kind, "id": record[1], "parent": record[2],
+             "name": record[3], "track": record[4], "ts": record[5]}
+    if kind == SPAN:
+        event["dur"] = record[6] - record[5]
+    event["attrs"] = dict(zip(record[7], record[8:]))
+    return event
+
+
+class EventLog(Sequence):
+    """Append-only, read-only sequence of one hub's recorded events.
+
+    Records are flat tuples: spans and instants are ``(kind, id,
+    parent, name, track, start, end, keys, *values)`` (an instant's
+    ``end`` is None), with each distinct attr-key tuple ``keys`` stored
+    once; probe samples are ``(kind, probe, ts, value)`` and take name,
+    track and attrs from their :class:`~repro.telemetry.probes.Probe`.
+    Every read builds fresh dicts, so mutating one never changes a
+    later read.
+    """
+
+    __slots__ = ("_records", "_shapes")
+
+    def __init__(self):
+        self._records = []
+        self._shapes = {}
+
+    def _append(self, kind, span_id, parent, name, track, start, end,
+                attrs):
+        if attrs:
+            keys = tuple(attrs)
+            self._records.append((kind, span_id, parent, name, track,
+                                  start, end,
+                                  self._shapes.setdefault(keys, keys),
+                                  *attrs.values()))
+        else:
+            self._records.append((kind, span_id, parent, name, track,
+                                  start, end, ()))
+
+    def _append_sample(self, probe, ts, value):
+        self._records.append((SAMPLE, probe, ts, value))
+
+    def select(self, kind, name=None, track=None):
+        """Event dicts of one kind, optionally filtered by name and
+        track; filters run on the records, before any dict is built."""
+        if kind == SAMPLE:
+            return [_event(record) for record in self._records
+                    if record[0] == SAMPLE
+                    and (name is None or record[1].name == name)
+                    and (track is None or record[1].track == track)]
+        return [_event(record) for record in self._records
+                if record[0] == kind
+                and (name is None or record[3] == name)
+                and (track is None or record[4] == track)]
+
+    def tracks(self):
+        """Distinct track names, in first-appearance order."""
+        seen = {}
+        for record in self._records:
+            seen[record[1].track if record[0] == SAMPLE
+                 else record[4]] = None
+        return list(seen)
+
+    def __len__(self):
+        return len(self._records)
+
+    def __iter__(self):
+        return map(_event, self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_event(record) for record in self._records[index]]
+        return _event(self._records[index])
+
+    def __eq__(self, other):
+        if isinstance(other, (EventLog, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "<EventLog %d events>" % len(self._records)
+
+
 class Telemetry:
     """Collects spans, instants and probe samples from one simulator.
 
@@ -153,7 +280,7 @@ class Telemetry:
             else MetricsRegistry(enabled=False)
         self.sim = None
         #: every recorded event, in deterministic append order
-        self.events = []
+        self.events = EventLog()
         self.probes = []
         self._probe_names = set()
         self._span_counter = 0
@@ -195,27 +322,10 @@ class Telemetry:
             return
         process = self.sim.active_process
         ambient = process.span if process is not None else self._ambient
-        self.events.append({
-            "type": "instant",
-            "id": self._next_span_id(),
-            "parent": ambient.span_id if ambient is not None else None,
-            "name": name,
-            "track": track,
-            "ts": self.sim.now,
-            "attrs": attrs,
-        })
-
-    def _record_span(self, span):
-        self.events.append({
-            "type": "span",
-            "id": span.span_id,
-            "parent": span.parent_id,
-            "name": span.name,
-            "track": span.track,
-            "ts": span.start,
-            "dur": span.end - span.start,
-            "attrs": span.attrs,
-        })
+        self.events._append(
+            INSTANT, self._next_span_id(),
+            ambient.span_id if ambient is not None else None,
+            name, track, self.sim.now, None, attrs)
 
     # --- probes ---------------------------------------------------------
     def add_probe(self, name, fn, track="probe", **attrs):
@@ -255,20 +365,9 @@ class Telemetry:
         self._sample_all(self.sim.now if self.sim is not None else 0.0)
 
     def _sample_all(self, ts):
+        append = self.events._append_sample
         for probe in self.probes:
-            event = {
-                "type": "sample",
-                "name": probe.name,
-                "track": probe.track,
-                "ts": ts,
-                "value": probe.fn(),
-            }
-            if probe.attrs:
-                # Only probes registered with attrs carry the key, so
-                # streams from attr-free worlds are byte-identical to
-                # before attrs existed.
-                event["attrs"] = dict(probe.attrs)
-            self.events.append(event)
+            append(probe, ts, probe.fn())
 
     def _on_clock_advance(self, when):
         """Called by the simulator just before ``now`` jumps to ``when``.
@@ -286,10 +385,7 @@ class Telemetry:
     # --- accessors ------------------------------------------------------
     def spans(self, name=None, track=None):
         """Recorded span events, optionally filtered."""
-        return [event for event in self.events
-                if event["type"] == "span"
-                and (name is None or event["name"] == name)
-                and (track is None or event["track"] == track)]
+        return self.events.select(SPAN, name, track)
 
     def span_durations(self, name=None, track=None):
         """Durations (seconds) of matching spans, in completion order."""
@@ -297,23 +393,14 @@ class Telemetry:
 
     def samples(self, name=None):
         """Recorded probe samples, optionally filtered by probe name."""
-        return [event for event in self.events
-                if event["type"] == "sample"
-                and (name is None or event["name"] == name)]
+        return self.events.select(SAMPLE, name)
 
     def instants(self, name=None, track=None):
-        return [event for event in self.events
-                if event["type"] == "instant"
-                and (name is None or event["name"] == name)
-                and (track is None or event["track"] == track)]
+        return self.events.select(INSTANT, name, track)
 
     def tracks(self):
         """Distinct track names, in first-appearance order."""
-        seen = []
-        for event in self.events:
-            if event["track"] not in seen:
-                seen.append(event["track"])
-        return seen
+        return self.events.tracks()
 
     # --- export ---------------------------------------------------------
     def jsonl(self):

@@ -6,6 +6,7 @@ byte-identical determinism, zero overhead when disabled, and the
 exporter / validator formats.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -202,6 +203,177 @@ class TestDeterminism:
         measure_cell("durassd", "on", 8, ios=40, telemetry=telemetry)
         assert {"workload", "host", "device", "flash"} <= \
             set(telemetry.tracks())
+
+
+#: sha256 of the JSONL stream and of the Chrome trace of
+#: :func:`pinned_linkbench_world`, recorded before the hub stored its
+#: events as flat tuples; the log's layout must never move a byte
+PINNED_JSONL_SHA256 = \
+    "930d52061daf976f9da6c7c705e6886fdfa574f60a946d95df6ae6b4a679b1c5"
+PINNED_CHROME_SHA256 = \
+    "fa6e22adf9360efda5fd2d00fa58cd8f97fb89ece9932da1a317247f0703883b"
+
+
+def pinned_linkbench_world(monkeypatch):
+    """The ``repro trace figure5`` world at quick size: LinkBench on
+    MySQL defaults, 16 clients x 10 ops.  Its stream has spans on five
+    tracks, spans annotated while open (``depth``, ``group_commit``),
+    instants, and probe samples with and without attrs."""
+    from repro.bench.figure5 import run_config
+
+    monkeypatch.setenv("REPRO_SCALE", "256")
+    monkeypatch.delenv("REPRO_QUICK", raising=False)
+    telemetry = Telemetry(enabled=True)
+    run_config(True, True, 16 * units.KIB, clients=16, ops_per_client=10,
+               telemetry=telemetry)
+    return telemetry
+
+
+def sha256_of(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+class TestPinnedStream:
+    def test_jsonl_and_chrome_trace_digests(self, tmp_path, monkeypatch):
+        telemetry = pinned_linkbench_world(monkeypatch)
+        jsonl = str(tmp_path / "events.jsonl")
+        chrome = str(tmp_path / "trace.json")
+        telemetry.write_jsonl(jsonl)
+        telemetry.write_chrome_trace(chrome)
+        assert sha256_of(jsonl) == PINNED_JSONL_SHA256
+        assert sha256_of(chrome) == PINNED_CHROME_SHA256
+        assert hashlib.sha256(telemetry.jsonl().encode()).hexdigest() \
+            == PINNED_JSONL_SHA256
+
+
+# --- the event log --------------------------------------------------------
+def small_traced_world():
+    """Spans (nested, annotated while open), instants, and samples of
+    one attr-free and one attributed probe."""
+    sim, telemetry = enabled_sim()
+    state = {"depth": 0}
+    telemetry.add_probe("gauge", lambda: state["depth"], "host")
+    telemetry.add_probe("cache", lambda: state["depth"] * 2, "device",
+                        device="durassd.0")
+
+    def worker(index):
+        with telemetry.span("op.write", "workload", client=index) as op:
+            yield sim.timeout(0.003)
+            state["depth"] += 1
+            with telemetry.span("fs.fsync", "host") as fsync:
+                telemetry.instant("cache.admit", "device", lba=index)
+                yield sim.timeout(0.001)
+                fsync.annotate(journalled=True)
+            op.annotate(depth=state["depth"])
+
+    for index in range(3):
+        sim.process(worker(index))
+    sim.run()
+    return telemetry
+
+
+class TestEventLog:
+    def test_len_matches_iteration(self):
+        events = small_traced_world().events
+        assert len(events) == sum(1 for _ in events) == len(list(events))
+
+    def test_indexing_slicing_and_equality_match_the_list(self):
+        events = small_traced_world().events
+        listed = list(events)
+        assert [events[i] for i in range(len(events))] == listed
+        assert events[-1] == listed[-1]
+        assert events[-len(events)] == listed[0]
+        for window in (slice(1, 5), slice(None, None, 2), slice(-3, None),
+                       slice(4, 1)):
+            assert events[window] == listed[window]
+        assert events == listed and listed == events
+        assert events != listed[:-1]
+        assert events != listed[:-1] + [dict(listed[-1], ts=-1.0)]
+        with pytest.raises(IndexError):
+            events[len(events)]
+
+    def test_accessors_equal_filtering_the_list(self):
+        telemetry = small_traced_world()
+        listed = list(telemetry.events)
+
+        def of(kind, name=None, track=None):
+            return [event for event in listed if event["type"] == kind
+                    and (name is None or event["name"] == name)
+                    and (track is None or event["track"] == track)]
+
+        assert telemetry.spans() == of("span")
+        assert telemetry.spans("fs.fsync") == of("span", "fs.fsync")
+        assert telemetry.spans(track="workload") \
+            == of("span", track="workload")
+        assert telemetry.spans("fs.fsync", track="workload") == []
+        assert telemetry.instants() == of("instant")
+        assert telemetry.instants("cache.admit", "device") \
+            == of("instant", "cache.admit", "device")
+        assert telemetry.samples() == of("sample")
+        assert telemetry.samples("cache") == of("sample", "cache")
+        assert telemetry.span_durations("op.write") \
+            == [event["dur"] for event in of("span", "op.write")]
+        assert telemetry.tracks() \
+            == list(dict.fromkeys(event["track"] for event in listed))
+
+    def test_reads_return_fresh_dicts(self):
+        telemetry = small_traced_world()
+        events = telemetry.events
+        index = next(i for i, event in enumerate(events)
+                     if event["type"] == "span")
+        first = events[index]
+        pristine = json.loads(json.dumps(first))
+        first["name"] = "mutated"
+        first["attrs"]["extra"] = 1
+        for event in events:
+            event["ts"] = -1.0
+        telemetry.spans()[0]["attrs"].clear()
+        telemetry.samples("cache")[0]["attrs"]["device"] = "other"
+        assert events[index] == pristine
+        assert all(event["ts"] >= 0 for event in events)
+        assert telemetry.spans()[0] == pristine
+        assert telemetry.samples("cache")[0]["attrs"] \
+            == {"device": "durassd.0"}
+
+    def test_one_record_per_span_instant_and_sample(self):
+        telemetry = small_traced_world()
+        assert len(telemetry.spans("op.write")) == 3
+        assert len(telemetry.spans("fs.fsync")) == 3
+        assert len(telemetry.instants("cache.admit")) == 3
+        gauge = telemetry.samples("gauge")
+        assert len(gauge) == len(telemetry.samples("cache"))
+        assert [event["ts"] for event in gauge] \
+            == [i * telemetry.sample_interval for i in range(len(gauge))]
+        assert len(telemetry.events) == 9 + 2 * len(gauge)
+        # attrs added while a span is open land on its single record
+        for fsync in telemetry.spans("fs.fsync"):
+            assert fsync["attrs"] == {"journalled": True}
+        assert [op["attrs"] for op in telemetry.spans("op.write")] \
+            == [{"client": 0, "depth": 3}, {"client": 1, "depth": 3},
+                {"client": 2, "depth": 3}]
+        for sample in gauge:
+            assert "attrs" not in sample
+
+    def test_span_dicts_keep_the_stream_shape(self):
+        telemetry = small_traced_world()
+        span = telemetry.spans("op.write")[0]
+        assert list(span) == ["type", "id", "parent", "name", "track", "ts",
+                              "dur", "attrs"]
+        instant = telemetry.instants()[0]
+        assert list(instant) == ["type", "id", "parent", "name", "track",
+                                 "ts", "attrs"]
+        sample = telemetry.samples("cache")[0]
+        assert list(sample) == ["type", "name", "track", "ts", "value",
+                                "attrs"]
+
+    def test_log_is_read_only(self):
+        events = small_traced_world().events
+        assert not hasattr(events, "append")
+        with pytest.raises(TypeError):
+            events[0] = {}
+        with pytest.raises(TypeError):
+            hash(events)
 
 
 # --- zero overhead --------------------------------------------------------
