@@ -47,6 +47,7 @@ class BufferPool:
         self._flush_batch = flush_batch
         self._frames = OrderedDict()   # key -> Frame; MRU at the end
         self._free = n_frames
+        self._dirty = 0                # frames with dirty set
         self._inflight_reads = {}      # key -> Event (page being read in)
         self._eviction_flush_gate = None
         self.stats = {
@@ -65,7 +66,7 @@ class BufferPool:
 
     @property
     def dirty_count(self):
-        return sum(1 for frame in self._frames.values() if frame.dirty)
+        return self._dirty
 
     def dirty_fraction(self):
         if not self._frames:
@@ -186,8 +187,7 @@ class BufferPool:
             finally:
                 victim.pin_count -= 1
             if victim.version == flush_version:
-                victim.dirty = False
-                victim.first_dirty_at = None
+                self._set_clean(victim)
             # re-dirtied during the flush: leave it and scan again
             if victim.dirty or self._frames.get(victim.key) is not victim:
                 return False
@@ -223,7 +223,9 @@ class BufferPool:
     # --- mutation by the engine ---------------------------------------------
     def mark_dirty(self, frame):
         frame.version += 1
-        frame.dirty = True
+        if not frame.dirty:
+            frame.dirty = True
+            self._dirty += 1
         if frame.first_dirty_at is None:
             frame.first_dirty_at = self.sim.now
         return frame.version
@@ -231,8 +233,13 @@ class BufferPool:
     def mark_clean(self, frame, flushed_version):
         """Called after a successful flush; no-op if re-dirtied since."""
         if frame.version == flushed_version:
+            self._set_clean(frame)
+
+    def _set_clean(self, frame):
+        if frame.dirty:
             frame.dirty = False
             frame.first_dirty_at = None
+            self._dirty -= 1
 
     def evict_clean(self, frame):
         """Drop a clean resident frame to the free list (cleaner support)."""

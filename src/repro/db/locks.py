@@ -124,7 +124,9 @@ class LockManager:
             self._waiting_on.pop(next_txn, None)
             event.succeed()
             return
-        state.owner = None
+        # Free and unwanted: drop the entry, or the table keeps one
+        # state for every key ever locked.
+        del self._locks[key]
 
     def release_all(self, txn_id):
         """Release everything a (committing or aborting) txn holds, and

@@ -505,6 +505,10 @@ class Simulator:
         exception is absorbed and :meth:`run` returns normally.
         """
         self._stopped = False
+        if until is not None:
+            # The clock stays a float: ``run(until=5)`` must not leave
+            # an int ``now`` for the telemetry log to read back as 5.0.
+            until = float(until)
         step = self.step
         queue = self._queue
         heap = self._heap

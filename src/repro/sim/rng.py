@@ -7,6 +7,7 @@ is the standard rejection-inversion-free approximation used by YCSB's
 their skewed key distributions on.
 """
 
+import functools
 import random
 
 
@@ -55,9 +56,12 @@ class ZipfGenerator:
         self._eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - self._zeta2 / self._zetan)
 
     @staticmethod
+    @functools.cache
     def _zeta(n, theta):
         # Exact up to a cutoff, then the integral approximation; keeps
         # construction O(1)-ish for the multi-million-key spaces we use.
+        # Memoized per (n, theta): LinkBench builds two samplers per
+        # client, all over the same key space.
         cutoff = min(n, 10000)
         total = sum(1.0 / (i ** theta) for i in range(1, cutoff + 1))
         if n > cutoff:

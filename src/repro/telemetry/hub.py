@@ -29,15 +29,16 @@ processes each see their own context.
 
 The event log
 -------------
-``Telemetry.events`` is an :class:`EventLog`: every record is one flat
-tuple of atomics, so an armed hub keeps no per-record dict and no
-closed :class:`Span` alive, and the cyclic garbage collector stops
-scanning the log.  Reading it — iteration, indexing, slicing, ``==``
+``Telemetry.events`` is an :class:`EventLog`: every record is one
+fixed-width binary row in a single ``bytearray``, so an armed hub keeps
+no per-record dict, tuple, boxed id or timestamp, and no closed
+:class:`Span` alive.  Reading it — iteration, indexing, slicing, ``==``
 against a list — yields the same event dicts a list of dicts would,
 freshly built on every read.
 """
 
 import json
+import struct
 from collections.abc import Sequence
 
 from .metrics import MetricsRegistry
@@ -108,20 +109,18 @@ class Span:
         else:
             telemetry._ambient = self._saved
         self.end = end = telemetry.sim.now
-        # EventLog._append, inlined: closing a span is the armed hub's
-        # hottest path.
+        # EventLog._append_event, inlined: closing a span is the armed
+        # hub's hottest path.
         log = telemetry.events
         attrs = self.attrs
-        if attrs:
-            keys = tuple(attrs)
-            log._records.append((SPAN, self.span_id, self.parent_id,
-                                 self.name, self.track, self.start, end,
-                                 log._shapes.setdefault(keys, keys),
-                                 *attrs.values()))
-        else:
-            log._records.append((SPAN, self.span_id, self.parent_id,
-                                 self.name, self.track, self.start, end,
-                                 ()))
+        shape = (SPAN, self.name, self.track, tuple(attrs))
+        index = log._shape_index.get(shape)
+        if index is None:
+            index = log._intern(shape)
+        values = log._values
+        log._rows += _pack_row(index, self.span_id, self.parent_id or 0,
+                               self.start, end, len(values))
+        values.extend(attrs.values())
         return False
 
     def __repr__(self):
@@ -157,91 +156,131 @@ NULL_SPAN = _NullSpan()
 SPAN, INSTANT, SAMPLE = "span", "instant", "sample"
 
 
-def _event(record):
-    """The event dict of one :class:`EventLog` record, freshly built."""
-    kind = record[0]
-    if kind == SAMPLE:
-        _, probe, ts, value = record
-        event = {"type": SAMPLE, "name": probe.name, "track": probe.track,
-                 "ts": ts, "value": value}
-        if probe.attrs:
-            # Only probes registered with attrs carry the key, so
-            # streams from attr-free worlds are byte-identical to
-            # before attrs existed.
-            event["attrs"] = dict(probe.attrs)
-        return event
-    event = {"type": kind, "id": record[1], "parent": record[2],
-             "name": record[3], "track": record[4], "ts": record[5]}
-    if kind == SPAN:
-        event["dur"] = record[6] - record[5]
-    event["attrs"] = dict(zip(record[7], record[8:]))
-    return event
+#: one record: shape index, span id, parent id (0 for none: span ids
+#: start at 1), start, end (the start again for instants and samples),
+#: and the offset of the record's first attr value (a sample's value) in
+#: the value list.  Times are doubles: the simulator's clock is a float.
+_ROW = struct.Struct("<IQQddI")
+_pack_row = _ROW.pack
 
 
 class EventLog(Sequence):
     """Append-only, read-only sequence of one hub's recorded events.
 
-    Records are flat tuples: spans and instants are ``(kind, id,
-    parent, name, track, start, end, keys, *values)`` (an instant's
-    ``end`` is None), with each distinct attr-key tuple ``keys`` stored
-    once; probe samples are ``(kind, probe, ts, value)`` and take name,
-    track and attrs from their :class:`~repro.telemetry.probes.Probe`.
-    Every read builds fresh dicts, so mutating one never changes a
-    later read.
+    Each record is one :data:`_ROW` in a single ``bytearray``.  What
+    records share lives once in a shape table: ``(kind, name, track,
+    attr keys)`` for spans and instants, ``(SAMPLE, probe)`` for probe
+    samples, which take name, track and attrs from their
+    :class:`~repro.telemetry.probes.Probe`.  Attr values (and sample
+    values) go, in order, into one flat list of the objects recorded,
+    so every value reads back as exactly what was written.  Every read
+    builds fresh dicts, so mutating one never changes a later read.
     """
 
-    __slots__ = ("_records", "_shapes")
+    __slots__ = ("_rows", "_values", "_shapes", "_shape_index")
 
     def __init__(self):
-        self._records = []
-        self._shapes = {}
+        self._rows = bytearray()
+        self._values = []
+        self._shapes = []        # shape index -> shape
+        self._shape_index = {}   # shape -> shape index
 
-    def _append(self, kind, span_id, parent, name, track, start, end,
-                attrs):
-        if attrs:
-            keys = tuple(attrs)
-            self._records.append((kind, span_id, parent, name, track,
-                                  start, end,
-                                  self._shapes.setdefault(keys, keys),
-                                  *attrs.values()))
-        else:
-            self._records.append((kind, span_id, parent, name, track,
-                                  start, end, ()))
+    def _intern(self, shape):
+        """The index of a shape not yet in the table, now added."""
+        index = self._shape_index[shape] = len(self._shapes)
+        self._shapes.append(shape)
+        return index
+
+    def _append_event(self, kind, name, track, span_id, parent_id, start,
+                      end, attrs):
+        shape = (kind, name, track, tuple(attrs))
+        index = self._shape_index.get(shape)
+        if index is None:
+            index = self._intern(shape)
+        values = self._values
+        self._rows += _pack_row(index, span_id, parent_id, start, end,
+                                len(values))
+        values.extend(attrs.values())
 
     def _append_sample(self, probe, ts, value):
-        self._records.append((SAMPLE, probe, ts, value))
+        shape = (SAMPLE, probe)
+        index = self._shape_index.get(shape)
+        if index is None:
+            index = self._intern(shape)
+        values = self._values
+        self._rows += _pack_row(index, 0, 0, ts, ts, len(values))
+        values.append(value)
+
+    def _event(self, row):
+        """The event dict of one unpacked row, freshly built."""
+        index, span_id, parent_id, start, end, offset = row
+        shape = self._shapes[index]
+        kind = shape[0]
+        if kind == SAMPLE:
+            probe = shape[1]
+            event = {"type": SAMPLE, "name": probe.name,
+                     "track": probe.track, "ts": start,
+                     "value": self._values[offset]}
+            if probe.attrs:
+                # Only probes registered with attrs carry the key, so
+                # streams from attr-free worlds are byte-identical to
+                # before attrs existed.
+                event["attrs"] = dict(probe.attrs)
+            return event
+        _, name, track, keys = shape
+        event = {"type": kind, "id": span_id, "parent": parent_id or None,
+                 "name": name, "track": track, "ts": start}
+        if kind == SPAN:
+            event["dur"] = end - start
+        event["attrs"] = dict(zip(keys,
+                                  self._values[offset:offset + len(keys)]))
+        return event
+
+    def _unpacked(self):
+        """Every row, unpacked, from a snapshot of the log."""
+        return _ROW.iter_unpack(bytes(self._rows))
 
     def select(self, kind, name=None, track=None):
         """Event dicts of one kind, optionally filtered by name and
-        track; filters run on the records, before any dict is built."""
+        track; filters run on the shape table, before any dict is
+        built."""
         if kind == SAMPLE:
-            return [_event(record) for record in self._records
-                    if record[0] == SAMPLE
-                    and (name is None or record[1].name == name)
-                    and (track is None or record[1].track == track)]
-        return [_event(record) for record in self._records
-                if record[0] == kind
-                and (name is None or record[3] == name)
-                and (track is None or record[4] == track)]
+            wanted = {index for index, shape in enumerate(self._shapes)
+                      if shape[0] == SAMPLE
+                      and (name is None or shape[1].name == name)
+                      and (track is None or shape[1].track == track)}
+        else:
+            wanted = {index for index, shape in enumerate(self._shapes)
+                      if shape[0] == kind
+                      and (name is None or shape[1] == name)
+                      and (track is None or shape[2] == track)}
+        if not wanted:
+            return []
+        return [self._event(row) for row in self._unpacked()
+                if row[0] in wanted]
 
     def tracks(self):
-        """Distinct track names, in first-appearance order."""
-        seen = {}
-        for record in self._records:
-            seen[record[1].track if record[0] == SAMPLE
-                 else record[4]] = None
-        return list(seen)
+        """Distinct track names, in first-appearance order.  Shapes are
+        indexed in the order their first record was written, so the
+        shape table alone gives that order."""
+        return list(dict.fromkeys(
+            shape[1].track if shape[0] == SAMPLE else shape[2]
+            for shape in self._shapes))
 
     def __len__(self):
-        return len(self._records)
+        return len(self._rows) // _ROW.size
 
     def __iter__(self):
-        return map(_event, self._records)
+        return map(self._event, self._unpacked())
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [_event(record) for record in self._records[index]]
-        return _event(self._records[index])
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return [self._row_event(row) for row in rows]
+        return self._row_event(rows)
+
+    def _row_event(self, row):
+        return self._event(_ROW.unpack_from(self._rows, row * _ROW.size))
 
     def __eq__(self, other):
         if isinstance(other, (EventLog, list)):
@@ -251,7 +290,7 @@ class EventLog(Sequence):
     __hash__ = None
 
     def __repr__(self):
-        return "<EventLog %d events>" % len(self._records)
+        return "<EventLog %d events>" % len(self)
 
 
 class Telemetry:
@@ -322,10 +361,10 @@ class Telemetry:
             return
         process = self.sim.active_process
         ambient = process.span if process is not None else self._ambient
-        self.events._append(
-            INSTANT, self._next_span_id(),
-            ambient.span_id if ambient is not None else None,
-            name, track, self.sim.now, None, attrs)
+        now = self.sim.now
+        self.events._append_event(
+            INSTANT, name, track, self._next_span_id(),
+            ambient.span_id if ambient is not None else 0, now, now, attrs)
 
     # --- probes ---------------------------------------------------------
     def add_probe(self, name, fn, track="probe", **attrs):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.db import BufferPool
+from repro.db import BufferPool, InnoDBConfig, InnoDBEngine
+from repro.devices import make_durassd
+from repro.failures import torture
+from repro.host import FileSystem
+from repro.sim import Simulator, units
+from repro.workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 
 from conftest import run_process
 
@@ -186,3 +191,65 @@ class TestWarmInstall:
     def test_capacity_validation(self, sim):
         with pytest.raises(ValueError):
             BufferPool(sim, 0, None)
+
+
+def scanned_dirty(pool):
+    return sum(1 for frame in pool._frames.values() if frame.dirty)
+
+
+class TestDirtyCount:
+    """``dirty_count`` is a counter kept by the pool; it must always
+    equal a scan of the frames."""
+
+    def test_counter_follows_dirty_clean_and_eviction(self, sim):
+        pool, _log = make_pool(sim, n_frames=2)
+        a = run_process(sim, pool.fetch("a", simple_reader(sim)))
+        flushed = pool.mark_dirty(a)
+        pool.mark_dirty(a)                # already dirty: counted once
+        assert pool.dirty_count == scanned_dirty(pool) == 1
+        pool.mark_clean(a, flushed)       # stale version: stays dirty
+        assert pool.dirty_count == 1
+        pool.mark_clean(a, a.version)
+        pool.mark_clean(a, a.version)     # already clean: no double count
+        assert pool.dirty_count == scanned_dirty(pool) == 0
+        b = run_process(sim, pool.fetch("b", simple_reader(sim)))
+        pool.mark_dirty(a)
+        pool.mark_dirty(b)
+        # a third page evicts the dirty LRU tail after flushing it
+        run_process(sim, pool.fetch("c", simple_reader(sim)))
+        assert not pool.contains("a")
+        assert pool.dirty_count == scanned_dirty(pool) == 1
+
+    def test_counter_matches_scan_after_a_linkbench_run(self):
+        sim = Simulator()
+        data_fs = FileSystem(sim, make_durassd(sim, capacity_bytes=units.GIB),
+                             barriers=False)
+        log_fs = FileSystem(sim, make_durassd(sim, capacity_bytes=units.GIB),
+                            barriers=False)
+        engine = InnoDBEngine(sim, data_fs, log_fs, InnoDBConfig(
+            page_size=8 * units.KIB, buffer_pool_bytes=2 * units.MIB))
+        workload = LinkBenchWorkload(
+            engine, LinkBenchConfig(db_bytes=32 * units.MIB, seed=2))
+        workload.run(clients=16, ops_per_client=30, warmup_ops=2)
+        pool = engine.pool
+        assert pool.stats["evictions"] > 0
+        assert pool.dirty_count == scanned_dirty(pool) > 0
+
+    def test_counter_matches_scan_after_a_torture_trial(self, monkeypatch):
+        worlds = []
+        build_world = torture.build_world
+
+        def recording_build_world(scenario, telemetry=None):
+            world = build_world(scenario, telemetry)
+            worlds.append(world)
+            return world
+
+        scenario = torture.TortureScenario(engine="innodb", device="durassd",
+                                           ops=40, seed=3)
+        recording = torture.record(scenario)
+        monkeypatch.setattr(torture, "build_world", recording_build_world)
+        cut = recording.cut_candidates[len(recording.cut_candidates) // 2]
+        result = torture.run_trial(scenario, recording.ops, cut)
+        assert result.fired
+        pool = worlds[-1].engine.pool
+        assert pool.dirty_count == scanned_dirty(pool)

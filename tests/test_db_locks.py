@@ -6,7 +6,8 @@ from repro.db.locks import DeadlockError, LockManager
 from repro.db import InnoDBConfig, InnoDBEngine
 from repro.devices import make_durassd
 from repro.host import FileSystem
-from repro.sim import units
+from repro.sim import Simulator, units
+from repro.workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 
 from conftest import run_process
 
@@ -52,6 +53,17 @@ class TestBasicLocking:
         assert manager.owner_of("a") is None
         assert manager.owner_of("b") is None
         assert manager.held_by("t1") == set()
+
+    def test_release_frees_the_entry(self, sim):
+        manager = LockManager(sim)
+        run_process(sim, manager.acquire("t1", "k"))
+        manager.release("t1", "k")
+        assert manager._locks == {}
+        assert manager.owner_of("k") is None
+        with pytest.raises(ValueError):
+            manager.release("t1", "k")
+        run_process(sim, manager.acquire("t2", "k"))
+        assert manager.owner_of("k") == "t2"
 
     def test_release_hands_off_to_waiter(self, sim):
         manager = LockManager(sim)
@@ -172,3 +184,14 @@ class TestEngineIntegration:
         assert sorted(outcomes) == ["backward", "forward"]
         assert engine.counters["aborts"] >= 1
         assert engine.counters["commits"] == 2
+
+    def test_lock_table_is_empty_after_a_linkbench_run(self):
+        sim = Simulator()
+        engine = self._engine(sim)
+        workload = LinkBenchWorkload(
+            engine, LinkBenchConfig(db_bytes=32 * units.MIB, seed=3))
+        workload.run(clients=16, ops_per_client=20, warmup_ops=2)
+        assert engine.locks.counters["acquires"] > 0
+        assert engine.locks._locks == {}
+        assert engine.locks._held == {}
+        assert engine.locks._waiting_on == {}

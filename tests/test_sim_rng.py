@@ -59,6 +59,25 @@ class TestZipfGenerator:
         zipf = ZipfGenerator(50_000_000, rng=make_rng(4))
         assert 0 <= zipf.next() < 50_000_000
 
+    def test_equal_generators_draw_identical_streams(self):
+        a = ZipfGenerator(870, theta=0.99, rng=make_rng(8))
+        b = ZipfGenerator(870, theta=0.99, rng=make_rng(8))
+        assert [a.next() for _ in range(2000)] \
+            == [b.next() for _ in range(2000)]
+
+    def test_cached_zeta_equals_the_direct_sum(self):
+        # The memoized constant must be bit-identical to summing the
+        # series afresh, or every seeded LinkBench stream would move.
+        for n, theta in ((870, 0.99), (870, 0.99), (5000, 0.5)):
+            direct = sum(1.0 / (i ** theta) for i in range(1, n + 1))
+            assert ZipfGenerator._zeta(n, theta) == direct
+            generator = ZipfGenerator(n, theta=theta)
+            assert generator._zetan == direct
+            assert generator._zeta2 == 1.0 + 1.0 / (2 ** theta)
+        large = 50_000_000
+        assert ZipfGenerator._zeta(large, 0.99) \
+            == ZipfGenerator._zeta.__wrapped__(large, 0.99)
+
 
 class TestScrambledZipf:
     def test_hot_keys_are_spread(self):

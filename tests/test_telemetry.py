@@ -11,8 +11,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.bursts import run_one
 from repro.bench.table1 import measure_cell
@@ -374,6 +377,157 @@ class TestEventLog:
             events[0] = {}
         with pytest.raises(TypeError):
             hash(events)
+
+
+# --- the log round-trips what was recorded -------------------------------
+ATTR_VALUES = st.one_of(
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.tuples(st.integers(), st.text(max_size=2)),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+ATTRS = st.dictionaries(st.sampled_from(["lba", "op", "size", "ok"]),
+                        ATTR_VALUES, max_size=3)
+NAMES = st.sampled_from(["op.write", "fs.fsync", "dev.flush"])
+TRACKS = st.sampled_from(["workload", "host", "device"])
+#: ``None`` takes the ambient span; "enclosing" passes the enclosing
+#: Span object; an int is an explicit parent id
+PARENTS = st.one_of(st.none(), st.just("enclosing"),
+                    st.integers(min_value=1, max_value=2**62))
+DELAYS = st.floats(min_value=0.0, max_value=10.0)
+LEAVES = st.one_of(
+    st.tuples(st.just("instant"), NAMES, TRACKS, ATTRS, DELAYS),
+    st.tuples(st.just("sample"), ATTR_VALUES, ATTR_VALUES, DELAYS))
+PROGRAMS = st.lists(st.recursive(
+    LEAVES,
+    lambda children: st.tuples(
+        st.just("span"), NAMES, TRACKS, ATTRS, PARENTS, ATTRS, DELAYS,
+        st.lists(children, max_size=3)),
+    max_leaves=12), max_size=6)
+
+
+def record_program(program):
+    """Drive ``program`` through a hub outside any process, and build
+    the list of event dicts a plain list-of-dicts log would hold."""
+    sim, telemetry = enabled_sim()
+    sample_values = [None, None]
+    telemetry.add_probe("gauge", lambda: sample_values[0], "host")
+    telemetry.add_probe("cache", lambda: sample_values[1], "device",
+                        device="durassd.0")
+    expected = []
+    open_spans = []
+
+    def drive(items):
+        for item in items:
+            sim.now += item[-2] if item[0] == "span" else item[-1]
+            if item[0] == "instant":
+                _, name, track, attrs, _delay = item
+                telemetry.instant(name, track, **attrs)
+                expected.append({
+                    "type": "instant", "id": telemetry._span_counter,
+                    "parent": open_spans[-1].span_id if open_spans else None,
+                    "name": name, "track": track, "ts": sim.now,
+                    "attrs": dict(attrs)})
+            elif item[0] == "sample":
+                sample_values[:] = item[1:3]
+                telemetry.sample_now()
+                expected.append({"type": "sample", "name": "gauge",
+                                 "track": "host", "ts": sim.now,
+                                 "value": item[1]})
+                expected.append({"type": "sample", "name": "cache",
+                                 "track": "device", "ts": sim.now,
+                                 "value": item[2],
+                                 "attrs": {"device": "durassd.0"}})
+            else:
+                _, name, track, attrs, parent, later, _delay, children = item
+                if parent == "enclosing":
+                    parent = open_spans[-1] if open_spans else None
+                with telemetry.span(name, track, parent=parent,
+                                    **attrs) as span:
+                    start = sim.now
+                    if parent is None:
+                        parent_id = (open_spans[-1].span_id if open_spans
+                                     else None)
+                    else:
+                        parent_id = getattr(parent, "span_id", parent)
+                    open_spans.append(span)
+                    drive(children)
+                    span.annotate(**later)
+                    open_spans.pop()
+                expected.append({
+                    "type": "span", "id": span.span_id, "parent": parent_id,
+                    "name": name, "track": track, "ts": start,
+                    "dur": sim.now - start, "attrs": {**attrs, **later}})
+
+    drive(program)
+    return telemetry, expected
+
+
+class TestEventLogRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(PROGRAMS)
+    def test_log_reads_back_a_list_of_dicts(self, program):
+        telemetry, expected = record_program(program)
+        events = telemetry.events
+        # repr pins types, not just equality: True is not 1, 5 not 5.0
+        assert repr(list(events)) == repr(expected)
+        assert len(events) == len(expected)
+        assert repr([events[i] for i in range(-len(events), len(events))]) \
+            == repr(expected + expected)
+        assert repr(events[::-2]) == repr(expected[::-2])
+        assert events == expected
+        for kind, select in (("span", telemetry.spans),
+                             ("instant", telemetry.instants)):
+            for name in (None, "fs.fsync"):
+                for track in (None, "host"):
+                    assert repr(select(name, track)) == repr([
+                        event for event in expected if event["type"] == kind
+                        and name in (None, event["name"])
+                        and track in (None, event["track"])])
+        assert repr(telemetry.samples("cache")) == repr(
+            [event for event in expected if event["type"] == "sample"
+             and event["name"] == "cache"])
+        assert telemetry.tracks() == list(dict.fromkeys(
+            event["track"] for event in expected))
+        assert telemetry.jsonl() == "".join(
+            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+            for event in expected)
+
+    def test_int_clock_reads_back_as_the_float_the_kernel_keeps(self):
+        # run(until=5) leaves the clock at 5.0, never at the int 5, so a
+        # timestamp never changes type on its way through the log.
+        sim, telemetry = enabled_sim()
+        sim.run(until=5)
+        assert type(sim.now) is float
+        telemetry.instant("tick", "host")
+        with telemetry.span("after", "host"):
+            pass
+        assert [(type(event["ts"]), event["ts"]) for event in
+                telemetry.events] == [(float, 5.0), (float, 5.0)]
+        assert telemetry.jsonl().count('"ts":5.0') == 2
+
+    def test_closed_spans_retain_under_100_bytes_each(self):
+        sim, telemetry = enabled_sim()
+        count = 20_000
+        with telemetry.span("warm", "device", lba=0, size=4096, op="write"):
+            pass   # intern the shape and name strings before measuring
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(count):
+                sim.now = index * 1e-6
+                with telemetry.span("dev." + "write", "device",
+                                    lba=index % 256, size=4096, op="write"):
+                    pass
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(telemetry.spans("dev.write")) == count
+        assert retained / count < 100, retained / count
 
 
 # --- zero overhead --------------------------------------------------------
