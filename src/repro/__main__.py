@@ -40,8 +40,7 @@ Usage::
     python -m repro table1 --metrics-interval 0.01  # any bench + series CSV
 
     python -m repro profile figure5-small           # simulator self-profile
-    python -m repro profile --speed                 # BENCH_speed.json baseline
-    python -m repro scaling --profile               # any bench + wall report
+    python -m repro table5 --profile                # any bench + wall report
 
     python -m repro validate trace.json --min-tracks 4  # schema checks
     python -m repro validate --profile profile.json    # a profile report
@@ -124,13 +123,6 @@ TELEMETRY_CAPABLE = frozenset(tracing.SCENARIOS)
 #: a keyword argument of its module's ``main``
 WORLD_FLAGS = ("devices", "mirror", "log_device", "interface", "sq",
                "queue_depth", "gray_faults", "metrics_interval", "profile")
-
-#: the options ``profile`` refuses with and without ``--speed``, and why
-PROFILE_REFUSED = {
-    True: (("scenario", "json_path", "collapsed_path", "top", "alloc",
-            "ablation"), "--speed takes only --smoke, --ops and --out"),
-    False: (("smoke", "ops"), "--smoke and --ops need --speed"),
-}
 
 
 def count(text):
@@ -227,13 +219,6 @@ def _add_world_commands(commands, world):
     sub.add_argument("--no-alloc", dest="alloc", action="store_false")
     sub.add_argument("--no-ablation", dest="ablation",
                      action="store_false")
-    sub.add_argument("--speed", action="store_true",
-                     help="record %s instead of a scenario"
-                     % profile.SPEED_PATH)
-    sub.add_argument("--smoke", action="store_true",
-                     help="with --speed: one width, tiny ops")
-    sub.add_argument("--ops", type=count, metavar="N",
-                     help="with --speed: operations per client")
 
     sub = command("trace", tracing, tracing.SCENARIOS)
     sub.add_argument("--out", dest="out_path", default="trace.json",
@@ -500,12 +485,12 @@ def _run_world_command(args, spec):
     options = {dest: value for dest, value in vars(args).items()
                if dest not in WORLD_FLAGS + ("command", "run", "parser")}
     sub = args.parser
-    if args.command == "profile":
-        refused, message = PROFILE_REFUSED[options["speed"]]
-        if any(options[dest] != sub.get_default(dest) for dest in refused):
-            sub.error(message)
-    if options.get("scenario", "") is None and not options.get("speed"):
+    if options.get("scenario", "") is None:
         sub.error("a SCENARIO is required; --help lists them")
+    if args.command == "scaling":
+        refusal = scaling.baseline_refusal(spec=spec, **options)
+        if refusal:
+            sub.error(refusal)
     worlds = []
     status = args.run(spec=spec, worlds=worlds, **options)
     _emit(args.command, worlds)

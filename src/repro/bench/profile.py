@@ -27,16 +27,10 @@ Usage::
     python -m repro profile figure5 --collapsed profile.folded --top 20
     python -m repro profile bursts --no-alloc --no-ablation
 
-    python -m repro profile --speed                 # BENCH_speed.json
-    python -m repro profile --speed --smoke         # CI wall-clock cell
-
 ``--collapsed`` writes the attribution in collapsed-stack format —
 one ``repro;layer;target <microseconds>`` line — consumable by
-``flamegraph.pl`` or speedscope.  ``--speed`` re-runs the scaling
-sweep's width cells with the profiler attached and records real-time
-factor and events/sec per cell: the pinned before/after for any future
-speedup PR (``python -m repro regress`` reads it back as an advisory
-wall-clock section).
+``flamegraph.pl`` or speedscope.  The simulator's speed baseline is
+the repository benchmark, ``python3 benchmarks/perf/run.py``.
 """
 
 import json
@@ -45,12 +39,10 @@ import tracemalloc
 
 from ..sim.profiler import SimProfiler
 from ..telemetry import Telemetry
-from . import scaling, setups
+from . import setups
 from .scenarios import TRACED
 
 SCHEMA = "repro.profile/1"
-
-SPEED_PATH = "BENCH_speed.json"
 
 #: attributed layer shares must cover this much of the measured wall
 COVERAGE_FLOOR = 0.95
@@ -206,82 +198,11 @@ def render_markdown(report):
     return "\n".join(lines)
 
 
-# --- the speed benchmark --------------------------------------------------
-def run_speed(smoke=False, ops_per_client=None, widths=None,
-              spec=setups.DEFAULT_SPEC):
-    """Re-run the scaling width cells with the profiler attached.
-
-    Records per cell: TPS, simulated/wall seconds, processed events,
-    events/sec and the real-time factor (``sim_seconds /
-    wall_seconds``, same basis as BENCH_scaling.json so the regress
-    advisory can diff fresh runs against this baseline without a
-    profiler).  Operation counts pin to the scaling baseline's — speed
-    is only comparable at identical work.
-    """
-    if widths is None:
-        widths = (1,) if smoke else scaling.WIDTHS
-    if ops_per_client is None:
-        ops_per_client = scaling.BASE_OPS_PER_CLIENT
-    spec = spec._replace(profile=True)
-    worlds = []
-    cells = []
-    for label, barriers in scaling.MODES:
-        for width in widths:
-            record = scaling.run_width(width, barriers,
-                                       ops_per_client=ops_per_client,
-                                       spec=spec, worlds=worlds)
-            profiler = worlds[-1].telemetry.profiler
-            cell = {
-                "mode": label,
-                "width": width,
-                "tps": record["tps"],
-                "sim_seconds": record["sim_seconds"],
-                "wall_seconds": record["wall_seconds"],
-                "real_time_factor": (record["sim_seconds"]
-                                     / record["wall_seconds"]),
-                "events": profiler.steps,
-                "events_per_sec": (profiler.steps
-                                   / record["wall_seconds"]),
-                "loop_wall_seconds": profiler.wall_seconds(),
-            }
-            cells.append(cell)
-            print("  %-13s width=%d  rtf=%5.2fx  %8.0f ev/s  "
-                  "(%d events, wall %.2fs)"
-                  % (label, width, cell["real_time_factor"],
-                     cell["events_per_sec"], cell["events"],
-                     cell["wall_seconds"]))
-    return {
-        "benchmark": "speed",
-        "workload": "linkbench",
-        "clients": scaling.CLIENTS,
-        "ops_per_client": ops_per_client,
-        "scale_factor": setups.scale_factor(),
-        "cells": cells,
-    }
-
-
-def _speed_main(smoke, ops, out_path, spec):
-    if smoke and ops is None:
-        ops = 12
-    report = run_speed(smoke=smoke, ops_per_client=ops, spec=spec)
-    with open(out_path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print("\nwrote %s" % out_path)
-    # Sanity floor, not a perf gate: a simulator processing fewer than
-    # 1000 events/sec has broken profiling, not slow hardware.
-    if any(cell["events_per_sec"] < 1000 for cell in report["cells"]):
-        print("FAIL: implausibly low events/sec — profiler broken?")
-        return 1
-    return 0
-
-
 def main(scenario=None, out_path=None, json_path=None, collapsed_path=None,
-         top=DEFAULT_TOP, alloc=True, ablation=True, speed=False,
-         smoke=False, ops=None, spec=setups.DEFAULT_SPEC, worlds=None):
+         top=DEFAULT_TOP, alloc=True, ablation=True,
+         spec=setups.DEFAULT_SPEC, worlds=None):
     """``python -m repro profile``: profile one scenario (an alias
-    resolves first), or with ``speed`` record the speed baseline."""
-    if speed:
-        return _speed_main(smoke, ops, out_path or SPEED_PATH, spec)
+    resolves first)."""
     report, profiler = profile_scenario(ALIASES.get(scenario, scenario),
                                         alloc=alloc, ablation=ablation,
                                         top=top, spec=spec, worlds=worlds)

@@ -16,15 +16,8 @@ Usage::
 
 Tolerances are relative: ``--tps-tol 0.05`` fails a >5% TPS drop.
 Improvements never fail the gate (they are reported; refresh the
-baseline deliberately via ``python -m repro scaling``).
-
-When a committed ``BENCH_speed.json`` exists (``python -m repro
-profile --speed``), the gate also prints an **advisory** wall-clock
-section: the fresh run's real-time factor per matched cell against the
-speed baseline.  Wall time is host-dependent — a slower machine is not
-a regression — so this section never fails the gate; it exists so a
-perf-motivated change can show its wall-clock win in the same output
-that proves the simulated metrics did not move.
+baseline deliberately with a full ``python -m repro scaling``, the one
+run allowed to write it).
 """
 
 import json
@@ -32,8 +25,6 @@ import json
 from . import scaling, setups
 
 BASELINE_PATH = scaling.BASELINE_PATH
-
-SPEED_PATH = "BENCH_speed.json"
 
 #: the sweep's operation count when the baseline was recorded (the JSON
 #: predates this gate and does not carry it)
@@ -151,42 +142,6 @@ def run_fresh(baseline, smoke=False, spec=setups.DEFAULT_SPEC, worlds=None):
             "mirroring": mirroring, "interfaces": interfaces}
 
 
-def wall_clock_advisory(fresh, speed_path=SPEED_PATH):
-    """Advisory real-time-factor lines vs the committed speed baseline.
-
-    Matches the fresh throughput records to ``BENCH_speed.json`` cells
-    by (mode, width) and compares real-time factors (``sim_seconds /
-    wall_seconds``).  Returns printable lines — or an explanatory
-    one-liner when there is no baseline.  Never fails the gate: wall
-    time depends on the host, and the regress run itself carries
-    measurement noise a deterministic simulation does not.
-    """
-    try:
-        with open(speed_path) as handle:
-            speed = json.load(handle)
-    except OSError:
-        return ["  (no %s — run `python -m repro profile --speed` to "
-                "record one)" % speed_path]
-    by_cell = {(cell["mode"], cell["width"]): cell
-               for cell in speed.get("cells", ())}
-    lines = []
-    for record in fresh.get("throughput", ()):
-        cell = by_cell.get((record["mode"], record["width"]))
-        if cell is None or not record.get("wall_seconds"):
-            continue
-        fresh_rtf = record["sim_seconds"] / record["wall_seconds"]
-        base_rtf = cell["real_time_factor"]
-        delta = ((fresh_rtf - base_rtf) / base_rtf * 100
-                 if base_rtf else 0.0)
-        lines.append("  %-13s width=%d  rtf %5.2fx vs baseline %5.2fx "
-                     "(%+.0f%%)"
-                     % (record["mode"], record["width"], fresh_rtf,
-                        base_rtf, delta))
-    if not lines:
-        return ["  (no fresh cells match %s)" % speed_path]
-    return lines
-
-
 def format_rows(rows):
     lines = ["%-32s %-12s %12s %12s %8s" % ("configuration", "metric",
                                             "baseline", "fresh",
@@ -222,9 +177,6 @@ def main(baseline_path=BASELINE_PATH, json_path=None, smoke=False,
                              p99_tol=p99_tol)
     print()
     print(format_rows(rows))
-    print("\nwall clock (advisory — never fails the gate):")
-    for line in wall_clock_advisory(fresh):
-        print(line)
     if json_path is not None:
         with open(json_path, "w") as handle:
             json.dump({"baseline": baseline_path, "rows": rows,

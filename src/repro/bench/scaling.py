@@ -21,21 +21,23 @@ this table shows host-level parallelism compounding it.  Two results:
 Usage::
 
     python -m repro scaling                   # full sweep + ablation
-    python -m repro scaling --smoke           # CI: width 1/2, tiny ops
-    python -m repro scaling --smoke --interface nvme --sq 2
-    python -m repro scaling --out BENCH_scaling.json
+    python -m repro scaling --smoke --out smoke.json   # CI: width 1/2
+    python -m repro scaling --smoke --interface nvme --sq 2 --out nvme.json
 
 The world flags every bench takes (``--interface``, ``--sq``,
 ``--queue-depth``, ``--gray-faults`` ...) shape every cell; each cell
 then sets its own stripe width, mirror count or interface.
 
-The JSON report (ops/s, p99 seconds, simulated seconds, wall seconds
-per configuration) is the repo's perf trajectory record: future changes
-land against these numbers.
+The JSON report (ops/s, p99 seconds and simulated seconds per
+configuration) is the repo's perf trajectory record: future changes
+land against these numbers.  A run reproduces it byte for byte, and
+only the committed configuration — the full sweep in the default world
+at the default scale, ``REPRO_QUICK`` unset — may write
+``BENCH_scaling.json``; any other run needs ``--out``.
 """
 
 import json
-import time
+import os
 
 from ..db.innodb import InnoDBConfig, InnoDBEngine
 from ..host import FileSystem, QueueTopology, RegionView, StripedVolume
@@ -76,14 +78,12 @@ def _measure(engine, sim, clients, ops_per_client):
         ops_per_client = setups.ops_scale(BASE_OPS_PER_CLIENT)
     workload = LinkBenchWorkload(
         engine, LinkBenchConfig(db_bytes=setups.scaled_db_bytes()))
-    begin = time.time()
     result = workload.run(clients=clients, ops_per_client=ops_per_client,
                           warmup_ops=20)
     return {
         "tps": result.tps,
         "p99_write_s": result.writes.percentile(0.99),
         "sim_seconds": sim.now,
-        "wall_seconds": time.time() - begin,
     }
 
 
@@ -202,11 +202,9 @@ def run_all(widths=WIDTHS, ops_per_client=None, ablation=True,
                                ops_per_client=ops_per_client, spec=spec,
                                worlds=worlds)
             throughput.append(record)
-            print("  %-13s width=%d  %8.0f tps  p99=%.2fms  "
-                  "(sim %.2fs, wall %.1fs)"
+            print("  %-13s width=%d  %8.0f tps  p99=%.2fms  (sim %.2fs)"
                   % (label, width, record["tps"],
-                     record["p99_write_s"] * 1e3,
-                     record["sim_seconds"], record["wall_seconds"]))
+                     record["p99_write_s"] * 1e3, record["sim_seconds"]))
     placement = []
     mirroring = []
     if ablation:
@@ -299,6 +297,28 @@ def format_table(report):
                          % (label, record["tps"],
                             record["p99_write_s"] * 1e3))
     return "\n".join(lines)
+
+
+def baseline_refusal(out_path, smoke, ops, spec):
+    """Why this run may not write ``out_path``, or ``None``.
+
+    A file named like the committed baseline is written only by the
+    committed configuration, so no smoke, rescaled or reshaped run can
+    overwrite the record ``regress`` diffs against.
+    """
+    if os.path.basename(out_path) != BASELINE_PATH:
+        return None
+    reasons = [name for name, differs in (
+        ("--smoke", smoke),
+        ("--ops", ops is not None),
+        ("REPRO_QUICK", setups.quick_mode()),
+        ("REPRO_SCALE", setups.scale_factor() != setups.DEFAULT_SCALE),
+        ("world flags", spec != setups.DEFAULT_SPEC)) if differs]
+    if not reasons:
+        return None
+    return ("%s is the committed full sweep; a run with %s may not "
+            "overwrite it (pass --out PATH)"
+            % (BASELINE_PATH, ", ".join(reasons)))
 
 
 def main(smoke=False, ops=None, out_path=BASELINE_PATH,

@@ -56,13 +56,6 @@ class CapacitorBank:
         return int(self.count * self.dump_bytes_per_capacitor)
 
     @property
-    def holdup_time(self):
-        """Seconds of dump activity the bank sustains."""
-        if self.dump_bandwidth <= 0:
-            return 0.0
-        return self.dump_budget_bytes / self.dump_bandwidth
-
-    @property
     def cost_usd(self):
         """About five USD for the prototype's fifteen capacitors."""
         return self.count * self.unit_price_usd

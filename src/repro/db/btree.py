@@ -74,10 +74,6 @@ class PagedBTree:
         return self._nodes[page_no]
 
     @property
-    def page_count(self):
-        return len(self._nodes)
-
-    @property
     def depth(self):
         depth = 1
         node = self.root

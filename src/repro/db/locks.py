@@ -56,9 +56,6 @@ class LockManager:
     def held_by(self, txn_id):
         return set(self._held.get(txn_id, ()))
 
-    def is_waiting(self, txn_id):
-        return txn_id in self._waiting_on
-
     # --- acquisition ---------------------------------------------------------
     def acquire(self, txn_id, key):
         """Generator: returns once ``txn_id`` holds ``key``.

@@ -86,11 +86,3 @@ class PostgresEngine(InnoDBEngine):
         """Explicit checkpoint (tests and benches)."""
         self._fpw_logged.clear()
         self.counters["checkpoints"] += 1
-
-    def log_bytes_per_commit(self):
-        """Average durable log bytes per committed transaction."""
-        commits = self.counters["commits"]
-        if not commits:
-            return 0.0
-        blocks = self.wal.counters["blocks_written"]
-        return blocks * units.LBA_SIZE / commits

@@ -389,11 +389,6 @@ class StorageDevice:
                 continue
             self.abort_command(process, cause="device-dead")
 
-    @property
-    def inflight_requests(self):
-        """Snapshot of commands currently inside the device."""
-        return list(self._inflight.values())
-
     def oldest_inflight_age(self):
         """Age in seconds of the oldest in-flight command (0 if none)."""
         oldest = None

@@ -121,10 +121,6 @@ class CorruptionModel:
         #: simulated time of the first materialised fault, or None
         self.first_fault_time = None
 
-    @property
-    def injected_faults(self):
-        return sum(self.counters.values())
-
     def _mark(self, now, kind):
         self.counters[kind] += 1
         if self.first_fault_time is None:

@@ -68,11 +68,6 @@ class FlashGeometry:
         start = block * self.pages_per_block
         return range(start, start + self.pages_per_block)
 
-    def plane_of_block(self, block):
-        """Plane index of a block; blocks are striped across planes so
-        consecutive allocation naturally spreads load."""
-        return block % self.planes
-
     @classmethod
     def scaled(cls, capacity_bytes, page_size=8 * units.KIB,
                pages_per_block=128, channels=8):

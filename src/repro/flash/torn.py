@@ -70,13 +70,6 @@ class CorruptValue:
         return (CorruptValue, (self.kind,))
 
 
-class _TornValue(CorruptValue):
-    """Backwards-compatible alias class for the torn sentinel."""
-
-    def __new__(cls):
-        return CorruptValue(TORN_WRITE)
-
-
 TORN = CorruptValue(TORN_WRITE)
 
 

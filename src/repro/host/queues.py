@@ -256,10 +256,6 @@ class NvmeMultiQueue(QueueModel):
     def outstanding(self):
         return sum(slots.in_use for slots in self._slots)
 
-    def queue_outstanding(self, index):
-        """Commands currently holding a slot on SQ ``index``."""
-        return self._slots[index].in_use
-
     def lifecycle_counters(self):
         totals = {}
         for lifecycle in self.lifecycles:

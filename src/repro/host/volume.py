@@ -1006,10 +1006,6 @@ class Rebuilder:
         if auto_start:
             sim.process(self.run())
 
-    def add_spare(self, device):
-        """Add a device to the hot-spare pool."""
-        self.spares.append(device)
-
     def run(self):
         while True:
             member = self._claim()
@@ -1254,10 +1250,6 @@ class PlacementVolume(BlockTarget):
     @property
     def exported_lbas(self):
         return self._exported
-
-    @property
-    def placements(self):
-        return tuple(self._children)
 
     @property
     def members(self):

@@ -33,6 +33,9 @@ to the code the event runs:
   (``_resume`` — the overwhelmingly common case) is charged to the
   *generator* it resumes, resolved through the generator's code object
   to a repro layer and a ``module:qualname`` label;
+* a resumed generator suspended in ``yield from`` is followed down to
+  the innermost generator, so db code a workload client delegates to is
+  charged to ``db``, not to the client;
 * any other callback is charged through its own code object;
 * time spent inside the telemetry tick (probe sampling + metrics
   windows) is carved out and charged to the ``telemetry`` layer;
@@ -281,9 +284,9 @@ class SimProfiler:
         return timed
 
     def _classify(self, event):
-        """``(layer, label)`` for the code the event runs: a live
-        process waking itself runs its own generator, anything else its
-        first callback target."""
+        """``(layer, label)`` for the code the event runs: a resumed
+        process runs the innermost generator it is suspended in,
+        anything else its first callback target."""
         if isinstance(event, Process) and (event._cancelled
                                            or event.is_alive):
             # The process's own entry: a cancelled wake runs nothing, a
@@ -295,7 +298,12 @@ class SimProfiler:
             return ("sim", "engine:(no-callback)")
         target = getattr(callback, "__self__", None)
         if isinstance(target, Process):
-            code = target._generator.gi_code
+            # The resume runs the innermost generator of a ``yield
+            # from`` chain; an awaited non-generator ends the walk.
+            generator = target._generator
+            while getattr(generator.gi_yieldfrom, "gi_code", None):
+                generator = generator.gi_yieldfrom
+            code = generator.gi_code
         else:
             function = getattr(callback, "__func__", callback)
             code = getattr(function, "__code__", None)

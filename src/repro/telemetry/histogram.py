@@ -122,14 +122,6 @@ class LogHistogram:
         return percentile_from_counts(self.counts, self.edges, fraction,
                                       upper=self.max)
 
-    def cumulative_counts(self):
-        """Running totals per bucket (Prometheus ``le`` semantics)."""
-        running, out = 0, []
-        for count in self.counts:
-            running += count
-            out.append(running)
-        return out
-
     def snapshot(self):
         """A JSON-friendly cumulative snapshot of the current state."""
         return {"counts": list(self.counts), "count": self.count,

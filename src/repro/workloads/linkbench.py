@@ -139,10 +139,6 @@ class LinkBenchWorkload:
             "write": metrics.histogram("workload.write_latency"),
         }
 
-    def db_pages(self):
-        return (self.node_table.total_pages + self.link_table.total_pages
-                + self.count_table.total_pages)
-
     # --- key streams ----------------------------------------------------------
     def key_stream(self, rng):
         """Infinite (table, rank) pairs for warm-up, matching the op mix's

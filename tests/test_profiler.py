@@ -164,6 +164,35 @@ class TestAttribution:
         assert profiler.target_events[
             ("workload", "workloads.loadgen:client")] == 2
 
+    def test_resume_charged_to_the_innermost_generator(self):
+        """A workload client delegating to db code with ``yield from``:
+        the resume runs the db generator, so it is charged to db, not
+        to the client that delegated."""
+        namespace = {}
+        exec(compile("def commit(sim, pending):\n"
+                     "    event = sim.timeout(1e-4)\n"
+                     "    pending.append(event)\n"
+                     "    yield event\n",
+                     os.path.join("src", "repro", "db", "wal.py"),
+                     "exec"), namespace)
+        exec(compile("def client(sim, commit, pending):\n"
+                     "    yield from commit(sim, pending)\n",
+                     os.path.join("src", "repro", "workloads", "loadgen.py"),
+                     "exec"), namespace)
+        sim = Simulator()
+        profiler = SimProfiler().attach(sim)
+        pending = []
+        sim.process(namespace["client"](sim, namespace["commit"], pending))
+        while not pending:
+            sim.step()
+        assert profiler._classify(pending[0]) == ("db", "db.wal:commit")
+        sim.run()
+        assert profiler.steps == sim.processed_events
+        # The client's own start, then the resume inside commit.
+        assert profiler.target_events[
+            ("workload", "workloads.loadgen:client")] == 1
+        assert profiler.target_events[("db", "db.wal:commit")] == 1
+
     def test_layer_of_path(self):
         sep = __import__("os").sep
         assert layer_of_path(sep.join(

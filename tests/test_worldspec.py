@@ -188,6 +188,9 @@ class TestCli:
         ["validate", "--min-tracks", "abc", "x.json"],
         ["trace", "--out", "x.json"],
         ["profile", "figure5", "--speed"],
+        ["scaling", "--smoke"],
+        ["scaling", "--smoke", "--out", "BENCH_scaling.json"],
+        ["scaling", "--devices", "2"],
     ])
     def test_bad_flags_are_usage_errors(self, argv, capsys, no_simulation):
         with pytest.raises(SystemExit) as exit_info:
@@ -247,10 +250,8 @@ class TestNoSharedState:
 
     @staticmethod
     def _cell(**kwargs):
-        record = scaling.run_width(1, False, clients=8, ops_per_client=10,
-                                   **kwargs)
-        record.pop("wall_seconds")
-        return record
+        return scaling.run_width(1, False, clients=8, ops_per_client=10,
+                                 **kwargs)
 
     def test_benches_back_to_back_share_nothing(self):
         alone = self._cell()
