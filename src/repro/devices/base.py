@@ -217,8 +217,13 @@ class StorageDevice:
             with self.sim.telemetry.span("dev." + request.op, "device",
                                          device=self.name, lba=request.lba,
                                          nblocks=request.nblocks):
-                yield from self._entry_gate()
-                yield from self._gray_gate(request.op)
+                # Both gates pass straight through unless a reset or
+                # flush barrier is up or a gray-fault model is armed.
+                if self._resetting is not None \
+                        or self._flush_barrier is not None:
+                    yield from self._entry_gate()
+                if self.gray_faults is not None:
+                    yield from self._gray_gate(request.op)
                 request.submit_time = self.sim.now
                 self._on_command_start(request)
                 yield from self._transfer(request.nbytes)
@@ -336,12 +341,19 @@ class StorageDevice:
         for queued commands (otherwise a 32-deep NCQ could never exceed
         ~1/command_overhead IOPS, which contradicts Table 2).
         """
-        yield from self._link.acquire_guarded()
+        # Resource.acquire_guarded, inlined on this per-command path.
+        link = self._link
+        grant = link.acquire()
+        try:
+            yield grant
+        except BaseException:
+            link.cancel(grant)
+            raise
         try:
             yield self.sim.timeout(self.BUS_OVERHEAD +
                                    nbytes / self.link_bandwidth)
         finally:
-            self._link.release()
+            link.release()
         yield self.sim.timeout(self.command_overhead)
 
     # --- gray failures: abort and soft reset ---------------------------------

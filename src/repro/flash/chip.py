@@ -86,11 +86,18 @@ class FlashArray:
     # --- operations (generators to run under sim.process or yield from) --
     # Each operation returns True on success, False when the attached
     # fault model injected a transient failure (status-register error on
-    # real NAND).  The FTL owns the retry policy.
+    # real NAND).  The FTL owns the retry policy.  Program and read run
+    # once per NAND page, so they take their lane with
+    # Resource.acquire_guarded inlined: no generator frame per page.
     def program(self, ppn):
         """Program one NAND page; yields until the program completes."""
         lane = self._lane_resources[self.lane_of_page(ppn)]
-        yield from lane.acquire_guarded()
+        grant = lane.acquire()
+        try:
+            yield grant
+        except BaseException:
+            lane.cancel(grant)
+            raise
         try:
             record = InFlightProgram(ppn, self.sim.now,
                                      self.sim.now + self.timing.program)
@@ -118,7 +125,12 @@ class FlashArray:
         if nbytes is None:
             nbytes = self.geometry.page_size
         lane = self._lane_resources[self.lane_of_page(ppn)]
-        yield from lane.acquire_guarded()
+        grant = lane.acquire()
+        try:
+            yield grant
+        except BaseException:
+            lane.cancel(grant)
+            raise
         try:
             yield self.sim.timeout(self.timing.read_time(nbytes))
             self.counters["reads"] += 1

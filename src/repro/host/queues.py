@@ -142,7 +142,13 @@ class SataNcq(QueueModel):
                 jitter = self._rng.random() * self.device.command_overhead \
                     * self.reorder_window
                 yield self.sim.timeout(jitter)
-            yield from self._slots.acquire_guarded()
+            # Resource.acquire_guarded, inlined on this per-command path.
+            grant = self._slots.acquire()
+            try:
+                yield grant
+            except BaseException:
+                self._slots.cancel(grant)
+                raise
             self.max_observed_depth = max(self.max_observed_depth,
                                           self._slots.in_use)
             span.annotate(depth=self._slots.in_use)

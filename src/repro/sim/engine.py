@@ -14,6 +14,13 @@ due at the new instant move to the FIFO in schedule order, ahead of
 anything pushed from then on, so the two parts together fire exactly
 in ``(time, schedule order)``.
 
+The hot paths are written out inline: events, timeouts and processes
+push themselves onto the queue, and :meth:`Simulator.run` pops the
+entries due now without calling :meth:`Simulator.step`.  Both fall back
+to the methods while a :class:`~repro.sim.profiler.SimProfiler` (or any
+other hook on ``step``) is attached, so it still sees every push and
+every pop.  Neither changes which entries exist or their order.
+
 Example
 -------
 >>> sim = Simulator()
@@ -93,7 +100,11 @@ class Event:
         self._value = value
         self._ok = True
         self._state = _TRIGGERED
-        self.sim._push(self, delay)
+        sim = self.sim
+        if delay or sim._profiler is not None:
+            sim._push(self, delay)
+        else:
+            sim._queue.append(self)
         return self
 
     def fail(self, exception, delay=0.0):
@@ -131,14 +142,22 @@ class Timeout(Event):
     def __init__(self, sim, delay, value=None):
         if delay < 0:
             raise SimulationError("negative timeout: %r" % delay)
-        # Timeouts are the most common event: set the fields here rather
-        # than through Event.__init__.
+        # Timeouts are the most common event: set the fields and push
+        # here rather than through Event.__init__ and Simulator._push.
         self.sim = sim
         self.callbacks = []
         self._value = value
         self._ok = True
         self._state = _TRIGGERED
-        sim._push(self, delay)
+        if sim._profiler is not None:
+            sim._push(self, delay)
+            return
+        now = sim.now
+        when = now + delay
+        if when == now:
+            sim._queue.append(self)
+        else:
+            heappush(sim._heap, (when, next(sim._sequence), self))
 
 
 class Interrupted(Exception):
@@ -189,7 +208,10 @@ class Process(Event):
             else sim.telemetry._ambient
         # Start at the current instant (deterministically ordered).
         self._wake = _START
-        sim._push(self, 0.0)
+        if sim._profiler is None:
+            sim._queue.append(self)
+        else:
+            sim._push(self, 0.0)
 
     @property
     def is_alive(self):
@@ -240,7 +262,13 @@ class Process(Event):
             self._wake = None
             self._resume(wake)
         else:
-            Event._process(self)
+            # Finished: fire the waiters, as Event._process does.
+            self._state = _PROCESSED
+            callbacks = self.callbacks
+            if callbacks:
+                self.callbacks = []
+                for callback in callbacks:
+                    callback(self)
 
     def _throw(self, exception):
         sim = self.sim
@@ -271,19 +299,33 @@ class Process(Event):
                 else:
                     result = self._generator.throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                # self.succeed(stop.value), written out.
+                self._value = stop.value
+                self._state = _TRIGGERED
+                if sim._profiler is None:
+                    sim._queue.append(self)
+                else:
+                    sim._push(self, 0.0)
                 return
             except BaseException as exc:  # noqa: BLE001 - propagate into waiters
                 self._terminate(exc)
                 return
         finally:
             sim._active_process = previous
-        if isinstance(result, Event) and result._state != _PROCESSED:
+        if not isinstance(result, Event):
+            self._wait_on(result)
+        elif result._state != _PROCESSED:
             # The common case, inline: wait on an event yet to fire.
             result.callbacks.append(self._resume)
             self._waiting_on = result
         else:
-            self._wait_on(result)
+            # Already fired (an immediate resource grant, say): queue
+            # the process itself, as _wait_on does.
+            self._wake = result
+            if sim._profiler is None:
+                sim._queue.append(self)
+            else:
+                sim._push(self, 0.0)
 
     def _wait_on(self, result):
         if not isinstance(result, Event):
@@ -404,8 +446,9 @@ class Simulator:
         # registered, so the common path pays one None check per step.
         self._tick = None
         # Self-profiler seam: a SimProfiler attaches by *replacing*
-        # step/_push with instance-level overrides, so an unprofiled
-        # simulator runs the untouched class methods — zero overhead.
+        # step/_push with instance-level overrides.  The kernel pushes
+        # inline and run() pops inline until one is attached; from then
+        # on every push goes through _push and every pop through step.
         self._profiler = None
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry(enabled=False)
@@ -497,6 +540,13 @@ class Simulator:
         self.processed_events += 1
         event._process()
 
+    def _pops_inline(self):
+        """True while :meth:`step` is the kernel's own: run loops may
+        then pop entries due now themselves.  A hooked step (the
+        profiler's instance override, a tracer's class patch) must see
+        every entry, so the loops call it for each one."""
+        return getattr(self.step, "__func__", None) is _STEP
+
     def run(self, until=None):
         """Run until the queue drains or the clock passes ``until``.
 
@@ -512,9 +562,16 @@ class Simulator:
         step = self.step
         queue = self._queue
         heap = self._heap
+        inline = self._pops_inline()
         try:
             while queue or heap:
-                if until is not None and not queue and heap[0][0] > until:
+                if queue:
+                    if inline:
+                        # step() on a non-empty FIFO, minus the call.
+                        self.processed_events += 1
+                        queue.popleft()._process()
+                        continue
+                elif until is not None and heap[0][0] > until:
                     if self._tick is not None and until > self.now:
                         self._tick(until)
                     self.now = until
@@ -538,11 +595,16 @@ class Simulator:
         step = self.step
         queue = self._queue
         heap = self._heap
+        inline = self._pops_inline()
         try:
             while event._state != _PROCESSED:
-                if not (queue or heap):
+                if queue and inline:
+                    self.processed_events += 1
+                    queue.popleft()._process()
+                elif queue or heap:
+                    step()
+                else:
                     raise SimulationError("queue drained before the event fired")
-                step()
         except StopSimulation:
             self._stopped = True
             return
@@ -553,3 +615,8 @@ class Simulator:
     def stopped(self):
         """True when the last run() was halted by StopSimulation."""
         return self._stopped
+
+
+#: The kernel's own step, which :meth:`Simulator._pops_inline` compares
+#: the bound step against.
+_STEP = Simulator.step

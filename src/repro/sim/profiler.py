@@ -8,13 +8,18 @@ and to the concrete callback targets (the generator or function each
 event resumes), so "the DES runs 4x slower than real time" becomes
 "62% of the wall clock is WAL-writer resumes in the db layer".
 
-Zero overhead when off
-----------------------
+Near-zero overhead when off
+---------------------------
 Attaching installs *instance-level* overrides of ``Simulator.step`` and
-``Simulator._push``; a simulator that never attaches a profiler runs
-the untouched class methods — not even a ``None`` check rides the hot
-path.  The overrides wrap the class methods rather than copy them, so
-the engine stays the only code that picks the next event.  The profiler
+``Simulator._push``.  A simulator without one pushes and pops its
+entries inline: the kernel's push sites pay one ``_profiler is None``
+check, and ``run``/``run_until`` pop entries due now without calling
+``step``.  Once the profiler is attached, every push goes through
+``_push`` (so push counts per event class are exact) and the run loops
+hand every entry to ``step``, since they pop inline only while ``step``
+is the class's own.  The overrides wrap the class methods rather than
+copy them, so the engine stays the only code that picks the next event.
+The profiler
 measures only host wall time and never touches the event queue, the
 clock or any randomness, so a profiled run's simulated
 results (ops, TPS, telemetry export) are byte-identical to an
@@ -151,7 +156,7 @@ class SimProfiler:
         #: wall seconds / popped events per event class name
         self.event_type_wall = {}
         self.event_type_count = {}
-        #: events *scheduled* (heap pushes) per event class name
+        #: events *scheduled* (queue pushes) per event class name
         self.push_count = {}
         #: wall seconds inside the telemetry tick (probes + metrics)
         self.tick_wall = 0.0

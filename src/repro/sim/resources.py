@@ -7,7 +7,7 @@ items), and a :class:`Mutex` convenience wrapper.
 
 from collections import deque
 
-from .engine import Event, SimulationError
+from .engine import _PROCESSED, Event, SimulationError
 
 
 class Resource:
@@ -29,6 +29,12 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters = deque()
+        # What acquire() returns on a free unit: an already-processed
+        # event whose value is the resource.  Yielding it queues the
+        # acquirer at once, where a fresh grant event would have gone.
+        self._grant = Event(sim)
+        self._grant._value = self
+        self._grant._state = _PROCESSED
 
     @property
     def in_use(self):
@@ -39,13 +45,17 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self):
-        """Return an event that fires when a unit is granted."""
-        event = Event(self.sim)
+        """Return an event that fires when a unit is granted.
+
+        Yield it at once: a free unit is granted on the spot, as an
+        already-processed event, so the acquirer resumes in the same
+        schedule slot a fresh grant event would have fired in.
+        """
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
+            return self._grant
+        event = Event(self.sim)
+        self._waiters.append(event)
         return event
 
     def release(self):

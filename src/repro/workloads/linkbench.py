@@ -11,6 +11,8 @@ transactions per second plus per-operation latency distributions
 (mean/P25/P50/P75/P99/max, Table 3).
 """
 
+from itertools import accumulate
+
 from ..sim import LatencyRecorder, ThroughputMeter
 from ..sim.resources import Resource
 from ..sim.rng import ZipfGenerator, make_rng
@@ -130,7 +132,10 @@ class LinkBenchWorkload:
                                               LINK_ROW_BYTES)
         self.count_table = engine.create_table("count", n_nodes,
                                                COUNT_ROW_BYTES)
-        self._weights = [weight for _n, weight, _k in OPERATION_MIX]
+        # random.choices accumulates its weights on every call; passing
+        # them accumulated once draws the same values.
+        self._cum_weights = list(accumulate(
+            weight for _n, weight, _k in OPERATION_MIX))
         self._kinds = {name: kind for name, _w, kind in OPERATION_MIX}
         metrics = engine.sim.telemetry.metrics
         self._op_counter = metrics.counter("workload.ops")
@@ -145,9 +150,10 @@ class LinkBenchWorkload:
         page-touch distribution."""
         sampler = NodeSampler(self.config, rng)
         tables = [self.node_table, self.link_table, self.count_table]
+        cum_weights = list(accumulate([20, 70, 10]))
         while True:
             node = sampler.next()
-            table = rng.choices(tables, weights=[20, 70, 10])[0]
+            table = rng.choices(tables, cum_weights=cum_weights)[0]
             if table is self.link_table:
                 yield table, min(node * LINKS_PER_NODE,
                                  table.n_rows - 1)
@@ -241,7 +247,7 @@ class LinkBenchWorkload:
                 if i == warmup_ops and index == 0:
                     result.meter.start_window(sim.now)
                     misses_at_start.update(self.engine.pool.stats)
-                name = rng.choices(names, weights=self._weights)[0]
+                name = rng.choices(names, cum_weights=self._cum_weights)[0]
                 if self._kinds[name] == "write":
                     node = write_sampler.next()
                 else:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Store
+from repro.devices import WRITE, IORequest, make_durassd
+from repro.flash import FlashArray, FlashGeometry, FlashTiming
+from repro.host import SataNcq
+from repro.sim import Interrupted, Resource, SimulationError, Store, units
 
 from conftest import run_process
 
@@ -117,3 +120,121 @@ class TestStore:
         store.put("y")
         assert len(store) == 2
         assert store.peek_all() == ["x", "y"]
+
+
+class TestImmediateGrant:
+    """A free unit is granted on the spot: ``acquire()`` returns an
+    already-processed event, and yielding it queues the acquirer where
+    a fresh grant event would have fired."""
+
+    def test_uncontended_acquire_is_a_processed_grant(self, sim):
+        resource = Resource(sim, capacity=2)
+        grant = resource.acquire()
+        assert grant.processed and grant.triggered and grant.ok
+        assert grant.value is resource
+        assert resource.in_use == 1
+        waiter = Resource(sim, capacity=1)
+        waiter.acquire()
+        queued = waiter.acquire()
+        assert not queued.triggered
+
+    def test_grant_resumes_in_schedule_order(self, sim):
+        """The grant wake goes behind everything already due now."""
+        resource = Resource(sim, capacity=1)
+        log = []
+
+        def early():
+            log.append("early")
+            yield sim.timeout(0.0)
+
+        def acquirer():
+            sim.process(early())
+            value = yield resource.acquire()
+            log.append(("granted", value is resource))
+            resource.release()
+
+        run_process(sim, acquirer())
+        assert log == ["early", ("granted", True)]
+
+
+def _flash(op):
+    def start(sim):
+        array = FlashArray(sim, FlashGeometry(), FlashTiming(), lanes=2)
+        return (getattr(array, op)(3),
+                array._lane_resources[array.lane_of_page(3)])
+    return start
+
+
+def _guarded(sim):
+    resource = Resource(sim, capacity=1)
+    return resource.acquire_guarded(), resource
+
+
+def _link(sim):
+    device = make_durassd(sim)
+    return device._transfer(4 * units.KIB), device._link
+
+
+def _ncq_slot(sim):
+    queue = SataNcq(sim, make_durassd(sim), depth=1)
+    request = IORequest(WRITE, 0, 1, payload=["x"])
+    return queue._dispatch(request), queue._slots
+
+
+#: every guarded acquire: the generator and the inlined per-command ones
+ACQUIRERS = {
+    "acquire_guarded": _guarded,
+    "device link": _link,
+    "ncq slot": _ncq_slot,
+    "flash program": _flash("program"),
+    "flash read": _flash("read"),
+}
+
+
+class TestGuardedAcquireUnderInterrupt:
+    """An interrupted acquirer gives its unit back exactly once, whether
+    it was granted (its grant's wake still queued) or still waiting
+    (then it only leaves the queue: the holder and the waiters ahead of
+    it keep their places)."""
+
+    @pytest.mark.parametrize("name", sorted(ACQUIRERS))
+    @pytest.mark.parametrize("contended", [False, True])
+    def test_unit_released_once_and_next_waiter_served(self, sim, name,
+                                                        contended):
+        acquirer, resource = ACQUIRERS[name](sim)
+        outcome, granted = [], []
+
+        def blocker():
+            yield resource.acquire()
+            yield sim.timeout(0.5)
+            resource.release()
+
+        def user(delay):
+            if delay:
+                yield sim.timeout(delay)
+            yield from resource.acquire_guarded()
+            granted.append(sim.now)
+            yield sim.timeout(0.1)
+            resource.release()
+
+        def victim():
+            try:
+                yield from acquirer
+            except Interrupted:
+                outcome.append((sim.now, "interrupted"))
+
+        def interrupter(process):
+            # Runs after the victim's start, before its grant wakes it.
+            process.interrupt("abort")
+            yield sim.timeout(0.0)
+
+        if contended:
+            sim.process(blocker())
+            sim.process(user(0.0))  # queued ahead of the victim
+        process = sim.process(victim())
+        sim.process(interrupter(process))
+        sim.process(user(1.0))
+        sim.run()
+        assert outcome == [(0.0, "interrupted")]
+        assert granted == ([0.5, 1.0] if contended else [1.0])
+        assert resource.in_use == 0 and resource.queue_length == 0
