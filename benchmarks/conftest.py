@@ -1,8 +1,10 @@
 """Benchmark-suite configuration.
 
-Every benchmark regenerates one table or figure of the paper and prints
-it (run pytest with ``-s`` to see the tables inline; they are also
-written to ``benchmarks/output/``).  Set ``REPRO_QUICK=1`` for a fast
+Every benchmark regenerates one registered table of the paper
+(:data:`repro.bench.TABLES`) with :func:`regenerate`, the same call
+``python -m repro <experiment>`` makes, and prints it (run pytest with
+``-s`` to see the tables inline; they are also written to
+``benchmarks/output/``).  Set ``REPRO_QUICK=1`` for a fast
 smoke pass and ``REPRO_SCALE`` to trade fidelity for wall-clock.
 
 Only a full-scale run (``REPRO_QUICK`` unset, ``REPRO_SCALE`` at its
@@ -37,3 +39,14 @@ def emit(name, text):
     path = os.path.join(directory, name + ".txt")
     with open(path, "w") as handle:
         handle.write(text + "\n")
+
+
+def regenerate(benchmark, stem, **kwargs):
+    """Run the registered table ``stem`` once under ``benchmark``, emit
+    its text and return its results for the claim assertions."""
+    from repro.bench import TABLES
+    table = TABLES[stem]
+    results = benchmark.pedantic(table.run, kwargs=kwargs, rounds=1,
+                                 iterations=1)
+    emit(stem, table.render(results))
+    return results

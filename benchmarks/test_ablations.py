@@ -1,15 +1,10 @@
 """Ablation benches: lifetime, capacitors, mapping granularity, flush."""
 
-from repro.bench import ablations
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_write_amplification(benchmark):
-    results = benchmark.pedantic(ablations.run_write_amplification,
-                                 rounds=1, iterations=1)
-    emit("ablation_write_amplification",
-         ablations.format_write_amplification(results))
+    results = regenerate(benchmark, "ablation_write_amplification")
     default = results[0]["bytes_per_flush"]
     best = results[-1]["bytes_per_flush"]
     # paper: data written to flash reduced by more than 50%
@@ -17,9 +12,7 @@ def test_write_amplification(benchmark):
 
 
 def test_capacitor_budget(benchmark):
-    results = benchmark.pedantic(ablations.run_capacitor_sweep,
-                                 rounds=1, iterations=1)
-    emit("ablation_capacitors", ablations.format_capacitor_sweep(results))
+    results = regenerate(benchmark, "ablation_capacitors")
     # the full bank loses nothing; flow control keeps any bank safe,
     # but a bank of zero capacitors cannot dump at all
     assert results[-1]["lost"] == 0
@@ -27,9 +20,7 @@ def test_capacitor_budget(benchmark):
 
 
 def test_mapping_granularity(benchmark):
-    results = benchmark.pedantic(ablations.run_mapping_granularity,
-                                 rounds=1, iterations=1)
-    emit("ablation_mapping", ablations.format_mapping_granularity(results))
+    results = regenerate(benchmark, "ablation_mapping")
     # pairing roughly doubles the sustained 4KB write rate
     assert results[0]["iops"] > 1.5 * results[1]["iops"]
     # at the cost of ~2x the mapping entries
@@ -37,9 +28,7 @@ def test_mapping_granularity(benchmark):
 
 
 def test_flush_semantics(benchmark):
-    results = benchmark.pedantic(ablations.run_flush_semantics,
-                                 rounds=1, iterations=1)
-    emit("ablation_flush", ablations.format_flush_semantics(results))
+    results = regenerate(benchmark, "ablation_flush")
     flush, ordered, unordered = [r["iops"] for r in results]
     # removing the flush recovers two orders of magnitude
     assert ordered > 20 * flush
@@ -48,10 +37,7 @@ def test_flush_semantics(benchmark):
 
 
 def test_atomicity_mechanisms(benchmark):
-    from repro.bench import atomicity
-
-    results = benchmark.pedantic(atomicity.run, rounds=1, iterations=1)
-    emit("ablation_atomicity", atomicity.format_table(results))
+    results = regenerate(benchmark, "ablation_atomicity")
     by_label = {label: r for label, r in results}
     dwb = by_label["InnoDB doublewrite (SSD, barriers)"]
     fusion = by_label["FusionIO atomic writes, no DWB (barriers)"]
@@ -60,17 +46,16 @@ def test_atomicity_mechanisms(benchmark):
     # cites ~40%); DuraSSD beats both by removing the barriers as well
     assert fusion["tps"] > 1.1 * dwb["tps"]
     assert durassd["tps"] > 2 * fusion["tps"]
-    sqlite_rows = atomicity.run_sqlite_comparison(txns=150)
-    emit("ablation_sqlite", atomicity.format_sqlite_table(sqlite_rows))
-    classic, nobarrier, journal_off = [r["tps"] for r in sqlite_rows]
+
+
+def test_sqlite_journal(benchmark):
+    results = regenerate(benchmark, "ablation_sqlite")
+    classic, nobarrier, journal_off = [r["tps"] for r in results]
     assert journal_off > nobarrier > classic
 
 
 def test_victim_policy(benchmark):
-    results = benchmark.pedantic(ablations.run_victim_policies,
-                                 rounds=1, iterations=1)
-    emit("ablation_victim_policy",
-         ablations.format_victim_policies(results))
+    results = regenerate(benchmark, "ablation_victim_policy")
     greedy, cost_benefit = results
     # both reclaim space under churn
     assert greedy["gc_runs"] > 0 and cost_benefit["gc_runs"] > 0

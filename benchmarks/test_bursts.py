@@ -1,16 +1,14 @@
 """Write-burst absorption / tail tolerance (Sections 2.3, 4.3.1)."""
 
-from repro.bench import bursts, setups
+from repro.bench import setups
 from repro.telemetry import Telemetry
 
-from conftest import emit
+from conftest import regenerate
 
 
 def test_burst_absorption(benchmark):
     telemetry = Telemetry(enabled=True)
-    results = benchmark.pedantic(bursts.run, kwargs={"telemetry": telemetry},
-                                 rounds=1, iterations=1)
-    emit("bursts", bursts.format_table(results))
+    results = regenerate(benchmark, "bursts", telemetry=telemetry)
     safe_slow = results[0][1]
     durassd = results[2][1]
     # the durable cache absorbs the burst at cache speed

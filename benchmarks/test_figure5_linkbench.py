@@ -1,13 +1,10 @@
 """Regenerates Figure 5: LinkBench TPS across barrier/doublewrite/page size."""
 
-from repro.bench import figure5
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_figure5(benchmark):
-    results = benchmark.pedantic(figure5.run, rounds=1, iterations=1)
-    emit("figure5", figure5.format_table(results))
+    results = regenerate(benchmark, "figure5")
     tps = {key: [r.tps for r in row] for key, row in results.items()}
     # barriers are the dominant knob (paper: ~6x; our barrier-on runs
     # are ~2x faster than the paper's at 4KB, see EXPERIMENTS.md)

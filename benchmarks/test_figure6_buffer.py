@@ -1,14 +1,12 @@
 """Regenerates Figure 6: buffer miss ratio and TPS vs pool size."""
 
-from repro.bench import figure6
 from repro.sim import units
 
-from conftest import emit
+from conftest import regenerate
 
 
 def test_figure6(benchmark):
-    results = benchmark.pedantic(figure6.run, rounds=1, iterations=1)
-    emit("figure6", figure6.format_table(results))
+    results = regenerate(benchmark, "figure6")
     for page_size, series in results.items():
         misses = [m for m, _t in series]
         # miss ratio falls monotonically-ish with buffer size

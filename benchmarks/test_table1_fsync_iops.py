@@ -1,13 +1,10 @@
 """Regenerates Table 1: fsync/flush-cache effect on 4KB random-write IOPS."""
 
-from repro.bench import table1
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_table1(benchmark):
-    results = benchmark.pedantic(table1.run, rounds=1, iterations=1)
-    emit("table1", table1.format_table(results))
+    results = regenerate(benchmark, "table1")
     # shape assertions: the relationships the paper calls out
     durassd_on = results[("durassd", "on")]
     durassd_nb = results[("durassd", "nobarrier")]

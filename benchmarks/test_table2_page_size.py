@@ -1,13 +1,10 @@
 """Regenerates Table 2: page-size effect on IOPS (DuraSSD vs HDD)."""
 
-from repro.bench import table2
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_table2(benchmark):
-    results = benchmark.pedantic(table2.run, rounds=1, iterations=1)
-    emit("table2", table2.format_table(results))
+    results = regenerate(benchmark, "table2")
     durassd = results["durassd"]
     hdd = results["hdd"]
     # 4KB beats 16KB by ~3x when fsyncs are rare / absent

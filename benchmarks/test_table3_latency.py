@@ -1,13 +1,10 @@
 """Regenerates Table 3: LinkBench latency distributions, default vs best."""
 
-from repro.bench import table3
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_table3(benchmark):
-    default, best = benchmark.pedantic(table3.run, rounds=1, iterations=1)
-    emit("table3", table3.format_table(default, best))
+    default, best = regenerate(benchmark, "table3")
     # means improve substantially for both reads and writes
     assert default.reads.mean > 3 * best.reads.mean
     assert default.writes.mean > 2 * best.writes.mean

@@ -1,13 +1,10 @@
 """Regenerates Table 4: TPC-C tpmC on the commercial engine."""
 
-from repro.bench import table4
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_table4(benchmark):
-    results = benchmark.pedantic(table4.run, rounds=1, iterations=1)
-    emit("table4", table4.format_table(results))
+    results = regenerate(benchmark, "table4")
     on = [r.tpmc for r in results[True]]
     off = [r.tpmc for r in results[False]]
     # turning barriers off multiplies throughput (paper: 15.3-22.8x)

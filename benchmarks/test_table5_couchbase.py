@@ -1,13 +1,10 @@
 """Regenerates Table 5: Couchbase YCSB throughput vs fsync batch size."""
 
-from repro.bench import table5
-
-from conftest import emit
+from conftest import regenerate
 
 
 def test_table5(benchmark):
-    results = benchmark.pedantic(table5.run, rounds=1, iterations=1)
-    emit("table5", table5.format_table(results))
+    results = regenerate(benchmark, "table5")
     on_100 = results[(True, 1.0)]
     off_100 = results[(False, 1.0)]
     # batch-1 vs batch-100 gap: huge with barriers (paper >20x) ...

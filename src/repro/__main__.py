@@ -67,24 +67,15 @@ import json
 import sys
 
 from .bench import (
-    ablations,
-    atomicity,
-    bursts,
+    EXPERIMENTS,
     chaos,
     explain,
     failover,
-    figure5,
-    figure6,
     integrity,
     monitor,
     profile,
     regress,
     scaling,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
     torture,
     tracing,
 )
@@ -96,27 +87,10 @@ from .failures.torture import ENGINES
 from .host.queues import INTERFACES, QueueTopology
 from .telemetry import validate
 
-EXPERIMENTS = {
-    "table1": ("Table 1: fsync/flush-cache vs 4KB write IOPS",
-               table1.main),
-    "table2": ("Table 2: page size vs IOPS", table2.main),
-    "figure5": ("Figure 5: LinkBench TPS across configurations",
-                figure5.main),
-    "figure6": ("Figure 6: miss ratio / TPS vs buffer size",
-                figure6.main),
-    "table3": ("Table 3: LinkBench latency distributions", table3.main),
-    "table4": ("Table 4: TPC-C tpmC", table4.main),
-    "table5": ("Table 5: Couchbase YCSB vs fsync batch", table5.main),
-    "ablations": ("Ablations: lifetime, capacitors, mapping, flush",
-                  ablations.main),
-    "atomicity": ("Atomic-write mechanism comparison", atomicity.main),
-    "bursts": ("Write-burst absorption / tail tolerance", bursts.main),
-}
+#: the experiments, in ``all``'s order (see :data:`repro.bench.EXPERIMENTS`)
+ORDER = list(EXPERIMENTS)
 
-ORDER = ["table1", "table2", "figure5", "figure6", "table3", "table4",
-         "table5", "ablations", "atomicity", "bursts"]
-
-#: experiments whose main() accepts a telemetry hub (--telemetry flag)
+#: experiments whose run takes a telemetry hub (--telemetry flag)
 TELEMETRY_CAPABLE = frozenset(tracing.SCENARIOS)
 
 #: the world flags' dests; every other option a world command parses is
@@ -463,20 +437,25 @@ def _emit(target, worlds):
 
 
 def _run_bench(name, args, spec):
+    """Print the experiment's tables, each ``render(run(...))`` exactly
+    as committed, separated by blank lines."""
     worlds = []
-    run = EXPERIMENTS[name][1]
+    options = {"spec": spec, "worlds": worlds}
+    telemetry = None
     if getattr(args, "telemetry", False):
         from .telemetry import Telemetry
-        telemetry = Telemetry(enabled=True)
-        run(telemetry=telemetry, spec=spec, worlds=worlds)
+        telemetry = options["telemetry"] = Telemetry(enabled=True)
+    for index, table in enumerate(EXPERIMENTS[name].tables):
+        if index:
+            print()
+        print(table.render(table.run(**options)))
+    if telemetry is not None:
         out = args.out or "%s-trace.json" % name
         telemetry.write_chrome_trace(out)
         print("\nchrome trace of the representative %s run: %s "
               "(%d events, tracks: %s)"
               % (name, out, len(telemetry.events),
                  ", ".join(telemetry.tracks())))
-    else:
-        run(spec=spec, worlds=worlds)
     _emit(name, worlds)
 
 
@@ -504,7 +483,7 @@ def main(argv=None):
         print("experiments:")
         for name in ORDER:
             flag = " [--telemetry]" if name in TELEMETRY_CAPABLE else ""
-            print("  %-10s %s%s" % (name, EXPERIMENTS[name][0], flag))
+            print("  %-10s %s%s" % (name, EXPERIMENTS[name].title, flag))
         return 0
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -525,7 +504,7 @@ def main(argv=None):
     if command == "all":
         for name in ORDER:
             print("=" * 70)
-            print("== %s" % EXPERIMENTS[name][0])
+            print("== %s" % EXPERIMENTS[name].title)
             print("=" * 70)
             _run_bench(name, args, spec)
             print()

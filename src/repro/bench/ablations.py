@@ -231,20 +231,3 @@ def format_victim_policies(results):
             for r in results]
     return render_table(
         "Ablation: GC victim policy under hot/cold skew", headers, rows)
-
-
-def main(spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_write_amplification(
-        run_write_amplification(spec=spec, worlds=worlds)))
-    print()
-    print(format_capacitor_sweep(run_capacitor_sweep(spec=spec,
-                                                     worlds=worlds)))
-    print()
-    print(format_mapping_granularity(
-        run_mapping_granularity(spec=spec, worlds=worlds)))
-    print()
-    print(format_flush_semantics(run_flush_semantics(spec=spec,
-                                                     worlds=worlds)))
-    print()
-    print(format_victim_policies(run_victim_policies(spec=spec,
-                                                     worlds=worlds)))

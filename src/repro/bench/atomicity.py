@@ -133,10 +133,3 @@ def format_sqlite_table(results):
     rows = [[r["label"], round(r["tps"]), r["barriers"],
              r["journal_pages"]] for r in results]
     return render_table("Embedded-engine journal cost", headers, rows)
-
-
-def main(spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_table(run(spec=spec, worlds=worlds)))
-    print()
-    print(format_sqlite_table(run_sqlite_comparison(spec=spec,
-                                                    worlds=worlds)))

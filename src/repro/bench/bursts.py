@@ -113,7 +113,3 @@ def format_table(results):
                                                 durassd["burst_seconds"]),
                safe_slow["read_p99_ms"] / max(1e-9, durassd["read_p99_ms"])))
     return table + note
-
-
-def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_table(run(telemetry=telemetry, spec=spec, worlds=worlds)))

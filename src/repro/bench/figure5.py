@@ -10,7 +10,7 @@ buys ~6x, dropping the double-write buffer buys ~2x (barriers on) or
 from ..sim import units
 from ..workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 from . import setups
-from .tableio import render_table
+from .tableio import render_grid
 
 PAGE_SIZES = (16 * units.KIB, 8 * units.KIB, 4 * units.KIB)
 CONFIGS = [  # (barrier, doublewrite)
@@ -63,29 +63,21 @@ def run(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
     return results
 
 
+def _label(config):
+    return "/".join("ON" if knob else "OFF" for knob in config)
+
+
 def format_table(results):
     headers = ["barrier/dwb", "16KB", "8KB", "4KB"]
-    rows = []
-    for key in CONFIGS:
-        label = "%s/%s" % ("ON" if key[0] else "OFF",
-                           "ON" if key[1] else "OFF")
-        rows.append([label] + [round(r.tps) for r in results[key]])
-        rows.append(["  (paper~)"] + list(PAPER_APPROX[key]))
+    table = render_grid(
+        "Figure 5: LinkBench transactions per second", headers,
+        [(_label(key), [r.tps for r in results[key]], PAPER_APPROX[key])
+         for key in CONFIGS], paper="(paper~)")
     best = max(r.tps for row in results.values() for r in row)
     worst = min(r.tps for row in results.values() for r in row)
-    table = render_table(
-        "Figure 5: LinkBench transactions per second", headers, rows)
     from .charts import render_grouped_bars
-    series = {}
-    for key in CONFIGS:
-        label = "%s/%s" % ("ON" if key[0] else "OFF",
-                           "ON" if key[1] else "OFF")
-        series[label] = [r.tps for r in results[key]]
-    chart = render_grouped_bars("\nFigure 5 as bars (TPS):",
-                                ["16KB", "8KB", "4KB"], series)
+    chart = render_grouped_bars(
+        "\nFigure 5 as bars (TPS):", ["16KB", "8KB", "4KB"],
+        {_label(key): [r.tps for r in results[key]] for key in CONFIGS})
     return table + ("\nbest/worst gap: %.1fx (paper: >20x)\n"
                     % (best / worst)) + chart
-
-
-def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_table(run(telemetry, spec, worlds)))

@@ -9,7 +9,7 @@ page sizes widens with the pool, with no saturation.
 from ..sim import units
 from . import setups
 from .figure5 import run_config
-from .tableio import render_table
+from .tableio import render_grid
 
 PAGE_SIZES = (16 * units.KIB, 8 * units.KIB, 4 * units.KIB)
 BUFFER_GB = (2, 4, 6, 8, 10)
@@ -43,28 +43,18 @@ def run(spec=setups.DEFAULT_SPEC, worlds=None):
 
 def format_table(results):
     headers = ["page size"] + ["%dGB" % gb for gb in BUFFER_GB]
-    miss_rows, tps_rows = [], []
-    for page_size in PAGE_SIZES:
-        label = "%dKB" % (page_size // units.KIB)
-        series = results[page_size]
-        miss_rows.append([label] + ["%.1f%%" % (100 * m)
-                                    for m, _t in series])
-        miss_rows.append(["  (paper~)"] + ["%.1f%%" % v for v in
-                                           PAPER_MISS_APPROX[page_size]])
-        tps_rows.append([label] + [round(t) for _m, t in series])
-        tps_rows.append(["  (paper~)"] + list(PAPER_TPS_APPROX[page_size]))
-    part_a = render_table("Figure 6(a): buffer miss ratio (OFF/OFF)",
-                          headers, miss_rows)
-    part_b = render_table("Figure 6(b): TPS vs buffer pool size (OFF/OFF)",
-                          headers, tps_rows)
+    labels = {ps: "%dKB" % (ps // units.KIB) for ps in PAGE_SIZES}
+    miss = {ps: [100 * m for m, _t in results[ps]] for ps in PAGE_SIZES}
+    part_a = render_grid(
+        "Figure 6(a): buffer miss ratio (OFF/OFF)", headers,
+        [(labels[ps], miss[ps], PAPER_MISS_APPROX[ps]) for ps in PAGE_SIZES],
+        paper="(paper~)", cell=lambda value: "%.1f%%" % value)
+    part_b = render_grid(
+        "Figure 6(b): TPS vs buffer pool size (OFF/OFF)", headers,
+        [(labels[ps], [t for _m, t in results[ps]], PAPER_TPS_APPROX[ps])
+         for ps in PAGE_SIZES], paper="(paper~)")
     from .charts import render_line_chart
-    miss_series = {"%dKB" % (ps // units.KIB):
-                   [100 * m for m, _t in results[ps]]
-                   for ps in PAGE_SIZES}
-    chart = render_line_chart("\nFigure 6(a) as lines (miss %):",
-                              list(BUFFER_GB), miss_series)
+    chart = render_line_chart(
+        "\nFigure 6(a) as lines (miss %):", list(BUFFER_GB),
+        {labels[ps]: miss[ps] for ps in PAGE_SIZES})
     return part_a + "\n\n" + part_b + "\n" + chart
-
-
-def main(spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_table(run(spec, worlds)))

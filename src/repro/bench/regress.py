@@ -82,7 +82,8 @@ def compare(baseline, fresh, tps_tol=TPS_TOLERANCE, p99_tol=P99_TOLERANCE):
 
 
 def run_fresh(baseline, smoke=False, spec=setups.DEFAULT_SPEC, worlds=None):
-    """Re-run the configurations the baseline records under ``spec``.
+    """Re-run the baseline's sweep under ``spec``; ``smoke`` runs width 1
+    only, with no ablation and no interface cells.
 
     Operation counts are pinned to the baseline's (never quick-scaled):
     TPS and p99 are only comparable at identical work.
@@ -92,54 +93,15 @@ def run_fresh(baseline, smoke=False, spec=setups.DEFAULT_SPEC, worlds=None):
             "REPRO_SCALE=%d does not match baseline scale_factor=%s; "
             "the gate would diff incomparable worlds"
             % (setups.scale_factor(), baseline.get("scale_factor")))
-    ops = baseline.get("ops_per_client", DEFAULT_OPS)
     widths = sorted({r["width"] for r in baseline.get("throughput", ())})
+    sq_counts = tuple(r["sq"] for r in baseline.get("interfaces", ())
+                      if r["interface"] == "nvme")
     if smoke:
-        widths = widths[:1]
-    throughput = []
-    for label, barriers in scaling.MODES:
-        for width in widths:
-            record = scaling.run_width(width, barriers,
-                                       ops_per_client=ops, spec=spec,
-                                       worlds=worlds)
-            throughput.append(record)
-            print("  ran %-13s width=%d  %8.0f tps  p99=%.2fms"
-                  % (label, width, record["tps"],
-                     record["p99_write_s"] * 1e3))
-    placement = []
-    mirroring = []
-    if not smoke:
-        for base_rec in baseline.get("log_placement", ()):
-            record = scaling.run_placement(
-                base_rec["config"] == "colocated",
-                width=base_rec["width"], ops_per_client=ops, spec=spec,
-                worlds=worlds)
-            placement.append(record)
-            print("  ran log %-10s width=%d  %8.0f tps  p99=%.2fms"
-                  % (record["config"], record["width"], record["tps"],
-                     record["p99_write_s"] * 1e3))
-        for base_rec in baseline.get("mirroring", ()):
-            record = scaling.run_mirror(
-                base_rec["mirror"],
-                barriers=base_rec["mode"] == "flush-cache",
-                ops_per_client=ops, spec=spec, worlds=worlds)
-            mirroring.append(record)
-            print("  ran mirror=%d      %8.0f tps  p99=%.2fms"
-                  % (record["mirror"], record["tps"],
-                     record["p99_write_s"] * 1e3))
-    interfaces = []
-    if not smoke:
-        for base_rec in baseline.get("interfaces", ()):
-            record = scaling.run_interface(
-                base_rec["interface"], base_rec["sq"],
-                barriers=base_rec["mode"] == "flush-cache",
-                ops_per_client=ops, spec=spec, worlds=worlds)
-            interfaces.append(record)
-            print("  ran %-5s sq=%d     %8.0f tps  p99=%.2fms"
-                  % (record["interface"], record["sq"], record["tps"],
-                     record["p99_write_s"] * 1e3))
-    return {"throughput": throughput, "log_placement": placement,
-            "mirroring": mirroring, "interfaces": interfaces}
+        widths, sq_counts = widths[:1], ()
+    return scaling.run_all(
+        widths=widths, ablation=not smoke, sq_counts=sq_counts,
+        ops_per_client=baseline.get("ops_per_client", DEFAULT_OPS),
+        spec=spec, worlds=worlds)
 
 
 def format_rows(rows):

@@ -8,7 +8,7 @@ with the fio tool at queue depth 1, exactly as the paper does.
 from ..host import FileSystem, FioJob, run_fio
 from ..sim import units
 from . import setups
-from .tableio import render_table
+from .tableio import render_grid
 
 FSYNC_PERIODS = (1, 4, 8, 16, 32, 64, 128, 256, 0)
 
@@ -88,13 +88,6 @@ def run(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
 def format_table(results):
     headers = (["device/cache"]
                + [str(p) if p else "none" for p in FSYNC_PERIODS])
-    rows = []
-    for key in ROWS:
-        rows.append(["%s %s" % key] + [round(v) for v in results[key]])
-        rows.append(["  (paper)"] + list(PAPER[key]))
-    return render_table(
-        "Table 1: 4KB random-write IOPS vs writes-per-fsync", headers, rows)
-
-
-def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_table(run(telemetry, spec, worlds)))
+    return render_grid(
+        "Table 1: 4KB random-write IOPS vs writes-per-fsync", headers,
+        [("%s %s" % key, results[key], PAPER[key]) for key in ROWS])

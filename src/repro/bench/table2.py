@@ -8,7 +8,7 @@ write-only at 128 threads.  Page sizes 16/8/4KB.
 from ..host import FileSystem, FioJob, run_fio
 from ..sim import units
 from . import setups
-from .tableio import render_table
+from .tableio import render_grid
 
 PAGE_SIZES = (16 * units.KIB, 8 * units.KIB, 4 * units.KIB)
 
@@ -61,18 +61,10 @@ def run(spec=setups.DEFAULT_SPEC, worlds=None):
 
 def format_table(results):
     headers = ["workload", "16KB", "8KB", "4KB"]
-    out = []
-    for section, paper in (("durassd", PAPER_DURASSD), ("hdd", PAPER_HDD)):
-        rows = []
-        for label, values in results[section].items():
-            rows.append([label] + [round(v) for v in values])
-            rows.append(["  (paper)"] + list(paper[label]))
-        out.append(render_table(
-            "Table 2(%s): page size vs IOPS — %s"
-            % ("a" if section == "durassd" else "b", section),
-            headers, rows))
-    return "\n\n".join(out)
-
-
-def main(spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_table(run(spec, worlds)))
+    return "\n\n".join(
+        render_grid("Table 2(%s): page size vs IOPS — %s"
+                    % (part, section), headers,
+                    [(label, values, paper[label])
+                     for label, values in results[section].items()])
+        for part, section, paper in (("a", "durassd", PAPER_DURASSD),
+                                     ("b", "hdd", PAPER_HDD)))

@@ -44,7 +44,8 @@ def run(ops_per_client=None, telemetry=None, spec=setups.DEFAULT_SPEC,
     return default, best
 
 
-def format_table(default, best):
+def format_table(results):
+    default, best = results
     headers = ["operation", "config", "mean", "p25", "p50", "p75",
                "p99", "max"]
     rows = []
@@ -75,8 +76,3 @@ def format_table(default, best):
         + render_latency_histogram(best.reads))
     return (table + "\noverall mean improvement: %.1fx (paper: 5-45x)"
             % gain + histograms)
-
-
-def main(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
-    default, best = run(telemetry=telemetry, spec=spec, worlds=worlds)
-    print(format_table(default, best))

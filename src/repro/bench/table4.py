@@ -10,7 +10,7 @@ smaller buffer pool.
 from ..sim import units
 from ..workloads.tpcc import TPCCConfig, TPCCWorkload
 from . import setups
-from .tableio import render_table
+from .tableio import render_grid
 
 PAGE_SIZES = (16 * units.KIB, 8 * units.KIB, 4 * units.KIB)
 
@@ -42,17 +42,11 @@ def run(spec=setups.DEFAULT_SPEC, worlds=None):
 
 def format_table(results):
     headers = ["barrier", "16KB", "8KB", "4KB"]
-    rows = []
-    for barrier in (True, False):
-        label = "ON" if barrier else "OFF"
-        rows.append([label] + [round(r.tpmc) for r in results[barrier]])
-        rows.append(["  (paper)"] + list(PAPER[barrier]))
+    table = render_grid(
+        "Table 4: TPC-C throughput in tpmC", headers,
+        [("ON" if barrier else "OFF", [r.tpmc for r in results[barrier]],
+          PAPER[barrier]) for barrier in (True, False)])
     gains = [results[False][i].tpmc / max(1e-9, results[True][i].tpmc)
              for i in range(len(PAGE_SIZES))]
-    table = render_table("Table 4: TPC-C throughput in tpmC", headers, rows)
     return table + ("\nbarrier-off gain: %s (paper: 15.3x / 22.8x / 19.5x)"
                     % " / ".join("%.1fx" % g for g in gains))
-
-
-def main(spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_table(run(spec, worlds)))

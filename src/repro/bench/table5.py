@@ -9,7 +9,7 @@ off (safe on DuraSSD) the gap collapses to ~2.1-2.6x.
 
 from ..workloads.ycsb import YCSBConfig, YCSBWorkload
 from . import setups
-from .tableio import render_table
+from .tableio import render_grid
 
 BATCH_SIZES = (1, 2, 5, 10, 100)
 
@@ -47,21 +47,13 @@ def run(spec=setups.DEFAULT_SPEC, worlds=None):
 
 def format_table(results):
     headers = ["barrier/updates"] + ["batch %d" % b for b in BATCH_SIZES]
-    rows = []
-    for key in ((True, 1.0), (True, 0.5), (False, 1.0), (False, 0.5)):
-        barrier, fraction = key
-        label = "%s / %d%%" % ("ON" if barrier else "OFF",
-                               int(fraction * 100))
-        rows.append([label] + [round(v) for v in results[key]])
-        rows.append(["  (paper)"] + list(PAPER[key]))
+    table = render_grid(
+        "Table 5: Couchbase YCSB operations per second", headers,
+        [("%s / %d%%" % ("ON" if barrier else "OFF", int(fraction * 100)),
+          results[(barrier, fraction)], PAPER[(barrier, fraction)])
+         for barrier in (True, False) for fraction in (1.0, 0.5)])
     on_gap = results[(True, 1.0)][-1] / max(1e-9, results[(True, 1.0)][0])
     off_gap = results[(False, 1.0)][-1] / max(1e-9, results[(False, 1.0)][0])
-    table = render_table(
-        "Table 5: Couchbase YCSB operations per second", headers, rows)
     return table + ("\nbatch-100 vs batch-1: barriers on %.1fx "
                     "(paper >20x), off %.1fx (paper 2.1-2.6x)"
                     % (on_gap, off_gap))
-
-
-def main(spec=setups.DEFAULT_SPEC, worlds=None):
-    print(format_table(run(spec, worlds)))

@@ -42,17 +42,15 @@ def render_table(title, headers, rows):
     return "\n".join(out)
 
 
-def ratio_note(measured, paper):
-    """'x0.93 of paper' style annotation; '-' when no reference."""
-    if not paper:
-        return "-"
-    return "x%.2f" % (measured / paper)
+def render_grid(title, headers, rows, paper="(paper)", cell=round):
+    """A paper-vs-measured table.
 
-
-def comparison_rows(label_measured_paper):
-    """[(label, measured, paper)] -> rows with a ratio column."""
-    rows = []
-    for label, measured, paper in label_measured_paper:
-        rows.append([label, measured, paper if paper else "-",
-                     ratio_note(measured, paper)])
-    return rows
+    Each ``(label, measured, published)`` row prints as two lines: the
+    measured values under ``label``, then the paper's under ``paper``.
+    ``cell`` formats every value of both.
+    """
+    lines = []
+    for label, measured, published in rows:
+        lines.append([label] + [cell(value) for value in measured])
+        lines.append(["  " + paper] + [cell(value) for value in published])
+    return render_table(title, headers, lines)

@@ -33,6 +33,8 @@ still swept — their violations are what the paper's Table 1 anomaly
 discussion is about — but they do not fail the sweep.
 """
 
+from itertools import accumulate
+
 from ..db import dbrecovery
 from ..db.commercial import CommercialConfig, CommercialEngine
 from ..db.innodb import InnoDBConfig, InnoDBEngine
@@ -484,11 +486,12 @@ def generate_ops(scenario):
     sampler = NodeSampler(config, rng)
     write_sampler = NodeSampler(config, rng, config.write_hot_fraction)
     names = [name for name, _w, _k in OPERATION_MIX]
-    weights = [weight for _n, weight, _k in OPERATION_MIX]
+    cum_weights = list(accumulate(
+        weight for _n, weight, _k in OPERATION_MIX))
     kinds = {name: kind for name, _w, kind in OPERATION_MIX}
     ops = []
     for _ in range(scenario.ops):
-        name = rng.choices(names, weights=weights)[0]
+        name = rng.choices(names, cum_weights=cum_weights)[0]
         node = (write_sampler.next() if kinds[name] == "write"
                 else sampler.next())
         ops.append((name, int(node)))

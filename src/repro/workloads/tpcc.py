@@ -11,6 +11,8 @@ warehouse count with the database size and keep the per-transaction
 page-access profiles at their TPC-C values.
 """
 
+from itertools import accumulate
+
 from ..sim import LatencyRecorder, ThroughputMeter
 from ..sim.resources import Resource
 from ..sim.rng import make_rng
@@ -105,7 +107,10 @@ class TPCCWorkload:
             "orders", warehouses * config.order_lines_per_warehouse // 10, 60)
         self.order_line = engine.create_table(
             "order_line", warehouses * config.order_lines_per_warehouse, 70)
-        self._weights = [weight for _n, weight in TRANSACTION_MIX]
+        # random.choices accumulates its weights on every call; passing
+        # them accumulated once draws the same values.
+        self._cum_weights = list(accumulate(
+            weight for _n, weight in TRANSACTION_MIX))
         self._names = [name for name, _w in TRANSACTION_MIX]
         # per-district append cursors: order inserts land on the hot
         # tail pages of the orders/order_line trees, as they do in a
@@ -256,7 +261,8 @@ class TPCCWorkload:
                 if i == warmup_txns and index == 0:
                     result.meter.start_window(sim.now)
                     result.new_orders.start_window(sim.now)
-                name = rng.choices(self._names, weights=self._weights)[0]
+                name = rng.choices(self._names,
+                                   cum_weights=self._cum_weights)[0]
                 warehouse = rng.randrange(self.config.warehouses)
                 begin = sim.now
                 yield sim.timeout(self.config.remote_client_rtt)

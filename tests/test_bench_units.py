@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.bench import setups, table1, tableio
+from repro.__main__ import main
+from repro.bench import EXPERIMENTS, TABLES, setups, table1, tableio
 from repro.sim import units
 
 
@@ -19,14 +20,38 @@ class TestTableIO:
         text = tableio.render_table("T", ["n"], [[1234567]])
         assert "1,234,567" in text
 
-    def test_ratio_note(self):
-        assert tableio.ratio_note(50, 100) == "x0.50"
-        assert tableio.ratio_note(50, 0) == "-"
+    def test_grid_puts_each_paper_row_under_its_measured_row(self):
+        text = tableio.render_grid(
+            "T", ["row", "a", "b"], [("x", [1.4, 2500.0], [1, 2400])],
+            paper="(paper~)")
+        assert text.splitlines() == [
+            "T",
+            "------------+---+-------",
+            "row        | a | b    ",
+            "------------+---+-------",
+            "         x | 1 | 2,500",
+            "  (paper~) | 1 | 2,400",
+            "------------+---+-------",
+        ]
 
-    def test_comparison_rows(self):
-        rows = tableio.comparison_rows([("r", 90.0, 100.0)])
-        assert rows[0][0] == "r"
-        assert rows[0][3] == "x0.90"
+
+class TestRegistry:
+    def test_registry_and_committed_tables_match_one_to_one(self):
+        output = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "benchmarks", "output")
+        committed = sorted(name[:-len(".txt")] for name in os.listdir(output)
+                           if name.endswith(".txt"))
+        stems = [table.stem for experiment in EXPERIMENTS.values()
+                 for table in experiment.tables]
+        assert sorted(stems) == committed
+        assert sorted(TABLES) == committed
+
+    def test_cli_prints_the_registered_table(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        table, = EXPERIMENTS["table5"].tables
+        expected = table.render(table.run())
+        assert main(["table5"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
 
 
 class TestSetups:
