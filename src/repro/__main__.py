@@ -82,6 +82,7 @@ from .bench import (
 from .bench.scenarios import CORRUPTION_PROFILES, DEATH_PROFILES, \
     GRAY_PROFILES, TRACED
 from .bench.setups import WorldSpec
+from .devices import DEVICE_MAKERS
 from .failures.chaos import chaos_scenario
 from .failures.torture import ENGINES
 from .host.queues import INTERFACES, QueueTopology
@@ -91,7 +92,7 @@ from .telemetry import validate
 ORDER = list(EXPERIMENTS)
 
 #: experiments whose run takes a telemetry hub (--telemetry flag)
-TELEMETRY_CAPABLE = frozenset(tracing.SCENARIOS)
+TELEMETRY_CAPABLE = frozenset(TRACED.names())
 
 #: the world flags' dests; every other option a world command parses is
 #: a keyword argument of its module's ``main``
@@ -194,7 +195,7 @@ def _add_world_commands(commands, world):
     sub.add_argument("--no-ablation", dest="ablation",
                      action="store_false")
 
-    sub = command("trace", tracing, tracing.SCENARIOS)
+    sub = command("trace", tracing, TRACED)
     sub.add_argument("--out", dest="out_path", default="trace.json",
                      metavar="PATH")
     paths(sub, "jsonl")
@@ -235,14 +236,15 @@ def _add_campaigns(commands):
         parser.add_argument("--seed", type=int, default=seed)
         return parser
 
-    def engine_and_device(parser, devices):
+    def engine_and_device(parser):
         parser.add_argument("engine", nargs="?", choices=ENGINES,
                             default="innodb", metavar="ENGINE")
-        parser.add_argument("device", nargs="?", choices=devices,
+        parser.add_argument("device", nargs="?",
+                            choices=tuple(DEVICE_MAKERS),
                             default="durassd", metavar="DEVICE")
 
     sub = campaign("torture", torture)
-    engine_and_device(sub, torture.DEVICES)
+    engine_and_device(sub)
     sub.add_argument("--barriers", choices=("auto", "on", "off"),
                      default="auto")
     sub.add_argument("--no-doublewrite", action="store_true")
@@ -251,7 +253,7 @@ def _add_campaigns(commands):
 
     # --seed: the smoke gate's default is 11, a sweep's is 0
     sub = campaign("chaos", chaos, seed=None, epilog=chaos.profile_listing())
-    engine_and_device(sub, chaos.DEVICES)
+    engine_and_device(sub)
     sub.add_argument("--seeds", type=count, default=1, metavar="N")
     sub.add_argument("--profile", choices=GRAY_PROFILES.names(),
                      metavar="NAME")

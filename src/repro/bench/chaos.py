@@ -26,6 +26,7 @@ to replayable JSON artifacts with ``--out``.
 import json
 import time
 
+from ..devices import DEVICE_MAKERS
 from ..failures import chaos as harness
 from ..failures.campaign import CHAOS_FORMAT, replay_artifact
 from . import setups
@@ -35,8 +36,6 @@ from .scenarios import (
     GRAY_PROFILES,
     run_gate,
 )
-
-DEVICES = ("hdd", "ssd-a", "ssd-b", "durassd")
 
 #: curable profiles every smoke device is swept with
 SMOKE_PROFILES = ("mild", "gc-storm", "pause", "hang")
@@ -90,7 +89,7 @@ def smoke(ops=None, seed=11):
     # to land (a hang, a kill) and still leave writes behind it.
     floor = max(ops, SMOKE_BASE_OPS)
     cells = []
-    for device in DEVICES:
+    for device in DEVICE_MAKERS:
         cells += [("innodb/%s/%s" % (device, profile),
                    {"device": device, "profile": profile}, (_COMPLETES,))
                   for profile in SMOKE_PROFILES]
@@ -221,7 +220,8 @@ def sweep(engine="innodb", device="durassd", profile=None, seeds=1,
     elif corruption or death:
         profiles = ["none"]
     else:
-        profiles = [name for name in GRAY_PROFILES if name != "none"]
+        profiles = [name for name in GRAY_PROFILES.names()
+                    if name != "none"]
     exit_code = 0
     for name in profiles:
         code = sweep_seeds(engine, device, name, seeds, ops,

@@ -2,9 +2,8 @@
 
 Each CLI used to keep its own ``dict`` of scenario names with its own
 lookup, error message and help listing.  A :class:`ScenarioSet` is that
-registry once: uniform ``KeyError`` text (with the available names),
-uniform help listing, and dict-compatible access (``in``, ``[...]``,
-iteration) so existing call sites keep working.
+registry once: uniform ``KeyError`` text (with the available names)
+and a uniform help listing.
 
 Two sets live here because several CLIs share them:
 
@@ -73,20 +72,6 @@ class ScenarioSet:
         return ["%s%-*s %s" % (indent, width + 1, name, description)
                 for name, (description, _fn)
                 in sorted(self._scenarios.items())]
-
-    # dict-compatible access, so ``SCENARIOS = TRACED`` keeps old call
-    # sites (``name in SCENARIOS``, ``SCENARIOS[name][0]``) working.
-    def __contains__(self, name):
-        return name in self._scenarios
-
-    def __iter__(self):
-        return iter(self._scenarios)
-
-    def __len__(self):
-        return len(self._scenarios)
-
-    def __getitem__(self, name):
-        return self._scenarios[name]
 
 
 # --- traced benchmark worlds --------------------------------------------

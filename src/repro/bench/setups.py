@@ -45,7 +45,7 @@ from typing import NamedTuple
 from ..db.commercial import CommercialConfig, CommercialEngine
 from ..db.couchstore import CouchstoreConfig, CouchstoreEngine
 from ..db.innodb import InnoDBConfig, InnoDBEngine
-from ..devices import make_durassd, make_hdd, make_ssd_a, make_ssd_b
+from ..devices import DEVICE_MAKERS
 from ..failures.grayfaults import PROFILES, GrayFaultModel, make_profile
 from ..host import (
     FileSystem,
@@ -57,16 +57,10 @@ from ..host import (
 from ..host.lifecycle import TimeoutPolicy
 from ..host.queues import QueueTopology
 from ..sim import Simulator, units
+from ..sim.record import Record
 from ..telemetry import MetricsRegistry, Telemetry
 
 PAPER_DB_BYTES = 100 * units.GIB
-
-DEVICE_MAKERS = {
-    "hdd": make_hdd,
-    "ssd-a": make_ssd_a,
-    "ssd-b": make_ssd_b,
-    "durassd": make_durassd,
-}
 
 
 class _WorldFields(NamedTuple):
@@ -80,7 +74,7 @@ class _WorldFields(NamedTuple):
     profile: bool = False
 
 
-class WorldSpec(_WorldFields):
+class WorldSpec(Record, _WorldFields):
     """The world-wide settings of a bench run (see the module docstring).
 
     ``WorldSpec()`` is the calibrated world: one healthy device behind
@@ -91,24 +85,18 @@ class WorldSpec(_WorldFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        spec = super().__new__(cls, *args, **kwargs)
-        if spec.data_devices < 1:
+    def _check(self):
+        if self.data_devices < 1:
             raise ValueError("data_devices must be >= 1")
-        if spec.mirror < 1:
+        if self.mirror < 1:
             raise ValueError("mirror must be >= 1")
-        if spec.mirror > 1 and spec.data_devices > 1:
+        if self.mirror > 1 and self.data_devices > 1:
             raise ValueError("mirror and striping are mutually exclusive")
-        if spec.gray_faults is not None and spec.gray_faults not in PROFILES:
+        if self.gray_faults is not None and self.gray_faults not in PROFILES:
             raise ValueError("unknown gray-fault profile %r (known: %s)"
-                             % (spec.gray_faults, ", ".join(sorted(PROFILES))))
-        if spec.metrics_interval is not None and spec.metrics_interval <= 0:
+                             % (self.gray_faults, ", ".join(sorted(PROFILES))))
+        if self.metrics_interval is not None and self.metrics_interval <= 0:
             raise ValueError("metrics interval must be positive")
-        return spec
-
-    def _replace(self, **changes):
-        """A copy with ``changes`` applied, validated like a new spec."""
-        return WorldSpec(**dict(self._asdict(), **changes))
 
     def timeout_policy(self):
         """The lifecycle policy file systems run with under gray faults;
@@ -117,9 +105,6 @@ class WorldSpec(_WorldFields):
             return None
         return TimeoutPolicy(deadline=0.01, backoff_base=1e-3,
                              seed=self.gray_seed)
-
-    def to_json(self):
-        return dict(self._asdict(), topology=self.topology.to_json())
 
     @classmethod
     def from_json(cls, data):

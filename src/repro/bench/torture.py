@@ -18,11 +18,10 @@ sweep can be minimized to a replayable JSON artifact with ``--out``.
 import json
 import time
 
+from ..devices import DEVICE_MAKERS
 from ..failures import torture as harness
 from . import setups
 from .scenarios import run_gate
-
-DEVICES = ("hdd", "ssd-a", "ssd-b", "durassd")
 
 SMOKE_BASE_OPS = 40
 
@@ -57,7 +56,7 @@ def smoke(ops=None, seed=11):
     """Quick sweep of every device preset; the CI torture gate."""
     ops = ops if ops is not None else setups.ops_scale(SMOKE_BASE_OPS)
     cells = [("innodb/%s" % device, {"device": device}, _CLEAN)
-             for device in DEVICES]
+             for device in DEVICE_MAKERS]
     cells += [
         # Striped data target: a power cut must leave every stripe
         # member mutually consistent — the checker sees one flat LBA

@@ -15,14 +15,11 @@ from ..telemetry import Telemetry
 from . import setups
 from .scenarios import TRACED
 
-#: the shared traced-scenario registry (see repro.bench.scenarios)
-SCENARIOS = TRACED
-
 
 def run_scenario(name, sample_interval=0.002, spec=setups.DEFAULT_SPEC,
                  worlds=None):
     """Run a traced scenario; returns ``(telemetry, outcome_line)``."""
-    fn = SCENARIOS.get(name)
+    fn = TRACED.get(name)
     telemetry = Telemetry(enabled=True, sample_interval=sample_interval)
     outcome = fn(telemetry, spec, worlds)
     return telemetry, outcome

@@ -12,6 +12,7 @@ from .base import (
 )
 from .hdd import DiskDrive, HDDSpec
 from .presets import (
+    DEVICE_MAKERS,
     cheetah_15k6_spec,
     durassd_spec,
     make_durassd,
@@ -26,6 +27,7 @@ from .write_cache import WriteCache
 
 __all__ = [
     "AtomicWriteSSD",
+    "DEVICE_MAKERS",
     "READ",
     "WRITE",
     "AckRecord",

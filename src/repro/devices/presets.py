@@ -135,3 +135,14 @@ def make_durassd(sim, cache_enabled=True, capacity_bytes=DEFAULT_CAPACITY,
     from ..core.durassd import DuraSSD
     return DuraSSD(sim, _named(durassd_spec(capacity_bytes), name),
                    cache_enabled)
+
+
+#: every device kind a world is built from, by its CLI name: the bench
+#: worlds (``setups.make_device``), the campaign worlds and the
+#: ``torture``/``chaos`` device choices all read this one map
+DEVICE_MAKERS = {
+    "hdd": make_hdd,
+    "ssd-a": make_ssd_a,
+    "ssd-b": make_ssd_b,
+    "durassd": make_durassd,
+}

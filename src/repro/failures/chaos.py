@@ -48,7 +48,7 @@ from .campaign import (
     shrink_prefix,
 )
 from .corruption import make_corruption_profile
-from .death import DeviceDeathSchedule, make_death_schedule
+from .death import make_death_schedule
 from .grayfaults import GrayFaultProfile, make_profile
 from .injector import PowerFailureInjector
 from .torture import TortureScenario, build_world, generate_ops
@@ -61,12 +61,12 @@ DEFAULT_DEGRADATION_BOUND = 8.0
 _COMMANDS_PER_OP = 16
 
 
-#: per-command deadline for chaos worlds: ~100x a healthy command on
-#: each preset, but short enough that episode-scale stalls escalate.
-#: The HDD needs headroom for multi-millisecond seeks under load.
+#: per-command deadline for chaos worlds, one per device kind: ~100x a
+#: healthy command on each preset, but short enough that episode-scale
+#: stalls escalate.  The HDD needs headroom for multi-millisecond seeks
+#: under load.
 CHAOS_DEADLINES = {"hdd": 0.2, "ssd-a": 0.01, "ssd-b": 0.01,
                    "durassd": 0.01}
-CHAOS_DEADLINE = 0.01
 
 #: seconds of simulated workload one LinkBench operation roughly takes
 #: on the fast presets — used to rescale profile horizons to the stream
@@ -78,12 +78,9 @@ CHAOS_METRICS_INTERVAL = 0.005
 
 
 def chaos_scenario(device="durassd", profile="mild", seed=0, ops=120,
-                   gray_target="both", engine="innodb", barriers=None,
                    timeout_policy=None, admission_control=True,
-                   horizon=None, stripe=1, corruption=None, mirror=1,
-                   checksums=None, scrub=None, death=None,
-                   death_target="data", spares=0, rebuild_pace=None,
-                   interface="sata", submission_queues=2):
+                   horizon=None, corruption=None, mirror=1,
+                   checksums=None, scrub=None, death=None, **world):
     """A fully seeded chaos world description (a gray
     :class:`~repro.failures.torture.TortureScenario`).
 
@@ -108,6 +105,9 @@ def chaos_scenario(device="durassd", profile="mild", seed=0, ops=120,
     horizon and rescaled (kill instant and stagger, proportionally)
     onto this stream's expected duration so the kill actually lands
     mid-run.
+
+    ``world`` holds any other scenario field (``engine``, ``barriers``,
+    ``gray_target``, ``stripe``, ``death_target``, ``spares``, ...).
     """
     if isinstance(corruption, str):
         corruption = make_corruption_profile(corruption, seed)
@@ -119,35 +119,26 @@ def chaos_scenario(device="durassd", profile="mild", seed=0, ops=120,
         horizon = max(0.02, ops * _SECONDS_PER_OP)
     if isinstance(profile, str):
         profile = make_profile(profile, seed)
-        data = profile.to_json()
-        scale = horizon / data["horizon"]
-        data["horizon"] = horizon
-        if data["hang_at"] is not None:
-            data["hang_at"] *= scale
-        profile = GrayFaultProfile(**data)
+        scale = horizon / profile.horizon
+        profile = profile._replace(
+            horizon=horizon,
+            hang_at=(None if profile.hang_at is None
+                     else profile.hang_at * scale))
     if isinstance(death, str):
         death = make_death_schedule(death, seed)
-        data = death.to_json()
-        scale = horizon / data["horizon"]
-        data["horizon"] = horizon
-        if data["die_at"] is not None:
-            data["die_at"] *= scale
-        data["stagger"] *= scale
-        death = DeviceDeathSchedule(**data)
+        scale = horizon / death.horizon
+        death = death._replace(
+            horizon=horizon, stagger=death.stagger * scale,
+            die_at=None if death.die_at is None else death.die_at * scale)
+    scenario = TortureScenario(
+        device=device, ops=ops, seed=seed, timeout_policy=timeout_policy,
+        gray_profile=profile, admission_control=admission_control,
+        corruption=corruption, mirror=mirror, checksums=checksums,
+        scrub=scrub, death=death, **world)
     if timeout_policy is None:
-        deadline = CHAOS_DEADLINES.get(device, CHAOS_DEADLINE)
-        timeout_policy = TimeoutPolicy(deadline=deadline,
-                                       backoff_base=1e-3, seed=seed)
-    return TortureScenario(engine=engine, device=device, barriers=barriers,
-                           ops=ops, seed=seed, timeout_policy=timeout_policy,
-                           gray_profile=profile, gray_target=gray_target,
-                           admission_control=admission_control,
-                           stripe=stripe, corruption=corruption,
-                           mirror=mirror, checksums=checksums, scrub=scrub,
-                           death=death, death_target=death_target,
-                           spares=spares, rebuild_pace=rebuild_pace,
-                           interface=interface,
-                           submission_queues=submission_queues)
+        scenario = scenario._replace(timeout_policy=TimeoutPolicy(
+            deadline=CHAOS_DEADLINES[device], backoff_base=1e-3, seed=seed))
+    return scenario
 
 
 class ChaosResult(Verdict):
@@ -257,12 +248,9 @@ def baseline_duration(scenario, ops, telemetry=None):
     The timeout policy stays armed so the comparison isolates the
     *faults*, not the lifecycle plumbing.
     """
-    quiet = dict(scenario.to_json())
-    quiet["gray_profile"] = None
-    quiet["corruption"] = None
-    quiet["death"] = None
-    quiet["spares"] = 0
-    world = build_world(TortureScenario.from_json(quiet), telemetry)
+    quiet = scenario._replace(gray_profile=None, corruption=None,
+                              death=None, spares=0)
+    world = build_world(quiet, telemetry)
     tally = run_uncut(world, ops)
     if tally["ok"] != len(ops):
         raise RuntimeError("fault-free baseline failed operations: %r"

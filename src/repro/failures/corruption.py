@@ -26,16 +26,27 @@ first SLO alert to report corruption-detection latency, exactly like
 gray-fault detection.
 """
 
+from typing import NamedTuple
+
 from ..flash.torn import (
     BIT_ROT,
     LOST_WRITE,
     MISDIRECTED_WRITE,
     READ_DISTURB,
 )
+from ..sim.record import Record
 from ..sim.rng import make_rng
 
 
-class CorruptionConfig:
+class _CorruptionFields(NamedTuple):
+    seed: int = 0
+    bit_rot_rate: float = 0.0
+    read_disturb_rate: float = 0.0
+    misdirected_rate: float = 0.0
+    lost_rate: float = 0.0
+
+
+class CorruptionConfig(Record, _CorruptionFields):
     """Seeded per-operation rates for the silent-corruption model.
 
     Rates are probabilities per committed host write (``lost_rate``,
@@ -44,40 +55,22 @@ class CorruptionConfig:
     they partition one uniform draw.
     """
 
-    def __init__(self, seed=0, bit_rot_rate=0.0, read_disturb_rate=0.0,
-                 misdirected_rate=0.0, lost_rate=0.0):
-        for name, rate in (("bit_rot_rate", bit_rot_rate),
-                           ("read_disturb_rate", read_disturb_rate),
-                           ("misdirected_rate", misdirected_rate),
-                           ("lost_rate", lost_rate)):
+    __slots__ = ()
+
+    def _check(self):
+        for name in ("bit_rot_rate", "read_disturb_rate",
+                     "misdirected_rate", "lost_rate"):
+            rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError("%s must be in [0, 1): %r" % (name, rate))
-        if lost_rate + misdirected_rate + bit_rot_rate >= 1.0:
+        if self.lost_rate + self.misdirected_rate + self.bit_rot_rate >= 1.0:
             raise ValueError("write-side rates must sum below 1")
-        self.seed = seed
-        self.bit_rot_rate = bit_rot_rate
-        self.read_disturb_rate = read_disturb_rate
-        self.misdirected_rate = misdirected_rate
-        self.lost_rate = lost_rate
 
     @property
     def quiet(self):
         """True when no fault can ever fire (a corruption-free config)."""
         return not (self.bit_rot_rate or self.read_disturb_rate
                     or self.misdirected_rate or self.lost_rate)
-
-    def to_json(self):
-        return {
-            "seed": self.seed,
-            "bit_rot_rate": self.bit_rot_rate,
-            "read_disturb_rate": self.read_disturb_rate,
-            "misdirected_rate": self.misdirected_rate,
-            "lost_rate": self.lost_rate,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
 
 
 #: named corruption profiles for the torture/chaos CLIs; rates are per

@@ -24,10 +24,22 @@ alert to report detection latency, exactly like gray faults and silent
 corruption.
 """
 
+from typing import NamedTuple
+
+from ..sim.record import Record
 from ..sim.rng import make_rng
 
 
-class DeviceDeathSchedule:
+class _DeathFields(NamedTuple):
+    seed: int = 0
+    die_at: float = None
+    stagger: float = 0.0
+    grown_bad_limit: int = None
+    wear_limit_pct: float = None
+    horizon: float = 10.0
+
+
+class DeviceDeathSchedule(Record, _DeathFields):
     """Seeded description of when (and why) a device fail-stops.
 
     ``die_at`` is an absolute sim instant (``None`` = no scheduled
@@ -40,44 +52,25 @@ class DeviceDeathSchedule:
     window and the chaos harness rescales them onto the stream.
     """
 
-    def __init__(self, seed=0, die_at=None, stagger=0.0,
-                 grown_bad_limit=None, wear_limit_pct=None, horizon=10.0):
-        if die_at is not None and die_at < 0:
-            raise ValueError("die_at must be >= 0: %r" % (die_at,))
-        if stagger < 0:
-            raise ValueError("stagger must be >= 0: %r" % (stagger,))
-        if grown_bad_limit is not None and grown_bad_limit < 1:
+    __slots__ = ()
+
+    def _check(self):
+        if self.die_at is not None and self.die_at < 0:
+            raise ValueError("die_at must be >= 0: %r" % (self.die_at,))
+        if self.stagger < 0:
+            raise ValueError("stagger must be >= 0: %r" % (self.stagger,))
+        if self.grown_bad_limit is not None and self.grown_bad_limit < 1:
             raise ValueError("grown_bad_limit must be >= 1")
-        if wear_limit_pct is not None and wear_limit_pct <= 0:
+        if self.wear_limit_pct is not None and self.wear_limit_pct <= 0:
             raise ValueError("wear_limit_pct must be > 0")
-        if horizon <= 0:
+        if self.horizon <= 0:
             raise ValueError("horizon must be > 0")
-        self.seed = seed
-        self.die_at = die_at
-        self.stagger = stagger
-        self.grown_bad_limit = grown_bad_limit
-        self.wear_limit_pct = wear_limit_pct
-        self.horizon = horizon
 
     @property
     def quiet(self):
         """True when no death can ever fire."""
         return (self.die_at is None and self.grown_bad_limit is None
                 and self.wear_limit_pct is None)
-
-    def to_json(self):
-        return {
-            "seed": self.seed,
-            "die_at": self.die_at,
-            "stagger": self.stagger,
-            "grown_bad_limit": self.grown_bad_limit,
-            "wear_limit_pct": self.wear_limit_pct,
-            "horizon": self.horizon,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
 
 
 #: named death profiles for the chaos/failover CLIs.  Instants are laid

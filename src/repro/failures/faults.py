@@ -17,6 +17,9 @@ SSD simulators for transient (non-wearout) faults; wearout itself is
 modelled by the FTL's erase counters.
 """
 
+from typing import NamedTuple
+
+from ..sim.record import Record
 from ..sim.rng import make_rng
 
 
@@ -24,7 +27,18 @@ class FlashFaultError(Exception):
     """Raised when bounded retry could not mask a flash fault."""
 
 
-class FaultConfig:
+class _FaultFields(NamedTuple):
+    seed: int = 0
+    read_error_rate: float = 0.0
+    program_error_rate: float = 0.0
+    erase_error_rate: float = 0.0
+    initial_bad_blocks: int = 0
+    max_retries: int = 3
+    retry_backoff: float = 50e-6
+    program_failures_to_retire: int = 2
+
+
+class FaultConfig(Record, _FaultFields):
     """Seeded rates for the transient-fault model.
 
     Rates are probabilities per operation.  ``initial_bad_blocks`` are
@@ -33,43 +47,18 @@ class FaultConfig:
     accumulates before the firmware retires it as grown-bad.
     """
 
-    def __init__(self, seed=0, read_error_rate=0.0, program_error_rate=0.0,
-                 erase_error_rate=0.0, initial_bad_blocks=0,
-                 max_retries=3, retry_backoff=50e-6,
-                 program_failures_to_retire=2):
-        for name, rate in (("read_error_rate", read_error_rate),
-                           ("program_error_rate", program_error_rate),
-                           ("erase_error_rate", erase_error_rate)):
+    __slots__ = ()
+
+    def _check(self):
+        for name in ("read_error_rate", "program_error_rate",
+                     "erase_error_rate"):
+            rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError("%s must be in [0, 1): %r" % (name, rate))
-        if max_retries < 1:
+        if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
-        if retry_backoff < 0:
+        if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
-        self.seed = seed
-        self.read_error_rate = read_error_rate
-        self.program_error_rate = program_error_rate
-        self.erase_error_rate = erase_error_rate
-        self.initial_bad_blocks = initial_bad_blocks
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.program_failures_to_retire = program_failures_to_retire
-
-    def to_json(self):
-        return {
-            "seed": self.seed,
-            "read_error_rate": self.read_error_rate,
-            "program_error_rate": self.program_error_rate,
-            "erase_error_rate": self.erase_error_rate,
-            "initial_bad_blocks": self.initial_bad_blocks,
-            "max_retries": self.max_retries,
-            "retry_backoff": self.retry_backoff,
-            "program_failures_to_retire": self.program_failures_to_retire,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
 
 
 class TransientFaultModel:

@@ -27,7 +27,9 @@ consulted at command entry:
 """
 
 import math
+from typing import NamedTuple
 
+from ..sim.record import Record
 from ..sim.rng import make_rng
 
 #: episode kinds, in schedule order
@@ -40,7 +42,26 @@ HANG = "hang"
 _CURABLE = frozenset((PAUSE, GC_STORM, QUEUE_FULL))
 
 
-class GrayFaultProfile:
+class _GrayFields(NamedTuple):
+    seed: int = 0
+    stall_rate: float = 0.0
+    stall_time: float = 2e-3
+    pause_rate: float = 0.0
+    pause_time: float = 5e-3
+    gc_storm_rate: float = 0.0
+    gc_storm_time: float = 10e-3
+    gc_storm_factor: float = 8.0
+    queue_full_rate: float = 0.0
+    queue_full_time: float = 2e-3
+    hang_at: float = None
+    hang_permanent: bool = False
+    horizon: float = 10.0
+    #: allowed completion-time inflation vs a fault-free run; ``None``
+    #: means the chaos harness applies its default bound
+    degradation_bound: float = None
+
+
+class GrayFaultProfile(Record, _GrayFields):
     """Seeded description of a gray-fault schedule.
 
     All rates are per-command Bernoulli probabilities; episode windows
@@ -50,38 +71,18 @@ class GrayFaultProfile:
     decides whether a soft reset cures it.
     """
 
-    def __init__(self, seed=0, stall_rate=0.0, stall_time=2e-3,
-                 pause_rate=0.0, pause_time=5e-3,
-                 gc_storm_rate=0.0, gc_storm_time=10e-3, gc_storm_factor=8.0,
-                 queue_full_rate=0.0, queue_full_time=2e-3,
-                 hang_at=None, hang_permanent=False,
-                 horizon=10.0, degradation_bound=None):
-        for name, rate in (("stall_rate", stall_rate),
-                           ("pause_rate", pause_rate),
-                           ("gc_storm_rate", gc_storm_rate),
-                           ("queue_full_rate", queue_full_rate)):
+    __slots__ = ()
+
+    def _check(self):
+        for name in ("stall_rate", "pause_rate", "gc_storm_rate",
+                     "queue_full_rate"):
+            rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ValueError("%s must be in [0, 1): %r" % (name, rate))
-        if horizon <= 0:
+        if self.horizon <= 0:
             raise ValueError("horizon must be > 0")
-        if gc_storm_factor < 1.0:
+        if self.gc_storm_factor < 1.0:
             raise ValueError("gc_storm_factor must be >= 1")
-        self.seed = seed
-        self.stall_rate = stall_rate
-        self.stall_time = stall_time
-        self.pause_rate = pause_rate
-        self.pause_time = pause_time
-        self.gc_storm_rate = gc_storm_rate
-        self.gc_storm_time = gc_storm_time
-        self.gc_storm_factor = gc_storm_factor
-        self.queue_full_rate = queue_full_rate
-        self.queue_full_time = queue_full_time
-        self.hang_at = hang_at
-        self.hang_permanent = hang_permanent
-        self.horizon = horizon
-        #: allowed completion-time inflation vs a fault-free run; ``None``
-        #: means the chaos harness applies its default bound
-        self.degradation_bound = degradation_bound
 
     @property
     def quiet(self):
@@ -89,28 +90,6 @@ class GrayFaultProfile:
         return (self.stall_rate == 0 and self.pause_rate == 0
                 and self.gc_storm_rate == 0 and self.queue_full_rate == 0
                 and self.hang_at is None)
-
-    def to_json(self):
-        return {
-            "seed": self.seed,
-            "stall_rate": self.stall_rate,
-            "stall_time": self.stall_time,
-            "pause_rate": self.pause_rate,
-            "pause_time": self.pause_time,
-            "gc_storm_rate": self.gc_storm_rate,
-            "gc_storm_time": self.gc_storm_time,
-            "gc_storm_factor": self.gc_storm_factor,
-            "queue_full_rate": self.queue_full_rate,
-            "queue_full_time": self.queue_full_time,
-            "hang_at": self.hang_at,
-            "hang_permanent": self.hang_permanent,
-            "horizon": self.horizon,
-            "degradation_bound": self.degradation_bound,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
 
 
 class Episode:

@@ -34,11 +34,12 @@ discussion is about — but they do not fail the sweep.
 """
 
 from itertools import accumulate
+from typing import NamedTuple
 
 from ..db import dbrecovery
 from ..db.commercial import CommercialConfig, CommercialEngine
 from ..db.innodb import InnoDBConfig, InnoDBEngine
-from ..devices import make_durassd, make_hdd, make_ssd_a, make_ssd_b
+from ..devices import DEVICE_MAKERS
 from ..host import (
     FileSystem,
     MirroredVolume,
@@ -51,6 +52,7 @@ from ..host import (
 from ..host.lifecycle import TimeoutPolicy
 from ..host.queues import INTERFACES, QueueTopology
 from ..sim import Simulator, units
+from ..sim.record import Record
 from ..sim.rng import make_rng
 from ..workloads.linkbench import (
     OPERATION_MIX,
@@ -78,196 +80,153 @@ from .injector import PowerFailureInjector
 #: Offset past the final ack for the "after everything was acked" cut.
 _AFTER_LAST_ACK = 1e-7
 
-_DEVICE_MAKERS = {
-    "hdd": make_hdd,
-    "ssd-a": make_ssd_a,
-    "ssd-b": make_ssd_b,
-    "durassd": make_durassd,
-}
-
 ENGINES = ("innodb", "commercial")
 
 
-class TortureScenario:
+def check_target(field, target, width):
+    """The one fault-target grammar, for gray faults, corruption and
+    death alike: ``data`` (every data member), ``data:<i>`` (member
+    ``i`` of a stripe or a mirror ``width`` wide), ``log`` or ``all``.
+    Raises ``ValueError`` naming ``field`` on anything else."""
+    if target in ("data", "log", "all") \
+            or target in ["data:%d" % i for i in range(width)]:
+        return
+    raise ValueError("%s must be data, log, all or data:<i> with "
+                     "0 <= i < %d: %r" % (field, width, target))
+
+
+def fault_targets(target, data_devices, log_device):
+    """The ``(device, salt, index)`` of each device ``target`` hits.
+
+    A salt names the device's role (``data:<i>``, ``log``), so models
+    sharing one profile never share a random stream.  ``index`` orders
+    staggered deaths: a member's position, the member count for the
+    log, and 0 for the one member a ``data:<i>`` target names.
+    """
+    if target.startswith("data:"):
+        return ((data_devices[int(target[5:])], target, 0),)
+    hits = ()
+    if target != "log":
+        hits = tuple((device, "data:%d" % index, index)
+                     for index, device in enumerate(data_devices))
+    if target != "data":
+        hits += ((log_device, "log", len(data_devices)),)
+    return hits
+
+
+class _ScenarioFields(NamedTuple):
+    engine: str = "innodb"
+    device: str = "durassd"
+    #: None = auto: off when every device claims a durable cache (the
+    #: paper's DuraSSD configuration), on otherwise.
+    barriers: bool = None
+    doublewrite: bool = True
+    ops: int = 200
+    seed: int = 11
+    db_bytes: int = 2 * units.MIB
+    page_size: int = 16 * units.KIB
+    #: None: the larger of 16 pages and a quarter of the database
+    buffer_pool_bytes: int = None
+    fault_config: FaultConfig = None
+    capacitor_health: float = 1.0
+    workload: str = "linkbench"
+    # Gray-failure wiring (repro.failures.grayfaults): all off by
+    # default, so classic torture scenarios are untouched.
+    timeout_policy: TimeoutPolicy = None
+    gray_profile: GrayFaultProfile = None
+    gray_target: str = "all"
+    admission_control: bool = False
+    stripe: int = 1
+    # End-to-end integrity wiring (repro.failures.corruption,
+    # repro.host.integrity): all off by default, so classic torture
+    # scenarios build byte-identical worlds.
+    corruption: CorruptionConfig = None
+    corruption_target: str = "data"
+    mirror: int = 1
+    checksums: bool = False
+    scrub: bool = False
+    # Fail-stop device deaths and online repair (repro.failures.death,
+    # repro.host.volume.Rebuilder): all off by default.
+    death: DeviceDeathSchedule = None
+    death_target: str = "data"
+    spares: int = 0
+    rebuild_pace: float = None
+    # Host queue model (repro.host.queues): the default SATA NCQ builds
+    # byte-identical classic worlds; "nvme" runs every queue-owning
+    # target behind a multi-queue model instead.
+    interface: str = "sata"
+    submission_queues: int = 2
+
+
+class TortureScenario(Record, _ScenarioFields):
     """A fully seeded, JSON-serializable description of one torture world.
 
     Everything a trial needs is here (plus the operation list, which
     :func:`generate_ops` derives deterministically from the seed), so a
-    failure reproduces from the serialized scenario alone.
+    failure reproduces from the serialized scenario alone.  A nested
+    fault config may be given as its JSON dict.
     """
 
-    def __init__(self, engine="innodb", device="durassd", barriers=None,
-                 doublewrite=True, ops=200, seed=11,
-                 db_bytes=2 * units.MIB, page_size=16 * units.KIB,
-                 buffer_pool_bytes=None, fault_config=None,
-                 capacitor_health=1.0, workload="linkbench",
-                 timeout_policy=None, gray_profile=None,
-                 gray_target="both", admission_control=False, stripe=1,
-                 corruption=None, corruption_target="data", mirror=1,
-                 checksums=False, scrub=False, death=None,
-                 death_target="data", spares=0, rebuild_pace=None,
-                 interface="sata", submission_queues=2):
-        if engine not in ENGINES:
-            raise ValueError("unknown engine: %r" % engine)
-        if device not in _DEVICE_MAKERS:
-            raise ValueError("unknown device: %r" % device)
-        if workload != "linkbench":
-            raise ValueError("unknown workload: %r" % workload)
-        if ops < 1:
+    __slots__ = ()
+
+    def _check(self):
+        hints = _ScenarioFields.__annotations__
+        fixes = {name: hints[name].from_json(value)
+                 for name, value in zip(self._fields, self)
+                 if isinstance(value, dict)}
+        if self.engine == "commercial" and self.doublewrite:
+            fixes["doublewrite"] = False  # the commercial engine has no DWB
+        if not self.buffer_pool_bytes:
+            fixes["buffer_pool_bytes"] = max(16 * self.page_size,
+                                             self.db_bytes // 4)
+        if fixes:
+            return self._replace(**fixes)
+        if self.engine not in ENGINES:
+            raise ValueError("unknown engine: %r" % self.engine)
+        if self.device not in DEVICE_MAKERS:
+            raise ValueError("unknown device: %r" % self.device)
+        if self.workload != "linkbench":
+            raise ValueError("unknown workload: %r" % self.workload)
+        if self.ops < 1:
             raise ValueError("ops must be >= 1")
-        if engine == "commercial":
-            doublewrite = False  # the commercial engine has no DWB
-        self.engine = engine
-        self.device = device
-        #: None = auto: off when every device claims a durable cache
-        #: (the paper's DuraSSD configuration), on otherwise.
-        self.barriers = barriers
-        self.doublewrite = doublewrite
-        self.ops = ops
-        self.seed = seed
-        self.db_bytes = db_bytes
-        self.page_size = page_size
-        self.buffer_pool_bytes = (buffer_pool_bytes if buffer_pool_bytes
-                                  else max(16 * page_size, db_bytes // 4))
-        if fault_config is not None and not isinstance(fault_config,
-                                                       FaultConfig):
-            fault_config = FaultConfig(**fault_config)
-        self.fault_config = fault_config
-        if not 0.0 <= capacitor_health <= 1.0:
+        if not 0.0 <= self.capacitor_health <= 1.0:
             raise ValueError("capacitor_health must be in [0, 1]")
-        self.capacitor_health = capacitor_health
-        self.workload = workload
-        # Gray-failure wiring (repro.failures.grayfaults): all None/off
-        # by default, so classic torture scenarios are untouched.
-        if timeout_policy is not None and not isinstance(timeout_policy,
-                                                         TimeoutPolicy):
-            timeout_policy = TimeoutPolicy(**timeout_policy)
-        self.timeout_policy = timeout_policy
-        if gray_profile is not None and not isinstance(gray_profile,
-                                                       GrayFaultProfile):
-            gray_profile = GrayFaultProfile(**gray_profile)
-        self.gray_profile = gray_profile
-        stripe = int(stripe)
-        if stripe < 1:
+        if self.stripe < 1:
             raise ValueError("stripe width must be >= 1")
-        self.stripe = stripe
-        # "data:<i>" targets gray faults at one stripe member only.
-        if gray_target.startswith("data:"):
-            member = int(gray_target.split(":", 1)[1])
-            if not 0 <= member < stripe:
-                raise ValueError("gray_target member %d outside stripe "
-                                 "width %d" % (member, stripe))
-        elif gray_target not in ("both", "data", "log"):
-            raise ValueError("gray_target must be both, data, log or "
-                             "data:<member>: %r" % (gray_target,))
-        self.gray_target = gray_target
-        self.admission_control = admission_control
-        # End-to-end integrity wiring (repro.failures.corruption,
-        # repro.host.integrity): all off by default, so classic torture
-        # scenarios build byte-identical worlds.
-        if corruption is not None and not isinstance(corruption,
-                                                     CorruptionConfig):
-            corruption = CorruptionConfig(**corruption)
-        self.corruption = corruption
-        if corruption_target not in ("data", "log", "all"):
-            raise ValueError("corruption_target must be data, log or all: "
-                             "%r" % (corruption_target,))
-        self.corruption_target = corruption_target
-        mirror = int(mirror)
-        if mirror < 1:
+        if self.mirror < 1:
             raise ValueError("mirror width must be >= 1")
-        if mirror > 1 and stripe > 1:
+        if self.mirror > 1 and self.stripe > 1:
             raise ValueError("mirror and stripe are mutually exclusive")
-        self.mirror = mirror
-        self.checksums = bool(checksums)
-        if scrub and not (self.checksums or mirror > 1):
+        if self.scrub and not self.integrity_armed:
             raise ValueError("scrub needs checksums or a mirror to verify "
                              "against")
-        self.scrub = bool(scrub)
-        # Fail-stop device deaths and online repair (repro.failures.death,
-        # repro.host.volume.Rebuilder): all off by default.
-        if death is not None and not isinstance(death, DeviceDeathSchedule):
-            death = DeviceDeathSchedule(**death)
-        self.death = death
-        width = max(stripe, mirror)
-        if death_target.startswith("data:"):
-            member = int(death_target.split(":", 1)[1])
-            if not 0 <= member < width:
-                raise ValueError("death_target member %d outside width %d"
-                                 % (member, width))
-        elif death_target not in ("data", "log", "all"):
-            raise ValueError("death_target must be data, log, all or "
-                             "data:<member>: %r" % (death_target,))
-        self.death_target = death_target
-        spares = int(spares)
-        if spares < 0:
+        width = max(self.stripe, self.mirror)
+        check_target("gray_target", self.gray_target, width)
+        check_target("corruption_target", self.corruption_target, width)
+        check_target("death_target", self.death_target, width)
+        if self.spares < 0:
             raise ValueError("spares must be >= 0")
-        if spares and mirror <= 1:
+        if self.spares and self.mirror <= 1:
             raise ValueError("hot spares need a mirror to rebuild")
-        self.spares = spares
-        if rebuild_pace is not None and rebuild_pace <= 0:
+        if self.rebuild_pace is not None and self.rebuild_pace <= 0:
             raise ValueError("rebuild_pace must be > 0")
-        self.rebuild_pace = rebuild_pace
-        # Host queue model (repro.host.queues): the default SATA NCQ
-        # builds byte-identical classic worlds; "nvme" runs every
-        # queue-owning target behind a multi-queue model instead.
-        if interface not in INTERFACES:
+        if self.interface not in INTERFACES:
             raise ValueError("interface must be one of %s" % (INTERFACES,))
-        self.interface = interface
-        submission_queues = int(submission_queues)
-        if submission_queues < 1:
+        if self.submission_queues < 1:
             raise ValueError("submission_queues must be >= 1")
-        self.submission_queues = submission_queues
 
     @property
     def integrity_armed(self):
         """Does this world defend reads (checksums and/or a mirror)?"""
         return self.checksums or self.mirror > 1
 
-    def to_json(self):
-        return {
-            "engine": self.engine,
-            "device": self.device,
-            "barriers": self.barriers,
-            "doublewrite": self.doublewrite,
-            "ops": self.ops,
-            "seed": self.seed,
-            "db_bytes": self.db_bytes,
-            "page_size": self.page_size,
-            "buffer_pool_bytes": self.buffer_pool_bytes,
-            "fault_config": (self.fault_config.to_json()
-                             if self.fault_config else None),
-            "capacitor_health": self.capacitor_health,
-            "workload": self.workload,
-            "timeout_policy": (self.timeout_policy.to_json()
-                               if self.timeout_policy else None),
-            "gray_profile": (self.gray_profile.to_json()
-                             if self.gray_profile else None),
-            "gray_target": self.gray_target,
-            "admission_control": self.admission_control,
-            "stripe": self.stripe,
-            "corruption": (self.corruption.to_json()
-                           if self.corruption else None),
-            "corruption_target": self.corruption_target,
-            "mirror": self.mirror,
-            "checksums": self.checksums,
-            "scrub": self.scrub,
-            "death": self.death.to_json() if self.death else None,
-            "death_target": self.death_target,
-            "spares": self.spares,
-            "rebuild_pace": self.rebuild_pace,
-            "interface": self.interface,
-            "submission_queues": self.submission_queues,
-        }
-
     @classmethod
     def from_json(cls, data):
+        # Artifacts written before the one target grammar spell the
+        # gray default ``all`` as ``both``.
+        if data.get("gray_target") == "both":
+            data = dict(data, gray_target="all")
         return cls(**data)
-
-    def __repr__(self):
-        return ("<TortureScenario %s/%s barriers=%r ops=%d seed=%d>"
-                % (self.engine, self.device, self.barriers, self.ops,
-                   self.seed))
 
 
 class TortureWorld:
@@ -302,10 +261,28 @@ class TortureWorld:
         self.spare_devices = tuple(spare_devices)
 
 
+def _install_gray(device, profile, target, salt, index):
+    # Under a whole-data target gray member 0 is salted plain ``data``:
+    # the committed chaos artifacts replay that schedule.
+    if target in ("data", "all") and salt == "data:0":
+        salt = "data"
+    device.inject_gray_faults(GrayFaultModel(profile, salt=salt))
+
+
+def _install_corruption(device, config, target, salt, index):
+    # Silent corruption lives beneath the FTL: a disk has none.
+    if hasattr(device, "inject_corruption"):
+        device.inject_corruption(CorruptionModel(config, salt=salt))
+
+
+def _install_death(device, schedule, target, salt, index):
+    device.inject_death(DeviceDeathModel(schedule, salt=salt, index=index))
+
+
 def build_world(scenario, telemetry=None):
     """Construct the scenario's world from scratch; deterministic."""
     sim = Simulator(telemetry)
-    maker = _DEVICE_MAKERS[scenario.device]
+    maker = DEVICE_MAKERS[scenario.device]
     data_capacity = max(32 * units.MIB, scenario.db_bytes * 8)
     log_capacity = max(16 * units.MIB, scenario.db_bytes * 2)
     if scenario.stripe > 1:
@@ -336,46 +313,18 @@ def build_world(scenario, telemetry=None):
         if scenario.capacitor_health < 1.0 and \
                 hasattr(device, "set_capacitor_health"):
             device.set_capacitor_health(scenario.capacitor_health)
-    if scenario.gray_profile is not None:
-        if scenario.gray_target.startswith("data:"):
-            member = int(scenario.gray_target.split(":", 1)[1])
-            data_devices[member].inject_gray_faults(
-                GrayFaultModel(scenario.gray_profile,
-                               salt="data:%d" % member))
-        elif scenario.gray_target in ("both", "data"):
-            for index, device in enumerate(data_devices):
-                salt = "data" if index == 0 else "data:%d" % index
-                device.inject_gray_faults(
-                    GrayFaultModel(scenario.gray_profile, salt=salt))
-        if scenario.gray_target in ("both", "log"):
-            log_device.inject_gray_faults(
-                GrayFaultModel(scenario.gray_profile, salt="log"))
-    if scenario.corruption is not None:
-        # Silent-corruption models beneath the FTL, one per device with
-        # its own salt so replicas never rot in lock-step.
-        if scenario.corruption_target in ("data", "all"):
-            for index, device in enumerate(data_devices):
-                if hasattr(device, "inject_corruption"):
-                    device.inject_corruption(CorruptionModel(
-                        scenario.corruption, salt="data:%d" % index))
-        if scenario.corruption_target in ("log", "all") \
-                and hasattr(log_device, "inject_corruption"):
-            log_device.inject_corruption(CorruptionModel(
-                scenario.corruption, salt="log"))
-    if scenario.death is not None and not scenario.death.quiet:
-        # Fail-stop death models; ``index`` orders staggered deaths so a
-        # double-death profile kills members one after the other.
-        if scenario.death_target.startswith("data:"):
-            member = int(scenario.death_target.split(":", 1)[1])
-            data_devices[member].inject_death(DeviceDeathModel(
-                scenario.death, salt="data:%d" % member, index=0))
-        elif scenario.death_target in ("data", "all"):
-            for index, device in enumerate(data_devices):
-                device.inject_death(DeviceDeathModel(
-                    scenario.death, salt="data:%d" % index, index=index))
-        if scenario.death_target in ("log", "all"):
-            log_device.inject_death(DeviceDeathModel(
-                scenario.death, salt="log", index=len(data_devices)))
+    death = scenario.death
+    if death is not None and death.quiet:
+        death = None
+    for fault, target, install in (
+            (scenario.gray_profile, scenario.gray_target, _install_gray),
+            (scenario.corruption, scenario.corruption_target,
+             _install_corruption),
+            (death, scenario.death_target, _install_death)):
+        if fault is not None:
+            for device, salt, index in fault_targets(target, data_devices,
+                                                     log_device):
+                install(device, fault, target, salt, index)
     all_durable = all(device.claims_durable_cache for device in devices)
     barriers = (not all_durable) if scenario.barriers is None \
         else scenario.barriers

@@ -25,8 +25,11 @@ With ``policy=None`` the lifecycle is pass-through and byte-identical to
 the legacy submit path, so calibrated benchmarks are unperturbed.
 """
 
+from typing import NamedTuple
+
 from ..devices.base import DeviceDeadError
 from ..sim.engine import Interrupted
+from ..sim.record import Record
 from ..sim.rng import make_rng
 
 
@@ -48,7 +51,16 @@ class DeviceTimeoutError(Exception):
 STORAGE_ERRORS = (DeviceTimeoutError, DeviceDeadError)
 
 
-class TimeoutPolicy:
+class _PolicyFields(NamedTuple):
+    deadline: float = 0.25
+    max_attempts: int = 5
+    backoff_base: float = 2e-3
+    backoff_factor: float = 2.0
+    jitter: float = 0.5
+    seed: int = 0
+
+
+class TimeoutPolicy(Record, _PolicyFields):
     """Per-command deadline and bounded-retry parameters.
 
     ``deadline`` is generous relative to device service times (a flash
@@ -57,41 +69,22 @@ class TimeoutPolicy:
     artifacts capture the exact policy they ran under.
     """
 
-    def __init__(self, deadline=0.25, max_attempts=5, backoff_base=2e-3,
-                 backoff_factor=2.0, jitter=0.5, seed=0):
-        if deadline <= 0:
+    __slots__ = ()
+
+    def _check(self):
+        if self.deadline <= 0:
             raise ValueError("deadline must be > 0")
-        if max_attempts < 1:
+        if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if backoff_factor < 1.0:
+        if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= jitter <= 1.0:
+        if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-        self.deadline = deadline
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.jitter = jitter
-        self.seed = seed
 
     def backoff(self, attempt, rng):
         """Exponential backoff for retry number ``attempt`` (1-based)."""
         base = self.backoff_base * (self.backoff_factor ** (attempt - 1))
         return base * (1.0 + self.jitter * rng.random())
-
-    def to_json(self):
-        return {
-            "deadline": self.deadline,
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
 
 
 class CommandLifecycle:

@@ -58,6 +58,17 @@ def test_chaos_artifact_replays_its_result(name):
     assert result.violations == artifact["violations"]
 
 
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_scenario_json_round_trips(path):
+    """Reading an artifact's scenario and writing it back changes
+    nothing but the old ``both`` spelling of the gray target."""
+    data = json.loads(path.read_text())["scenario"]
+    back = TortureScenario.from_json(data).to_json()
+    assert back["gray_target"] == "all"
+    assert dict(back, gray_target=data["gray_target"]) == data
+
+
 def test_corpus_verdicts():
     hang = _load("chaos-hang-permanent.json")
     assert len(hang["ops"]) == 24

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.devices import DEVICE_MAKERS
 from repro.failures import chaos
 from repro.failures.campaign import make_artifact, replay_artifact
 from repro.failures.grayfaults import GrayFaultProfile
@@ -30,6 +31,13 @@ class TestScenario:
         slow = chaos.chaos_scenario(device="hdd", seed=1, ops=OPS)
         fast = chaos.chaos_scenario(device="durassd", seed=1, ops=OPS)
         assert slow.timeout_policy.deadline > fast.timeout_policy.deadline
+
+    def test_every_device_kind_has_a_deadline(self):
+        assert set(chaos.CHAOS_DEADLINES) == set(DEVICE_MAKERS)
+
+    def test_unknown_device_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            chaos.chaos_scenario(device="floppy")
 
 
 class TestRunChaos:

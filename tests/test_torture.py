@@ -29,6 +29,9 @@ from repro.failures import (
     verify_determinism,
 )
 from repro.failures.campaign import TORTURE_FORMAT
+from repro.failures.corruption import CorruptionModel
+from repro.failures.grayfaults import GrayFaultProfile
+from repro.failures.torture import build_world
 from repro.sim import Simulator
 
 
@@ -57,6 +60,63 @@ class TestScenario:
 
     def test_world_replay_is_deterministic(self):
         assert verify_determinism(TortureScenario(ops=40, seed=11))
+
+
+class TestRecords:
+    """Every campaign record validates on construction and on
+    ``_replace``, and cannot be edited in place."""
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError):
+            TortureScenario()._replace(ops=0)
+        with pytest.raises(ValueError):
+            GrayFaultProfile()._replace(horizon=0)
+
+    def test_records_are_immutable(self):
+        scenario = TortureScenario()
+        with pytest.raises(AttributeError):
+            scenario.ops = 5
+        assert scenario._replace(ops=5).ops == 5
+        assert scenario.ops == 200
+
+    def test_scenario_keeps_its_fields(self):
+        assert len(TortureScenario._fields) == 28
+        assert set(TortureScenario().to_json()) \
+            == set(TortureScenario._fields)
+
+    def test_gray_both_reads_as_all(self):
+        data = dict(TortureScenario().to_json(), gray_target="both")
+        assert TortureScenario.from_json(data).gray_target == "all"
+        with pytest.raises(ValueError):
+            TortureScenario(gray_target="both")
+
+
+class TestFaultTargets:
+    """One target grammar for gray faults, corruption and death."""
+
+    GRAY = GrayFaultProfile(seed=3, gc_storm_rate=0.05)
+
+    def test_gray_fault_on_one_mirror_member(self):
+        world = build_world(TortureScenario(
+            ops=5, mirror=2, gray_profile=self.GRAY, gray_target="data:1"))
+        assert [device.gray_faults is not None
+                for device in world.devices] == [False, True, False]
+
+    def test_corruption_on_one_mirror_member(self):
+        world = build_world(TortureScenario(
+            ops=5, mirror=2, corruption={"seed": 1, "bit_rot_rate": 0.01},
+            corruption_target="data:1"))
+        models = [device.corruption for device in world.devices]
+        assert models[0] is None and models[2] is None
+        assert isinstance(models[1], CorruptionModel)
+        assert models[1].salt == "data:1"
+
+    @pytest.mark.parametrize("field", ["gray_target", "corruption_target",
+                                       "death_target"])
+    @pytest.mark.parametrize("target", ["both", "data:2", "data:01"])
+    def test_every_kind_rejects_the_same_targets(self, field, target):
+        with pytest.raises(ValueError):
+            TortureScenario(mirror=2, **{field: target})
 
 
 class TestSweep:
