@@ -43,7 +43,7 @@ Usage::
     python -m repro table5 --profile                # any bench + wall report
 
     python -m repro validate trace.json --min-tracks 4  # schema checks
-    python -m repro validate --profile profile.json    # a profile report
+    python -m repro validate profile.json              # a run record
 
     python -m repro <command> --help                # options, scenarios
 
@@ -211,11 +211,6 @@ def _add_validate(commands):
         formatter_class=argparse.RawDescriptionHelpFormatter,
         allow_abbrev=False)
     sub.add_argument("paths", nargs="+", metavar="FILE")
-    kinds = sub.add_mutually_exclusive_group()
-    for kind in ("explain", "monitor", "profile"):
-        kinds.add_argument("--" + kind, dest="kind", action="store_const",
-                           const=kind, default="trace",
-                           help="the files are repro.%s/1 reports" % kind)
     tracks = sub.add_argument_group("trace checks")
     tracks.add_argument("--min-tracks", type=int, default=0, metavar="N")
     tracks.add_argument("--require-tracks", type=names, default=(),
@@ -385,22 +380,22 @@ def world_spec(args):
         profile=args.profile)
 
 
-def _emit_profile(target, worlds):
+def _emit_profile(target, worlds, spec):
     """Report the self-profile of every world a ``--profile`` run
-    built: a pooled wall-attribution summary on stdout plus the full
-    aggregate as ``<target>-profile.json``."""
+    built: a pooled summary on stdout, and the run record
+    ``<target>-profile.json`` with the aggregate as its ``profile``."""
     profilers = [world.telemetry.profiler for world in worlds
                  if world.telemetry.profiler is not None
                  and world.telemetry.profiler.steps]
     if not profilers:
         return
+    from .bench.runner import envelope
     from .sim.profiler import aggregate
     report = aggregate(profilers)
-    report["schema"] = "repro.profile/1"
-    report["scenario"] = target
     path = "%s-profile.json" % target
     with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
+        json.dump(envelope(target, spec, outcome=None, profile=report),
+                  handle, indent=2, sort_keys=True)
     print("\nself-profile: %d world(s), %d events, %.2fx real time, "
           "%.0f events/sec -> %s"
           % (report["worlds"], report["steps"],
@@ -433,9 +428,9 @@ def _emit_metrics(target, worlds):
           % (len(sims), windows, sims[0].telemetry.metrics.interval, path))
 
 
-def _emit(target, worlds):
+def _emit(target, worlds, spec):
     _emit_metrics(target, worlds)
-    _emit_profile(target, worlds)
+    _emit_profile(target, worlds, spec)
 
 
 def _run_bench(name, args, spec):
@@ -458,7 +453,7 @@ def _run_bench(name, args, spec):
               "(%d events, tracks: %s)"
               % (name, out, len(telemetry.events),
                  ", ".join(telemetry.tracks())))
-    _emit(name, worlds)
+    _emit(name, worlds, spec)
 
 
 def _run_world_command(args, spec):
@@ -474,7 +469,7 @@ def _run_world_command(args, spec):
             sub.error(refusal)
     worlds = []
     status = args.run(spec=spec, worlds=worlds, **options)
-    _emit(args.command, worlds)
+    _emit(args.command, worlds, spec)
     return status
 
 
@@ -493,8 +488,7 @@ def main(argv=None):
     if command in CAMPAIGNS:
         return CAMPAIGNS[command](args, parser)
     if command == "validate":
-        return validate.main(args.paths, kind=args.kind,
-                             min_tracks=args.min_tracks,
+        return validate.main(args.paths, min_tracks=args.min_tracks,
                              require_tracks=args.require_tracks,
                              check_probe_attrs=args.check_probe_attrs)
     try:

@@ -2,11 +2,12 @@
 
 Runs a traced scenario in two contrasting configurations, decomposes
 every request's latency into blame categories
-(:mod:`repro.telemetry.attribution`), and renders a markdown/JSON
-report with blame tables, anomaly episodes and annotated tail-request
-timelines.  The ``linkbench`` scenario is the paper's argument in one
-table: flush-cache mode spends its tail in ``flush_cache`` and
-``doublewrite``; durable-cache mode makes both collapse.
+(:mod:`repro.telemetry.attribution`), and renders the ``repro.run/1``
+record as markdown (and JSON with ``--json``): blame tables, anomaly
+episodes and annotated tail-request timelines.  The ``linkbench``
+scenario is the paper's argument in one table: flush-cache mode spends
+its tail in ``flush_cache`` and ``doublewrite``; durable-cache mode
+makes both collapse.
 
 Usage::
 
@@ -19,12 +20,9 @@ exactness checks (blame must sum to wall time; unattributed time must
 stay under 1%), so CI can gate on it.
 """
 
-import json
-
 from ..sim import units
-from ..telemetry import Telemetry
 from ..telemetry import report as report_mod
-from . import scenarios, setups
+from . import runner, scenarios, setups
 from .figure5 import run_config
 
 CLIENTS = 16
@@ -32,33 +30,33 @@ BASE_OPS = 24
 PAGE_SIZE = 16 * units.KIB
 
 
-def _traced(barrier, doublewrite, ops, spec, worlds):
-    telemetry = Telemetry(enabled=True)
-    result = run_config(barrier, doublewrite, PAGE_SIZE, clients=CLIENTS,
-                        ops_per_client=ops, telemetry=telemetry, spec=spec,
-                        worlds=worlds)
-    outcome = {
-        "barrier": barrier,
-        "doublewrite": doublewrite,
-        "tps": round(result.tps, 1),
-        "write_p99_ms": round(result.writes.percentile(0.99) * 1e3, 3),
-    }
-    return telemetry.events, outcome
+def _mode(barrier, doublewrite, ops):
+    """One LinkBench run in the given mode, as a runner scenario."""
+    def scenario(telemetry, spec, worlds):
+        result = run_config(barrier, doublewrite, PAGE_SIZE, clients=CLIENTS,
+                            ops_per_client=ops, telemetry=telemetry,
+                            spec=spec, worlds=worlds)
+        return {
+            "barrier": barrier,
+            "doublewrite": doublewrite,
+            "tps": round(result.tps, 1),
+            "write_p99_ms": round(result.writes.percentile(0.99) * 1e3, 3),
+        }
+    return scenario
 
 
-def _scenario_linkbench(ops, spec, worlds):
+def _scenario_linkbench(ops, spec):
     """The paper's delta: barriers+doublewrite on vs both off."""
-    return {"flush-cache": _traced(True, True, ops, spec, worlds),
-            "durable-cache": _traced(False, False, ops, spec, worlds)}
+    return {"flush-cache": (_mode(True, True, ops), spec),
+            "durable-cache": (_mode(False, False, ops), spec)}
 
 
-def _scenario_gray(ops, spec, worlds):
+def _scenario_gray(ops, spec):
     """Healthy vs gray-failing data path, durable-cache mode."""
-    return {"healthy": _traced(False, False, ops,
-                               spec._replace(gray_faults=None), worlds),
-            "gray-stalls": _traced(False, False, ops,
-                                   spec._replace(gray_faults="stalls"),
-                                   worlds)}
+    return {"healthy": (_mode(False, False, ops),
+                        spec._replace(gray_faults=None)),
+            "gray-stalls": (_mode(False, False, ops),
+                            spec._replace(gray_faults="stalls"))}
 
 
 SCENARIOS = scenarios.ScenarioSet("explain")
@@ -71,40 +69,35 @@ SCENARIOS.register("gray", "healthy vs gray-failing device blame",
 
 def run_scenario(name, quick=False, top_k=5, spec=setups.DEFAULT_SPEC,
                  worlds=None):
-    """Build the full explain report dict for one scenario."""
-    fn = SCENARIOS.get(name)
+    """The explain record of one scenario: a run record per mode, each
+    with ``trace`` and ``blame`` sections, and the blame delta between
+    the two modes."""
     ops = 10 if quick else max(10, setups.ops_scale(BASE_OPS))
-    modes = fn(ops, spec, worlds)
+    modes = {label: runner.run("%s/%s" % (name, label), fn, mode_spec,
+                               worlds, blame=top_k)[0]
+             for label, (fn, mode_spec)
+             in SCENARIOS.get(name)(ops, spec).items()}
+    base, other = modes
     meta = {"clients": CLIENTS, "ops_per_client": ops,
             "page_size": PAGE_SIZE,
             "scale_factor": setups.scale_factor()}
-    return report_mod.build(name, modes, meta=meta, top_k=top_k)
+    return runner.envelope(name, spec, meta=meta, modes=modes,
+                           delta=report_mod.blame_delta(
+                               modes[base]["blame"], modes[other]["blame"],
+                               base, other))
 
 
 def main(scenario, quick=False, json_path=None, out_path=None, top_k=5,
          spec=setups.DEFAULT_SPEC, worlds=None):
     """``python -m repro explain``: build, write and self-check one
-    scenario's report."""
-    report = run_scenario(scenario, quick=quick, top_k=top_k, spec=spec,
+    scenario's record."""
+    record = run_scenario(scenario, quick=quick, top_k=top_k, spec=spec,
                           worlds=worlds)
-    markdown = report_mod.render_markdown(report)
-    if out_path is not None:
-        with open(out_path, "w") as handle:
-            handle.write(markdown)
-        print("wrote %s" % out_path)
-    else:
-        print(markdown)
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print("wrote %s" % json_path)
-    problems = report_mod.check(report)
-    if problems:
-        for problem in problems:
-            print("FAIL: %s" % problem)
+    if runner.write_views(record, report_mod.render_markdown(record),
+                          out_path, json_path):
         return 1
     print("attribution exact: blame sums to wall time in every mode "
           "(worst residue %.2g s)"
-          % max(analysis["max_residue_s"]
-                for analysis in report["modes"].values()))
+          % max(mode["blame"]["max_residue_s"]
+                for mode in record["modes"].values()))
     return 0

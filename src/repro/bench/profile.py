@@ -15,9 +15,9 @@ it models" roadmap item.  Three passes over one traced scenario:
 3. **Allocation accounting** — a third run under :mod:`tracemalloc`,
    grouped by layer: the object-churn half of the speed question.
 
-The JSON report (``repro.profile/1``) is schema-checked by
-``python -m repro validate --profile`` and carries its own
-exactness bar: attributed layer shares must cover >= 95% of the
+All three land in the ``profile`` section of the run's ``repro.run/1``
+record, which ``python -m repro validate`` checks.  The section carries
+its own exactness bar: attributed layer shares must cover >= 95% of the
 measured wall time or the CLI exits non-zero.
 
 Usage::
@@ -33,19 +33,11 @@ one ``repro;layer;target <microseconds>`` line — consumable by
 the repository benchmark, ``python3 benchmarks/perf/run.py``.
 """
 
-import json
-import time
 import tracemalloc
 
-from ..sim.profiler import SimProfiler
-from ..telemetry import Telemetry
-from . import setups
+from ..sim.profiler import allocation_stats
+from . import runner, setups
 from .scenarios import TRACED
-
-SCHEMA = "repro.profile/1"
-
-#: attributed layer shares must cover this much of the measured wall
-COVERAGE_FLOOR = 0.95
 
 DEFAULT_TOP = 15
 
@@ -54,72 +46,65 @@ DEFAULT_TOP = 15
 ALIASES = {"figure5-small": "figure5", "table1-small": "table1"}
 
 
-def _profiled_run(name, spec, worlds, telemetry=None):
-    """Run one traced scenario with a fresh profiler riding the hub;
-    returns ``(profiler, outcome, run_wall_seconds)``."""
-    fn = TRACED.get(name)
-    if telemetry is None:
-        telemetry = Telemetry(enabled=False)
-    profiler = SimProfiler()
-    telemetry.profiler = profiler
-    begin = time.perf_counter()
-    outcome = fn(telemetry, spec, worlds)
-    return profiler, outcome, time.perf_counter() - begin
-
-
 def profile_scenario(name, alloc=True, ablation=True, top=DEFAULT_TOP,
                      spec=setups.DEFAULT_SPEC, worlds=None):
-    """Build the full ``repro.profile/1`` report for one scenario.
+    """The ``repro.run/1`` record of one profiled scenario; its
+    ``profile`` section also carries the telemetry ablation and the
+    allocation pass.
 
-    Returns ``(report, profiler)`` — the profiler is kept live so the
+    Returns ``(record, profiler)`` — the profiler is kept live so the
     CLI can emit its collapsed stacks without re-deriving them.
     """
     name = ALIASES.get(name, name)
-    profiler, outcome, run_wall = _profiled_run(name, spec, worlds)
-    summary = profiler.summary()
-    report = {
-        "schema": SCHEMA,
-        "scenario": name,
-        "outcome": outcome,
-        "run_wall_seconds": run_wall,
-        "hot": profiler.hot_targets(top),
-        "telemetry_overhead": None,
-        "allocations": None,
-    }
-    report.update(summary)
+    fn = TRACED.get(name)
+    record, telemetry = runner.run(name, fn, spec, worlds, profile=True,
+                                   top=top)
+    profile = record["profile"]
+    profile.update(telemetry_overhead=None, allocations=None)
     if ablation:
-        armed, _outcome, _wall = _profiled_run(
-            name, spec, worlds, telemetry=Telemetry(enabled=True))
-        base_wall = profiler.wall_seconds()
-        armed_wall = armed.wall_seconds()
-        report["telemetry_overhead"] = {
+        armed = runner.run(name, fn, spec, worlds, spans=True,
+                           profile=True)[0]["profile"]
+        base_wall = profile["wall_seconds"]
+        armed_wall = armed["wall_seconds"]
+        profile["telemetry_overhead"] = {
             "base_wall_s": base_wall,
             "armed_wall_s": armed_wall,
             "overhead_pct": ((armed_wall - base_wall) / base_wall * 100
                              if base_wall > 0 else 0.0),
-            "base_events": profiler.steps,
-            "armed_events": armed.steps,
+            "base_events": profile["steps"],
+            "armed_events": armed["steps"],
         }
     if alloc:
-        from ..sim.profiler import allocation_stats
         tracemalloc.start()
         try:
             before = tracemalloc.take_snapshot()
-            churn, _outcome, _wall = _profiled_run(name, spec, worlds)
+            churn = runner.run(name, fn, spec, worlds,
+                               profile=True)[0]["profile"]
             stats = allocation_stats(before)
         finally:
             tracemalloc.stop()
-        sim_s = churn.sim_seconds()
+        sim_s = churn["sim_seconds"]
         stats["alloc_kib_per_sim_s"] = (stats["total_kib"] / sim_s
                                         if sim_s > 0 else 0.0)
-        report["allocations"] = stats
-    return report, profiler
+        profile["allocations"] = stats
+    return record, telemetry.profiler
 
 
 # --- markdown -------------------------------------------------------------
-def render_markdown(report):
-    lines = ["# repro profile — %s" % report["scenario"], ""]
-    lines.append("- outcome: %s" % report["outcome"])
+def layer_table(profile):
+    """A profile section's wall time by layer, as markdown rows."""
+    return ["| layer | wall s | share | events |", "|---|---:|---:|---:|"] + [
+        "| %s | %.4f | %.1f%% | %d |"
+        % (row["layer"], row["wall_s"], row["share"] * 100, row["events"])
+        for row in profile["layers"]]
+
+
+def render_markdown(record):
+    """The profile section as markdown: layers, hot targets, event
+    types, the telemetry ablation and allocations."""
+    report = record["profile"]
+    lines = ["# repro profile — %s" % record["scenario"], ""]
+    lines.append("- outcome: %s" % record["outcome"])
     lines.append("- wall %.3fs for %.3f simulated seconds — real-time "
                  "factor **%.2fx**"
                  % (report["wall_seconds"], report["sim_seconds"],
@@ -134,12 +119,7 @@ def render_markdown(report):
 
     lines.append("## Wall time by layer")
     lines.append("")
-    lines.append("| layer | wall s | share | events |")
-    lines.append("|---|---:|---:|---:|")
-    for row in report["layers"]:
-        lines.append("| %s | %.4f | %.1f%% | %d |"
-                     % (row["layer"], row["wall_s"], row["share"] * 100,
-                        row["events"]))
+    lines.extend(layer_table(report))
     lines.append("")
 
     lines.append("## Hottest callback targets")
@@ -202,36 +182,21 @@ def main(scenario=None, out_path=None, json_path=None, collapsed_path=None,
          top=DEFAULT_TOP, alloc=True, ablation=True,
          spec=setups.DEFAULT_SPEC, worlds=None):
     """``python -m repro profile``: profile one scenario (an alias
-    resolves first)."""
-    report, profiler = profile_scenario(ALIASES.get(scenario, scenario),
-                                        alloc=alloc, ablation=ablation,
-                                        top=top, spec=spec, worlds=worlds)
-    markdown = render_markdown(report)
-    if out_path is not None:
-        with open(out_path, "w") as handle:
-            handle.write(markdown)
-        print("wrote %s" % out_path)
-    else:
-        print(markdown)
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print("wrote %s" % json_path)
+    resolves first); exits non-zero below the 95% coverage floor."""
+    record, profiler = profile_scenario(scenario, alloc=alloc,
+                                        ablation=ablation, top=top,
+                                        spec=spec, worlds=worlds)
+    errors = runner.write_views(record, render_markdown(record), out_path,
+                                json_path)
     if collapsed_path is not None:
         with open(collapsed_path, "w") as handle:
             handle.write(profiler.collapsed_stacks())
         print("wrote %s (collapsed stacks; feed to flamegraph.pl "
               "or speedscope)" % collapsed_path)
-    # Self-check: the report must satisfy its own schema, including
-    # the >= 95% attribution-coverage bar.
-    from ..telemetry.validate import validate_profile_report
-    errors = validate_profile_report(report)
     if errors:
-        print("\nPROFILE INVALID:")
-        for error in errors:
-            print("  - %s" % error)
         return 1
+    profile = record["profile"]
     print("\n%s: %.2fx real time, %.0f events/sec, coverage %.1f%%"
-          % (report["scenario"], report["real_time_factor"],
-             report["events_per_sec"], report["coverage"] * 100))
+          % (record["scenario"], profile["real_time_factor"],
+             profile["events_per_sec"], profile["coverage"] * 100))
     return 0

@@ -106,11 +106,6 @@ class WorldSpec(Record, _WorldFields):
         return TimeoutPolicy(deadline=0.01, backoff_base=1e-3,
                              seed=self.gray_seed)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(**dict(data,
-                          topology=QueueTopology.from_json(data["topology"])))
-
 
 DEFAULT_SPEC = WorldSpec()
 

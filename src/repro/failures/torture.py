@@ -170,17 +170,9 @@ class TortureScenario(Record, _ScenarioFields):
     __slots__ = ()
 
     def _check(self):
-        hints = _ScenarioFields.__annotations__
-        fixes = {name: hints[name].from_json(value)
-                 for name, value in zip(self._fields, self)
-                 if isinstance(value, dict)}
         if self.engine == "commercial" and self.doublewrite:
-            fixes["doublewrite"] = False  # the commercial engine has no DWB
-        if not self.buffer_pool_bytes:
-            fixes["buffer_pool_bytes"] = max(16 * self.page_size,
-                                             self.db_bytes // 4)
-        if fixes:
-            return self._replace(**fixes)
+            # the commercial engine has no DWB
+            return self._replace(doublewrite=False)
         if self.engine not in ENGINES:
             raise ValueError("unknown engine: %r" % self.engine)
         if self.device not in DEVICE_MAKERS:
@@ -367,14 +359,16 @@ def build_world(scenario, telemetry=None):
                         queue_model=queue_model)
     # Keep the WAL ring well inside the shrunken log device.
     log_ring = min(192 * units.MIB, log_capacity // 4)
+    pool = scenario.buffer_pool_bytes or max(16 * scenario.page_size,
+                                             scenario.db_bytes // 4)
     if scenario.engine == "commercial":
         config = CommercialConfig(page_size=scenario.page_size,
-                                  buffer_pool_bytes=scenario.buffer_pool_bytes,
+                                  buffer_pool_bytes=pool,
                                   log_capacity_bytes=log_ring)
         engine = CommercialEngine(sim, data_fs, log_fs, config)
     else:
         config = InnoDBConfig(page_size=scenario.page_size,
-                              buffer_pool_bytes=scenario.buffer_pool_bytes,
+                              buffer_pool_bytes=pool,
                               doublewrite=scenario.doublewrite,
                               log_capacity_bytes=log_ring,
                               admission_control=scenario.admission_control)

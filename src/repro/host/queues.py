@@ -27,6 +27,9 @@ layers carry around: it describes *which* model to build per device
 single owner of the queue-depth default.
 """
 
+from typing import NamedTuple
+
+from ..sim.record import Record
 from ..sim.resources import Resource
 from .lifecycle import CommandLifecycle
 
@@ -313,7 +316,18 @@ class NvmeMultiQueue(QueueModel):
         return self.lifecycles[0].flush()
 
 
-class QueueTopology:
+class _TopologyFields(NamedTuple):
+    interface: str = "sata"
+    queue_depth: int = None
+    submission_queues: int = 2
+    arbitration: str = "round-robin"
+    weights: tuple = None
+    ordered: bool = True
+    reorder_window: int = 8
+    affinity: dict = None
+
+
+class QueueTopology(Record, _TopologyFields):
     """Declarative queue-model factory: which model, how deep, how many.
 
     The bench and failure layers pass one of these around instead of
@@ -323,25 +337,18 @@ class QueueTopology:
     default.
     """
 
-    def __init__(self, interface="sata", queue_depth=None,
-                 submission_queues=2, arbitration="round-robin",
-                 weights=None, ordered=True, reorder_window=8,
-                 affinity=None):
-        if interface not in INTERFACES:
+    __slots__ = ()
+
+    def _check(self):
+        if self.weights is not None and not isinstance(self.weights, tuple):
+            return self._replace(weights=tuple(self.weights))
+        if self.interface not in INTERFACES:
             raise ValueError("unknown interface %r (want one of %s)"
-                             % (interface, ", ".join(INTERFACES)))
-        if queue_depth is not None and queue_depth < 1:
+                             % (self.interface, ", ".join(INTERFACES)))
+        if self.queue_depth is not None and self.queue_depth < 1:
             raise ValueError("queue depth must be >= 1")
-        if submission_queues < 1:
+        if self.submission_queues < 1:
             raise ValueError("submission_queues must be >= 1")
-        self.interface = interface
-        self.queue_depth = queue_depth
-        self.submission_queues = submission_queues
-        self.arbitration = arbitration
-        self.weights = tuple(weights) if weights is not None else None
-        self.ordered = ordered
-        self.reorder_window = reorder_window
-        self.affinity = dict(affinity) if affinity else None
 
     def build(self, sim, device, rng=None, timeout_policy=None):
         """A fresh :class:`QueueModel` for ``device``."""
@@ -369,23 +376,3 @@ class QueueTopology:
             affinity = {"log": submission_queues - 1}
         return cls(interface=interface, queue_depth=queue_depth,
                    submission_queues=submission_queues, affinity=affinity)
-
-    def to_json(self):
-        return {
-            "interface": self.interface,
-            "queue_depth": self.queue_depth,
-            "submission_queues": self.submission_queues,
-            "arbitration": self.arbitration,
-            "weights": list(self.weights) if self.weights else None,
-            "ordered": self.ordered,
-            "reorder_window": self.reorder_window,
-            "affinity": dict(self.affinity) if self.affinity else None,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
-
-    def __eq__(self, other):
-        return isinstance(other, QueueTopology) \
-            and self.to_json() == other.to_json()

@@ -78,6 +78,7 @@ delta between two snapshots) by repro layer — the churn half of the
 import os
 import time
 import tracemalloc
+from collections import Counter
 
 from .engine import Process
 
@@ -359,40 +360,6 @@ class SimProfiler:
         return self.attributed_seconds() / wall if wall > 0 else 0.0
 
     # --- reports --------------------------------------------------------
-    def layer_table(self):
-        """Layers sorted by wall time: name, wall_s, share, events."""
-        wall = self.wall_seconds()
-        rows = []
-        for layer in sorted(self.layer_wall,
-                            key=lambda name: -self.layer_wall[name]):
-            seconds = self.layer_wall[layer]
-            rows.append({"layer": layer, "wall_s": seconds,
-                         "share": seconds / wall if wall > 0 else 0.0,
-                         "events": self.layer_events.get(layer, 0)})
-        return rows
-
-    def hot_targets(self, top=15):
-        """The ``top`` hottest callback targets across all layers."""
-        wall = self.wall_seconds()
-        ordered = sorted(self.target_wall.items(),
-                         key=lambda item: (-item[1], item[0]))
-        return [{"layer": layer, "target": label,
-                 "wall_s": seconds,
-                 "share": seconds / wall if wall > 0 else 0.0,
-                 "events": self.target_events.get((layer, label), 0)}
-                for (layer, label), seconds in ordered[:top]]
-
-    def event_type_table(self):
-        """Event classes sorted by wall time, with push/pop counts."""
-        names = sorted(set(self.event_type_count) | set(self.push_count),
-                       key=lambda name: -self.event_type_wall.get(name,
-                                                                  0.0))
-        return [{"type": name,
-                 "wall_s": self.event_type_wall.get(name, 0.0),
-                 "processed": self.event_type_count.get(name, 0),
-                 "scheduled": self.push_count.get(name, 0)}
-                for name in names]
-
     def collapsed_stacks(self):
         """The target attribution in collapsed-stack format (one
         ``frame;frame value`` line per target, value in microseconds) —
@@ -410,53 +377,29 @@ class SimProfiler:
 
     def summary(self):
         """The JSON-ready attribution summary for one simulator."""
-        return {
-            "steps": self.steps,
-            "pushes": self.pushes(),
-            "wall_seconds": self.wall_seconds(),
-            "sim_seconds": self.sim_seconds(),
-            "real_time_factor": self.real_time_factor(),
-            "events_per_sec": self.events_per_sec(),
-            "attributed_seconds": self.attributed_seconds(),
-            "tick_wall_seconds": self.tick_wall,
-            "gap_seconds": self.gap_wall,
-            "coverage": self.coverage(),
-            "layers": self.layer_table(),
-            "event_types": self.event_type_table(),
-        }
+        return aggregate([self])
 
 
-def aggregate(profilers):
-    """Merge the summaries of several profiled worlds (a bench table's
-    ``--profile`` run builds one world per cell) into one report of the
-    same shape; rates are recomputed over the pooled totals."""
-    layer_wall, layer_events = {}, {}
-    target_wall, target_events = {}, {}
-    type_wall, type_proc, type_sched = {}, {}, {}
-    steps = pushes = 0
-    wall = sim_s = attributed = tick = gap = 0.0
+def aggregate(profilers, top=15):
+    """The attribution summary of one or more profiled worlds (a bench
+    table's ``--profile`` run builds one world per cell), pooled: rates
+    are recomputed over the totals, and ``hot`` lists the ``top``
+    hottest callback targets across all layers."""
+    layer_wall, layer_events = Counter(), Counter()
+    target_wall, target_events = Counter(), Counter()
+    type_wall, type_proc, type_sched = Counter(), Counter(), Counter()
     for profiler in profilers:
-        steps += profiler.steps
-        pushes += profiler.pushes()
-        wall += profiler.wall_seconds()
-        sim_s += profiler.sim_seconds()
-        attributed += profiler.attributed_seconds()
-        tick += profiler.tick_wall
-        gap += profiler.gap_wall
-        for layer, seconds in profiler.layer_wall.items():
-            layer_wall[layer] = layer_wall.get(layer, 0.0) + seconds
-        for layer, count in profiler.layer_events.items():
-            layer_events[layer] = layer_events.get(layer, 0) + count
-        for key, seconds in profiler.target_wall.items():
-            target_wall[key] = target_wall.get(key, 0.0) + seconds
-        for key, count in profiler.target_events.items():
-            target_events[key] = target_events.get(key, 0) + count
-        for name, seconds in profiler.event_type_wall.items():
-            type_wall[name] = type_wall.get(name, 0.0) + seconds
-        for name, count in profiler.event_type_count.items():
-            type_proc[name] = type_proc.get(name, 0) + count
-        for name, count in profiler.push_count.items():
-            type_sched[name] = type_sched.get(name, 0) + count
+        layer_wall.update(profiler.layer_wall)
+        layer_events.update(profiler.layer_events)
+        target_wall.update(profiler.target_wall)
+        target_events.update(profiler.target_events)
+        type_wall.update(profiler.event_type_wall)
+        type_proc.update(profiler.event_type_count)
+        type_sched.update(profiler.push_count)
+    steps = sum(profiler.steps for profiler in profilers)
+    wall = sum(profiler.wall_seconds() for profiler in profilers)
+    sim_s = sum(profiler.sim_seconds() for profiler in profilers)
+    attributed = sum(profiler.attributed_seconds() for profiler in profilers)
     layers = [{"layer": layer, "wall_s": layer_wall[layer],
                "share": layer_wall[layer] / wall if wall > 0 else 0.0,
                "events": layer_events.get(layer, 0)}
@@ -473,19 +416,19 @@ def aggregate(profilers):
             "events": target_events.get((layer, label), 0)}
            for (layer, label), seconds
            in sorted(target_wall.items(),
-                     key=lambda item: (-item[1], item[0]))[:15]]
+                     key=lambda item: (-item[1], item[0]))[:top]]
     return {
         "worlds": len(profilers),
         "hot": hot,
         "steps": steps,
-        "pushes": pushes,
+        "pushes": sum(profiler.pushes() for profiler in profilers),
         "wall_seconds": wall,
         "sim_seconds": sim_s,
         "real_time_factor": sim_s / wall if wall > 0 else 0.0,
         "events_per_sec": steps / wall if wall > 0 else 0.0,
         "attributed_seconds": attributed,
-        "tick_wall_seconds": tick,
-        "gap_seconds": gap,
+        "tick_wall_seconds": sum(profiler.tick_wall for profiler in profilers),
+        "gap_seconds": sum(profiler.gap_wall for profiler in profilers),
         "coverage": attributed / wall if wall > 0 else 0.0,
         "layers": layers,
         "event_types": event_types,

@@ -19,8 +19,19 @@ field, and may instead return a corrected copy (``self._replace(...)``),
 which is checked in turn.  ``_replace`` builds its copy the same way,
 so no record skips validation.  ``to_json`` writes every field, with a
 nested record (or any value with a ``to_json``) as its own JSON;
-``from_json`` is the constructor.
+``from_json`` is the constructor.  A field annotated with a record type
+may be given as that record's JSON dict; construction rebuilds it.
 """
+
+import functools
+import typing
+
+
+@functools.lru_cache(maxsize=None)
+def _record_fields(cls):
+    """Field name -> record type, for the fields ``cls`` annotates so."""
+    return {name: kind for name, kind in typing.get_type_hints(cls).items()
+            if hasattr(kind, "from_json")}
 
 
 class Record:
@@ -30,6 +41,12 @@ class Record:
 
     def __new__(cls, *args, **kwargs):
         record = super().__new__(cls, *args, **kwargs)
+        kinds = _record_fields(cls)
+        nested = {name: kinds[name].from_json(value)
+                  for name, value in zip(record._fields, record)
+                  if isinstance(value, dict) and name in kinds}
+        if nested:
+            return record._replace(**nested)
         return record._check() or record
 
     def _check(self):

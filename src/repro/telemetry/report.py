@@ -1,18 +1,17 @@
-"""Explain reports: assemble attribution + critical paths + episodes.
+"""Explain reports: attribution + critical paths + episodes.
 
-The report reproduces the paper's latency-CDF argument as a *blame
-delta*: run the same workload in flush-cache and durable-cache modes,
-decompose every request, and show the flush/doublewrite categories
-collapsing while everything else holds still.  Output is a JSON
-document (schema ``repro.explain/1``) and a markdown rendering.
+:func:`analyze` decomposes one traced run into the ``blame`` section of
+its ``repro.run/1`` record.  The explain record reproduces the paper's
+latency-CDF argument as a *blame delta*: run the same workload in
+flush-cache and durable-cache modes, decompose every request, and show
+the flush/doublewrite categories collapsing while everything else holds
+still.  :func:`render_markdown` is that record's markdown view.
 """
 
 import math
 
 from . import anomaly, critical_path
 from .attribution import CATEGORIES, BlameTable, attribute_requests
-
-SCHEMA = "repro.explain/1"
 
 #: residue tolerance: blame sums must match wall time to float noise
 EXACTNESS = 1e-9
@@ -46,28 +45,9 @@ def analyze(events, top_k=5, name_prefix="op."):
     }
 
 
-def build(scenario, modes, meta=None, top_k=5):
-    """Full report over ``{mode_label: (events, outcome_dict)}``."""
-    report = {
-        "schema": SCHEMA,
-        "scenario": scenario,
-        "meta": dict(meta or {}),
-        "modes": {},
-    }
-    for label, (events, outcome) in modes.items():
-        analysis = analyze(events, top_k=top_k)
-        analysis["outcome"] = dict(outcome or {})
-        report["modes"][label] = analysis
-    labels = list(modes)
-    if len(labels) >= 2:
-        report["delta"] = _delta(report["modes"][labels[0]],
-                                 report["modes"][labels[1]],
-                                 labels[0], labels[1])
-    return report
-
-
-def _delta(base, other, base_label, other_label):
-    """Per-category share comparison between two modes (base vs other)."""
+def blame_delta(base, other, base_label, other_label):
+    """Per-category share comparison between two modes' blame sections
+    (base vs other)."""
     base_shares = {row["category"]: row["share"]
                    for row in base["blame"]["causes"]}
     other_shares = {row["category"]: row["share"]
@@ -90,32 +70,25 @@ def _delta(base, other, base_label, other_label):
     }
 
 
-def check(report, other_budget=OTHER_BUDGET, exactness=EXACTNESS):
-    """Acceptance checks on a built report; returns a problem list.
-
-    Empty list means: every mode's per-request blame sums to wall time
-    within float noise, and the ``other`` bucket is under budget.
-    """
+def check(blame, other_budget=OTHER_BUDGET, exactness=EXACTNESS):
+    """Problems of one run's blame section: none means every request's
+    blame sums to its wall time within float noise, and the ``other``
+    bucket is under budget."""
     problems = []
-    for label, analysis in report["modes"].items():
-        residue = analysis["max_residue_s"]
-        wall = analysis["blame"]["wall_s"]
-        if residue > max(exactness, wall * 1e-12):
-            problems.append("%s: blame does not sum to wall time "
-                            "(max residue %.3g s)" % (label, residue))
-        if analysis["other_share"] > other_budget:
-            problems.append("%s: unattributed 'other' share %.2f%% "
-                            "exceeds %.2f%% budget"
-                            % (label, analysis["other_share"] * 100,
-                               other_budget * 100))
-        for record in analysis["requests"]:
-            gap = abs(math.fsum(record["blame"].values())
-                      - record["latency_s"])
-            if gap > max(exactness, record["latency_s"] * 1e-9):
-                problems.append("%s: request %s at %.6fs off by %.3g s"
-                                % (label, record["name"],
-                                   record["start_s"], gap))
-                break
+    residue = blame["max_residue_s"]
+    if residue > max(exactness, blame["blame"]["wall_s"] * 1e-12):
+        problems.append("blame does not sum to wall time "
+                        "(max residue %.3g s)" % residue)
+    if blame["other_share"] > other_budget:
+        problems.append("unattributed 'other' share %.2f%% exceeds %.2f%% "
+                        "budget" % (blame["other_share"] * 100,
+                                    other_budget * 100))
+    for record in blame["requests"]:
+        gap = abs(math.fsum(record["blame"].values()) - record["latency_s"])
+        if gap > max(exactness, record["latency_s"] * 1e-9):
+            problems.append("request %s at %.6fs off by %.3g s"
+                            % (record["name"], record["start_s"], gap))
+            break
     return problems
 
 
@@ -124,10 +97,9 @@ def _fmt_ms(seconds):
     return "%.3f" % (seconds * 1e3)
 
 
-def _blame_section(label, analysis):
+def _blame_section(label, analysis, outcome):
     blame = analysis["blame"]
     lines = ["## %s" % label, ""]
-    outcome = analysis.get("outcome") or {}
     if outcome:
         lines.append("  ".join("%s=%s" % (key, outcome[key])
                                for key in sorted(outcome)))
@@ -195,18 +167,20 @@ def _tail_section(analysis):
     return lines
 
 
-def render_markdown(report):
-    lines = ["# Latency attribution: %s" % report["scenario"], ""]
-    meta = report.get("meta") or {}
+def render_markdown(record):
+    """The explain record as markdown: each mode's blame table and
+    slowest request, then the delta between the modes."""
+    lines = ["# Latency attribution: %s" % record["scenario"], ""]
+    meta = record.get("meta") or {}
     if meta:
         lines.append("  ".join("%s=%s" % (key, meta[key])
                                for key in sorted(meta)))
         lines.append("")
-    for label, analysis in report["modes"].items():
-        lines.extend(_blame_section(label, analysis))
-        lines.extend(_tail_section(analysis))
+    for label, mode in record["modes"].items():
+        lines.extend(_blame_section(label, mode["blame"], mode["outcome"]))
+        lines.extend(_tail_section(mode["blame"]))
         lines.append("")
-    delta = report.get("delta")
+    delta = record.get("delta")
     if delta:
         lines.append("## Delta: %s vs %s" % (delta["other"],
                                              delta["base"]))

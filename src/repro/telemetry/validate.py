@@ -1,26 +1,26 @@
 """Schema checks for exported telemetry artifacts.
 
-Usable as a library (``validate_chrome_trace``,
-``validate_probe_attrs``, ``validate_explain_report``) or through
-``python -m repro validate`` — CI's smoke jobs run::
+Usable as a library (``validate_chrome_trace``, ``validate_probe_attrs``,
+``validate_run_record``) or through ``python -m repro validate`` — CI's
+smoke jobs run::
 
     REPRO_QUICK=1 python -m repro trace table1 --out trace.json
     python -m repro validate trace.json --min-tracks 4
 
     python -m repro explain linkbench --quick --json report.json
-    python -m repro validate --explain report.json
-
     REPRO_QUICK=1 python -m repro monitor figure5 --quiet --json dash.json
-    python -m repro validate --monitor dash.json
+    python -m repro validate report.json dash.json
 
 The Chrome checks cover exactly what downstream viewers require: the
 JSON Object Format envelope, per-phase mandatory fields, non-negative
 durations, and (optionally) a minimum number of named layer tracks.
 Probe-attr checks enforce the instance-naming contract: a probe's
 ``name#N`` suffix and its identifying attrs (``device=<name>``) travel
-together and stay consistent across every sample.  Explain-report
-checks enforce the ``repro.explain/1`` schema and the attribution
-exactness guarantee (blame sums to wall time, bounded ``other``).
+together and stay consistent across every sample.  Run-record checks
+enforce the ``repro.run/1`` envelope and each section's own guarantees:
+the blame decomposition is exact (blame sums to wall time, bounded
+``other``), metric windows are closed and monotone, and the profiler
+attributes at least 95% of the wall clock.
 """
 
 import json
@@ -150,58 +150,55 @@ def validate_probe_attrs(events):
     return errors
 
 
-def validate_explain_report(report, other_budget=None):
-    """Schema + exactness checks for a ``repro.explain/1`` report."""
-    from .report import SCHEMA, check
-    if not isinstance(report, dict):
-        return ["report must be a JSON object"]
-    errors = []
-    if report.get("schema") != SCHEMA:
-        errors.append("schema must be %r (got %r)"
-                      % (SCHEMA, report.get("schema")))
-    modes = report.get("modes")
-    if not isinstance(modes, dict) or not modes:
-        return errors + ["report needs a non-empty 'modes' object"]
-    for label, analysis in modes.items():
-        where = "modes[%r]" % label
-        for key in ("blame", "requests", "episodes", "tail",
-                    "other_share", "max_residue_s"):
-            if key not in analysis:
-                errors.append("%s: missing %r" % (where, key))
-        blame = analysis.get("blame", {})
-        for key in ("requests", "wall_s", "latency", "causes"):
-            if key not in blame:
-                errors.append("%s.blame: missing %r" % (where, key))
-        if len(analysis.get("requests", ())) \
-                != blame.get("requests", -1):
-            errors.append("%s: request list/count mismatch" % where)
-    if errors:
-        return errors
-    kwargs = {} if other_budget is None \
-        else {"other_budget": other_budget}
-    return check(report, **kwargs)
+#: the schema of every record the commands write
+RUN_SCHEMA = "repro.run/1"
+
+#: a profile section must attribute at least this share of measured wall
+PROFILE_COVERAGE_FLOOR = 0.95
 
 
-def validate_monitor_report(report):
-    """Schema checks for a ``repro.monitor/1`` dashboard report.
+def _trace_errors(trace):
+    """The span stream a run recorded: how many events, on which tracks."""
+    events, tracks = trace.get("events"), trace.get("tracks")
+    if isinstance(events, int) and events > 0 and isinstance(tracks, list) \
+            and tracks:
+        return []
+    return ["needs a positive 'events' count and the named 'tracks'"]
 
-    Covers what downstream dashboards require: at least one closed
-    window, series entries with a known kind and monotone window
-    boundaries, at least one SLO rule that actually evaluated, and a
-    SMART report list.
+
+def _blame_errors(blame):
+    """Schema and exactness of one run's latency decomposition: blame
+    sums to wall time and the ``other`` share stays in budget."""
+    from .report import check
+    errors = ["missing %r" % key
+              for key in ("blame", "requests", "episodes", "tail",
+                          "other_share", "max_residue_s")
+              if key not in blame]
+    table = blame.get("blame")
+    if not isinstance(table, dict):
+        return errors + ["'blame' must be the blame table object"]
+    errors.extend("blame: missing %r" % key
+                  for key in ("requests", "wall_s", "latency", "causes")
+                  if key not in table)
+    requests = blame.get("requests")
+    if not isinstance(requests, list) \
+            or len(requests) != table.get("requests", -1):
+        errors.append("request list/count mismatch")
+    return errors or check(blame)
+
+
+def _metrics_errors(metrics):
+    """What downstream dashboards require: at least one closed window,
+    series entries with a known kind and monotone window boundaries, at
+    least one SLO rule that actually evaluated, and a SMART report list.
     """
-    if not isinstance(report, dict):
-        return ["report must be a JSON object"]
     errors = []
-    if report.get("schema") != "repro.monitor/1":
-        errors.append("schema must be 'repro.monitor/1' (got %r)"
-                      % (report.get("schema"),))
-    if not isinstance(report.get("windows"), int) \
-            or report.get("windows", 0) < 1:
+    if not isinstance(metrics.get("windows"), int) \
+            or metrics.get("windows", 0) < 1:
         errors.append("'windows' must be a positive window count")
-    series = report.get("series")
+    series = metrics.get("series")
     if not isinstance(series, list) or not series:
-        errors.append("report needs a non-empty 'series' list")
+        errors.append("needs a non-empty 'series' list")
         series = []
     populated = 0
     for index, entry in enumerate(series):
@@ -234,51 +231,39 @@ def validate_monitor_report(report):
             populated += 1
     if series and not populated:
         errors.append("every series entry is empty — no window data")
-    slo = report.get("slo")
+    slo = metrics.get("slo")
     if not isinstance(slo, dict) or not isinstance(slo.get("rules"), list) \
             or not slo.get("rules"):
-        errors.append("report needs a non-empty 'slo.rules' list")
+        errors.append("needs a non-empty 'slo.rules' list")
     elif not any(rule.get("evaluations", 0) >= 1
                  for rule in slo["rules"] if isinstance(rule, dict)):
         errors.append("no SLO rule evaluated even one window")
     if not isinstance(slo, dict) or not isinstance(slo.get("alerts"),
                                                    list):
-        errors.append("report needs an 'slo.alerts' list")
-    if not isinstance(report.get("smart"), list):
-        errors.append("report needs a 'smart' device-report list")
+        errors.append("needs an 'slo.alerts' list")
+    if not isinstance(metrics.get("smart"), list):
+        errors.append("needs a 'smart' device-report list")
     return errors
 
 
-#: a profile report must attribute at least this share of measured wall
-PROFILE_COVERAGE_FLOOR = 0.95
-
-
-def validate_profile_report(report):
-    """Schema + coverage checks for a ``repro.profile/1`` report.
-
-    The hard guarantee mirrors the explain report's exactness bar:
-    per-layer wall shares must cover at least
-    :data:`PROFILE_COVERAGE_FLOOR` of the measured wall time — a
-    profiler losing track of where the time went is worse than none.
-    """
-    if not isinstance(report, dict):
-        return ["report must be a JSON object"]
+def _profile_errors(profile):
+    """Schema and coverage of a wall-clock attribution.  Per-layer wall
+    shares must cover at least :data:`PROFILE_COVERAGE_FLOOR` of the
+    measured wall time — a profiler losing track of where the time went
+    is worse than none."""
     errors = []
-    if report.get("schema") != "repro.profile/1":
-        errors.append("schema must be 'repro.profile/1' (got %r)"
-                      % (report.get("schema"),))
     for key in ("wall_seconds", "sim_seconds", "real_time_factor",
                 "events_per_sec"):
-        value = report.get(key)
+        value = profile.get(key)
         if not isinstance(value, (int, float)) or value <= 0:
             errors.append("%r must be a positive number (got %r)"
                           % (key, value))
-    if not isinstance(report.get("steps"), int) \
-            or report.get("steps", 0) < 1:
+    if not isinstance(profile.get("steps"), int) \
+            or profile.get("steps", 0) < 1:
         errors.append("'steps' must be a positive event count")
-    layers = report.get("layers")
+    layers = profile.get("layers")
     if not isinstance(layers, list) or not layers:
-        errors.append("report needs a non-empty 'layers' list")
+        errors.append("needs a non-empty 'layers' list")
         layers = []
     share_sum = 0.0
     for index, row in enumerate(layers):
@@ -296,7 +281,7 @@ def validate_profile_report(report):
         if not isinstance(row.get("events"), int):
             errors.append("%s: missing integer 'events'" % where)
         share_sum += row.get("share", 0.0) or 0.0
-    coverage = report.get("coverage")
+    coverage = profile.get("coverage")
     if not isinstance(coverage, (int, float)):
         errors.append("'coverage' must be a number")
     elif coverage < PROFILE_COVERAGE_FLOOR:
@@ -306,18 +291,14 @@ def validate_profile_report(report):
     if layers and not errors and abs(share_sum - coverage) > 1e-6:
         errors.append("layer shares sum to %.4f but coverage says %.4f"
                       % (share_sum, coverage))
-    if not isinstance(report.get("event_types"), list) \
-            or not report.get("event_types"):
-        errors.append("report needs a non-empty 'event_types' list")
-    hot = report.get("hot")
-    if not isinstance(hot, list) or not hot:
-        errors.append("report needs a non-empty 'hot' target list")
-    else:
-        for index, row in enumerate(hot):
-            if not isinstance(row, dict) or not row.get("target"):
-                errors.append("hot[%d]: missing target" % index)
-                break
-    overhead = report.get("telemetry_overhead")
+    if not isinstance(profile.get("event_types"), list) \
+            or not profile.get("event_types"):
+        errors.append("needs a non-empty 'event_types' list")
+    hot = profile.get("hot")
+    if not isinstance(hot, list) or not hot or not all(
+            isinstance(row, dict) and row.get("target") for row in hot):
+        errors.append("needs a non-empty 'hot' list of targets")
+    overhead = profile.get("telemetry_overhead")
     if overhead is not None:
         if not isinstance(overhead, dict):
             errors.append("'telemetry_overhead' must be an object")
@@ -326,13 +307,57 @@ def validate_profile_report(report):
                           "(%r vs %r) — the hub must add no events"
                           % (overhead.get("base_events"),
                              overhead.get("armed_events")))
-    allocations = report.get("allocations")
+    allocations = profile.get("allocations")
     if allocations is not None:
         if not isinstance(allocations, dict) \
                 or not isinstance(allocations.get("layers"), list):
             errors.append("'allocations' needs a layer list")
         elif not isinstance(allocations.get("total_kib"), (int, float)):
             errors.append("'allocations' needs a numeric total_kib")
+    return errors
+
+
+def _modes_errors(modes):
+    """An explain record's modes: each one a run record of its own."""
+    if not modes:
+        return ["needs at least one mode"]
+    return ["mode %r: %s" % (label, error) for label, mode in modes.items()
+            for error in validate_run_record(mode)]
+
+
+#: run-record section -> its checks (a list of problems, empty if none)
+SECTIONS = {
+    "trace": _trace_errors,
+    "blame": _blame_errors,
+    "metrics": _metrics_errors,
+    "profile": _profile_errors,
+    "modes": _modes_errors,
+}
+
+
+def validate_run_record(record):
+    """Errors of a ``repro.run/1`` record (none when valid): its
+    envelope, then each :data:`SECTIONS` entry it carries (at least
+    one)."""
+    if not isinstance(record, dict):
+        return ["record must be a JSON object"]
+    errors = []
+    if record.get("schema") != RUN_SCHEMA:
+        errors.append("schema must be %r (got %r)"
+                      % (RUN_SCHEMA, record.get("schema")))
+    if not isinstance(record.get("scenario"), str):
+        errors.append("'scenario' must be a string")
+    if not isinstance(record.get("spec"), dict):
+        errors.append("'spec' must be the run's world spec object")
+    present = [name for name in SECTIONS if name in record]
+    if not present:
+        errors.append("record carries no section (want one of %s)"
+                      % ", ".join(SECTIONS))
+    for name in present:
+        section = record[name]
+        problems = (SECTIONS[name](section) if isinstance(section, dict)
+                    else ["must be an object"])
+        errors.extend("%s: %s" % (name, problem) for problem in problems)
     return errors
 
 
@@ -367,34 +392,18 @@ def _trace_summary(obj):
                                       ", ".join(stats["tracks"]))
 
 
-#: artifact kind -> (validator, summary of a valid artifact)
-KINDS = {
-    "trace": (validate_chrome_trace, _trace_summary),
-    "explain": (validate_explain_report,
-                lambda report: "%s; modes: %s"
-                % (report["schema"], ", ".join(report["modes"]))),
-    "monitor": (validate_monitor_report,
-                lambda report: "%s; %d windows, %d series, %d alerts"
-                % (report["schema"], report["windows"],
-                   len(report["series"]), len(report["slo"]["alerts"]))),
-    "profile": (validate_profile_report,
-                lambda report: "%s; %s: %d events, %.2fx real time, "
-                "coverage %.1f%%"
-                % (report["schema"], report["scenario"], report["steps"],
-                   report["real_time_factor"], report["coverage"] * 100)),
-}
+def _record_summary(record):
+    return "%s %s: %s" % (record["schema"], record["scenario"],
+                          ", ".join(name for name in SECTIONS
+                                    if name in record))
 
 
-def main(paths, kind="trace", min_tracks=0, require_tracks=(),
-         check_probe_attrs=False):
-    """``python -m repro validate``: check each file in ``paths`` as a
-    ``kind`` artifact and print one OK/INVALID verdict per file; the
-    track options apply to traces.  Returns 1 if any file is invalid."""
-    validator, summary = KINDS[kind]
-    options = {}
-    if kind == "trace":
-        options = dict(min_tracks=min_tracks, require_tracks=require_tracks,
-                       check_probe_attrs=check_probe_attrs)
+def main(paths, min_tracks=0, require_tracks=(), check_probe_attrs=False):
+    """``python -m repro validate``: check each file in ``paths`` and
+    print one OK/INVALID verdict per file.  A file with ``traceEvents``
+    is a Chrome trace, checked with the track options; anything else
+    must be a ``repro.run/1`` record.  Returns 1 if any file is
+    invalid."""
     status = 0
     for path in paths:
         try:
@@ -403,7 +412,15 @@ def main(paths, kind="trace", min_tracks=0, require_tracks=(),
         except (OSError, ValueError) as exc:
             errors = ["cannot load: %s" % exc]
         else:
-            errors = validator(artifact, **options)
+            summary = _record_summary
+            if isinstance(artifact, dict) and "traceEvents" in artifact:
+                summary = _trace_summary
+            errors = (validate_run_record(artifact)
+                      if summary is _record_summary
+                      else validate_chrome_trace(
+                          artifact, min_tracks=min_tracks,
+                          require_tracks=require_tracks,
+                          check_probe_attrs=check_probe_attrs))
         if errors:
             status = 1
             print("%s: INVALID" % path)

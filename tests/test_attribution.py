@@ -15,6 +15,7 @@ import pytest
 
 from conftest import run_process
 from repro.bench import explain, setups
+from repro.bench.runner import envelope
 from repro.bench.figure5 import run_config
 from repro.bench.regress import compare
 from repro.devices import IORequest, make_durassd
@@ -41,8 +42,8 @@ from repro.telemetry.critical_path import (
     timeline_dict,
 )
 from repro.telemetry.validate import (
-    validate_explain_report,
     validate_probe_attrs,
+    validate_run_record,
 )
 
 _NEXT_ID = iter(range(1, 1 << 20))
@@ -279,7 +280,7 @@ class TestAnomaly:
 
 
 def synthetic_report():
-    """A small two-mode report built from synthetic span trees."""
+    """A small two-mode explain record built from synthetic span trees."""
     def mode_events(slow):
         # roots are fully covered by mapped children, as in real traces
         events = []
@@ -298,17 +299,30 @@ def synthetic_report():
                                    parent=root))
         return events
 
-    modes = {"flush-cache": (mode_events(True), {"tps": 100}),
-             "durable-cache": (mode_events(False), {"tps": 300})}
-    return report_mod.build("synthetic", modes,
-                            meta={"clients": 1}, top_k=2)
+    spec = setups.DEFAULT_SPEC
+    modes = {label: envelope("synthetic/" + label, spec, outcome={"tps": tps},
+                             blame=report_mod.analyze(mode_events(slow),
+                                                      top_k=2))
+             for label, slow, tps in (("flush-cache", True, 100),
+                                      ("durable-cache", False, 300))}
+    return envelope("synthetic", spec, meta={"clients": 1}, modes=modes,
+                    delta=report_mod.blame_delta(
+                        modes["flush-cache"]["blame"],
+                        modes["durable-cache"]["blame"],
+                        "flush-cache", "durable-cache"))
+
+
+def checks(report):
+    """Every mode's blame-section problems, in one list."""
+    return [problem for mode in report["modes"].values()
+            for problem in report_mod.check(mode["blame"])]
 
 
 class TestReport:
     def test_build_passes_its_own_checks(self):
         report = synthetic_report()
-        assert report_mod.check(report) == []
-        assert validate_explain_report(report) == []
+        assert checks(report) == []
+        assert validate_run_record(report) == []
 
     def test_delta_orders_collapsing_categories_first(self):
         report = synthetic_report()
@@ -322,39 +336,40 @@ class TestReport:
 
     def test_check_flags_broken_residue_and_other_budget(self):
         report = synthetic_report()
-        analysis = report["modes"]["flush-cache"]
+        analysis = report["modes"]["flush-cache"]["blame"]
         analysis["max_residue_s"] = 0.5
-        problems = report_mod.check(report)
+        problems = report_mod.check(analysis)
         assert any("does not sum" in p for p in problems)
         analysis["max_residue_s"] = 0.0
         analysis["other_share"] = 0.25
-        problems = report_mod.check(report)
+        problems = report_mod.check(analysis)
         assert any("'other' share" in p for p in problems)
 
     def test_check_flags_per_request_gap(self):
         report = synthetic_report()
-        record = report["modes"]["flush-cache"]["requests"][0]
+        record = report["modes"]["flush-cache"]["blame"]["requests"][0]
         record["blame"]["other"] = record["blame"].get("other", 0.0) + 1.0
-        assert any("off by" in p for p in report_mod.check(report))
+        assert any("off by" in p for p in checks(report))
+        assert any("off by" in p for p in validate_run_record(report))
 
     def test_validate_rejects_wrong_schema_and_missing_keys(self):
         report = synthetic_report()
         report["schema"] = "bogus/9"
-        errors = validate_explain_report(report)
+        errors = validate_run_record(report)
         assert any("schema" in e for e in errors)
         report = synthetic_report()
-        del report["modes"]["flush-cache"]["blame"]["causes"]
-        del report["modes"]["flush-cache"]["episodes"]
-        errors = validate_explain_report(report)
+        del report["modes"]["flush-cache"]["blame"]["blame"]["causes"]
+        del report["modes"]["flush-cache"]["blame"]["episodes"]
+        errors = validate_run_record(report)
         assert any("missing 'causes'" in e for e in errors)
         assert any("missing 'episodes'" in e for e in errors)
-        assert validate_explain_report([]) \
-            == ["report must be a JSON object"]
+        assert validate_run_record([]) \
+            == ["record must be a JSON object"]
 
     def test_validate_flags_request_count_mismatch(self):
         report = synthetic_report()
-        report["modes"]["flush-cache"]["requests"].pop()
-        errors = validate_explain_report(report)
+        report["modes"]["flush-cache"]["blame"]["requests"].pop()
+        errors = validate_run_record(report)
         assert any("mismatch" in e for e in errors)
 
     def test_markdown_renders_tables_and_delta(self):
@@ -625,10 +640,10 @@ class TestSpanCoverageEndToEnd:
 class TestExplainEndToEnd:
     def test_linkbench_quick_reproduces_the_paper_delta(self):
         report = explain.run_scenario("linkbench", quick=True, top_k=3)
-        assert report_mod.check(report) == []
-        assert validate_explain_report(report) == []
-        flush = report["modes"]["flush-cache"]
-        durable = report["modes"]["durable-cache"]
+        assert checks(report) == []
+        assert validate_run_record(report) == []
+        flush = report["modes"]["flush-cache"]["blame"]
+        durable = report["modes"]["durable-cache"]["blame"]
 
         def share(analysis, category):
             rows = {row["category"]: row["share"]

@@ -7,9 +7,9 @@ The profiler's contract has three legs:
 2. **On is honest** — every processed event is counted and charged to
    a layer, the attributed wall shares cover (nearly) all of the
    measured wall time, and detach restores the class path;
-3. **Reports are schema-stable** — the ``repro.profile/1`` report the
-   CLI emits passes its own validator, and the bench ``--profile``
-   aggregate does too.
+3. **Reports are schema-stable** — the ``profile`` section of the
+   ``repro.run/1`` record the CLI emits passes its own checks, and the
+   bench ``--profile`` aggregate does too.
 """
 
 import json
@@ -20,7 +20,7 @@ import pytest
 from repro.sim import SimProfiler, Simulator
 from repro.sim.profiler import aggregate, allocation_stats, layer_of_path
 from repro.telemetry import MetricsRegistry, Telemetry
-from repro.telemetry.validate import validate_profile_report
+from repro.telemetry.validate import validate_run_record
 
 
 def _pingpong(sim, rounds=50):
@@ -109,7 +109,7 @@ class TestAttribution:
         assert profiler.real_time_factor() > 0
         assert profiler.events_per_sec() > 0
         # Shares in the layer table sum to the coverage.
-        shares = sum(row["share"] for row in profiler.layer_table())
+        shares = sum(row["share"] for row in profiler.summary()["layers"])
         assert shares == pytest.approx(profiler.coverage())
 
     def test_targets_resolve_to_test_code(self):
@@ -117,11 +117,12 @@ class TestAttribution:
         profiler = SimProfiler().attach(sim)
         _pingpong(sim)
         sim.run()
-        targets = [row["target"] for row in profiler.hot_targets(top=50)]
+        targets = [row["target"]
+                   for row in aggregate([profiler], top=50)["hot"]]
         assert any("ping" in target for target in targets)
         assert any("pong" in target for target in targets)
         # Test files live outside the repro package.
-        layers = {row["layer"] for row in profiler.layer_table()}
+        layers = {row["layer"] for row in profiler.summary()["layers"]}
         assert "other" in layers
 
     def test_classification_is_cached(self):
@@ -304,7 +305,7 @@ class TestProfileReport:
         between steps legitimately lands in the unattributed gap, so
         the 95% bar is enforced by the dedicated CI profile-smoke job,
         not here."""
-        return [error for error in validate_profile_report(report)
+        return [error for error in validate_run_record(report)
                 if "cover" not in error]
 
     def test_scenario_report_validates(self, tmp_path):
@@ -312,9 +313,9 @@ class TestProfileReport:
         report, profiler = profile_scenario("figure5", alloc=False,
                                             ablation=False, top=5)
         assert self._structural_errors(report) == []
-        assert report["coverage"] > 0.5
+        assert report["profile"]["coverage"] > 0.5
         assert report["scenario"] == "figure5"
-        assert len(report["hot"]) <= 5
+        assert len(report["profile"]["hot"]) <= 5
         markdown = render_markdown(report)
         assert "## Wall time by layer" in markdown
         assert "real-time factor" in markdown
@@ -332,21 +333,22 @@ class TestProfileReport:
         from repro.bench.profile import profile_scenario
         report, _profiler = profile_scenario("figure5", alloc=False,
                                              ablation=False)
-        report["coverage"] = 0.5
-        report["layers"] = [dict(row, share=row["share"] * 0.5
-                                 / report["coverage"])
-                            for row in report["layers"]]
-        errors = validate_profile_report(report)
+        profile = report["profile"]
+        profile["coverage"] = 0.5
+        profile["layers"] = [dict(row, share=row["share"] * 0.5
+                                  / profile["coverage"])
+                             for row in profile["layers"]]
+        errors = validate_run_record(report)
         assert any("cover" in error for error in errors)
 
     def test_validator_rejects_perturbing_ablation(self):
         from repro.bench.profile import profile_scenario
         report, _profiler = profile_scenario("figure5", alloc=False,
                                              ablation=False)
-        report["telemetry_overhead"] = {
+        report["profile"]["telemetry_overhead"] = {
             "base_wall_s": 1.0, "armed_wall_s": 1.1,
             "overhead_pct": 10.0, "base_events": 100,
             "armed_events": 101,
         }
-        errors = validate_profile_report(report)
+        errors = validate_run_record(report)
         assert any("no events" in error for error in errors)

@@ -29,7 +29,7 @@ from repro.telemetry import (
     default_chaos_rules,
 )
 from repro.telemetry import series as series_mod
-from repro.telemetry.validate import validate_monitor_report
+from repro.telemetry.validate import RUN_SCHEMA, validate_run_record
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -272,10 +272,11 @@ class TestMonitor:
         assert result.returncode == 0, result.stderr[-2000:]
         with open(dash_json) as handle:
             report = json.load(handle)
-        assert validate_monitor_report(report) == []
+        assert validate_run_record(report) == []
         assert report["scenario"] == "table1"
-        assert report["windows"] >= 1
-        assert report["smart"], "dashboard carries no SMART reports"
+        assert report["metrics"]["windows"] >= 1
+        assert report["metrics"]["smart"], \
+            "dashboard carries no SMART reports"
         with open(dash_md) as handle:
             markdown = handle.read()
         assert "## SLO rules" in markdown
@@ -291,20 +292,22 @@ class TestMonitor:
             capture_output=True, text=True, timeout=60, cwd=REPO_ROOT)
         assert result.returncode == 2
 
+    @staticmethod
+    def _record(series):
+        """A monitor run record whose ``metrics`` section has ``series``."""
+        return {"schema": RUN_SCHEMA, "scenario": "x", "spec": {},
+                "outcome": None,
+                "metrics": {"windows": 2, "series": series, "smart": [],
+                            "slo": {"rules": [{"evaluations": 3}],
+                                    "alerts": []}}}
+
     def test_validator_rejects_empty_series(self):
-        report = {"schema": "repro.monitor/1", "windows": 2,
-                  "series": [], "smart": [],
-                  "slo": {"rules": [{"evaluations": 3}], "alerts": []}}
-        errors = validate_monitor_report(report)
+        errors = validate_run_record(self._record([]))
         assert any("series" in error for error in errors)
 
     def test_validator_rejects_nonmonotone_windows(self):
-        report = {
-            "schema": "repro.monitor/1", "windows": 2, "smart": [],
-            "series": [{"name": "x", "kind": "gauge", "labels": {},
-                        "windows": [{"t0": 0.0, "t1": 0.01, "value": 1},
-                                    {"t0": 0.005, "t1": 0.02,
-                                     "value": 2}]}],
-            "slo": {"rules": [{"evaluations": 3}], "alerts": []}}
-        errors = validate_monitor_report(report)
+        errors = validate_run_record(self._record(
+            [{"name": "x", "kind": "gauge", "labels": {},
+              "windows": [{"t0": 0.0, "t1": 0.01, "value": 1},
+                          {"t0": 0.005, "t1": 0.02, "value": 2}]}]))
         assert any("overlap" in error for error in errors)

@@ -32,7 +32,7 @@ from repro.failures.campaign import TORTURE_FORMAT
 from repro.failures.corruption import CorruptionModel
 from repro.failures.grayfaults import GrayFaultProfile
 from repro.failures.torture import build_world
-from repro.sim import Simulator
+from repro.sim import Simulator, units
 
 
 class TestScenario:
@@ -83,6 +83,18 @@ class TestRecords:
         assert len(TortureScenario._fields) == 28
         assert set(TortureScenario().to_json()) \
             == set(TortureScenario._fields)
+
+    def test_default_pool_follows_the_database_under_replace(self):
+        """An unset buffer pool stays unset in the record, and the world
+        sizes it from the database it is built with."""
+        grown = TortureScenario()._replace(db_bytes=8 * units.MIB)
+        assert grown == TortureScenario(db_bytes=8 * units.MIB)
+        assert grown.buffer_pool_bytes is None
+        config = build_world(grown).engine.config
+        assert config.buffer_pool_bytes == 2 * units.MIB
+        pinned = TortureScenario(buffer_pool_bytes=64 * units.KIB)
+        assert build_world(pinned).engine.config.buffer_pool_bytes \
+            == 64 * units.KIB
 
     def test_gray_both_reads_as_all(self):
         data = dict(TortureScenario().to_json(), gray_target="both")
