@@ -216,7 +216,8 @@ def _metrics_errors(metrics):
             continue
         previous_t1 = None
         for point in points:
-            t0, t1 = point.get("t0"), point.get("t1")
+            t0, t1 = (point.get("t0"), point.get("t1")) \
+                if isinstance(point, dict) else (None, None)
             if not isinstance(t0, (int, float)) \
                     or not isinstance(t1, (int, float)) or t1 <= t0:
                 errors.append("%s: window needs t0 < t1 (got %r..%r)"

@@ -305,6 +305,11 @@ class TestMonitor:
         errors = validate_run_record(self._record([]))
         assert any("series" in error for error in errors)
 
+    def test_validator_rejects_a_window_that_is_no_object(self):
+        errors = validate_run_record(self._record(
+            [{"name": "x", "kind": "gauge", "labels": {}, "windows": [1]}]))
+        assert any("t0 < t1" in error for error in errors)
+
     def test_validator_rejects_nonmonotone_windows(self):
         errors = validate_run_record(self._record(
             [{"name": "x", "kind": "gauge", "labels": {},
