@@ -54,11 +54,12 @@ def _metrics(telemetry):
 
 def run(scenario, fn, spec=setups.DEFAULT_SPEC, worlds=None, spans=False,
         sample_interval=0.002, blame=None, metrics=None, profile=False,
-        top=15):
+        top=None):
     """Run ``fn(telemetry, spec, worlds)`` on a hub armed with
     ``spans``, ``blame=K`` (K tail timelines; implies spans),
-    ``metrics=S`` (S-second windows) and ``profile`` (``top`` targets);
-    returns ``(record, telemetry)``, the hub live for the exporters."""
+    ``metrics=S`` (S-second windows) and ``profile`` (``top`` targets,
+    or :func:`aggregate`'s default); returns ``(record, telemetry)``,
+    the hub live for the exporters."""
     registry = None if metrics is None else MetricsRegistry(interval=metrics)
     telemetry = Telemetry(enabled=spans or blame is not None,
                           sample_interval=sample_interval, metrics=registry)
@@ -76,16 +77,18 @@ def run(scenario, fn, spec=setups.DEFAULT_SPEC, worlds=None, spans=False,
     if registry is not None:
         record["metrics"] = _metrics(telemetry)
     if profile:
-        record["profile"] = dict(aggregate([telemetry.profiler], top=top),
-                                 run_wall_seconds=run_wall)
+        pooled = (aggregate([telemetry.profiler]) if top is None
+                  else aggregate([telemetry.profiler], top=top))
+        record["profile"] = dict(pooled, run_wall_seconds=run_wall)
     return record, telemetry
 
 
 def write_views(record, markdown, out_path=None, json_path=None,
-                quiet=False):
+                quiet=False, check=True):
     """The commands' shared tail: markdown to ``out_path`` (or stdout
-    unless ``quiet``), the record to ``json_path``, then its own checks;
-    returns their problems, each printed as ``FAIL:``."""
+    unless ``quiet``), the record to ``json_path``, then (with
+    ``check``) its own checks; returns their problems, each printed as
+    ``FAIL:``."""
     if out_path is not None:
         with open(out_path, "w") as handle:
             handle.write(markdown)
@@ -96,7 +99,7 @@ def write_views(record, markdown, out_path=None, json_path=None,
         with open(json_path, "w") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)
         print("wrote %s" % json_path)
-    errors = validate_run_record(record)
+    errors = validate_run_record(record) if check else []
     for error in errors:
         print("FAIL: %s" % error)
     return errors

@@ -327,6 +327,10 @@ class _TopologyFields(NamedTuple):
     affinity: dict = None
 
 
+class _Affinity(dict):
+    """A topology's own copy of its stream -> queue pins."""
+
+
 class QueueTopology(Record, _TopologyFields):
     """Declarative queue-model factory: which model, how deep, how many.
 
@@ -334,14 +338,20 @@ class QueueTopology(Record, _TopologyFields):
     constructing queues directly; every device of a topology gets
     ``build(sim, device, ...)`` called on it.  ``queue_depth=None``
     means :data:`DEFAULT_QUEUE_DEPTH` — the single authoritative
-    default.
+    default.  Empty ``weights`` or ``affinity`` mean none, and the
+    topology keeps its own copy of the caller's ``affinity`` dict.
     """
 
     __slots__ = ()
 
     def _check(self):
-        if self.weights is not None and not isinstance(self.weights, tuple):
-            return self._replace(weights=tuple(self.weights))
+        weights = tuple(self.weights or ()) or None
+        if weights != self.weights or (
+                self.affinity is not None
+                and type(self.affinity) is not _Affinity):
+            return self._replace(weights=weights,
+                                 affinity=_Affinity(self.affinity or {})
+                                 or None)
         if self.interface not in INTERFACES:
             raise ValueError("unknown interface %r (want one of %s)"
                              % (self.interface, ", ".join(INTERFACES)))
@@ -376,3 +386,8 @@ class QueueTopology(Record, _TopologyFields):
             affinity = {"log": submission_queues - 1}
         return cls(interface=interface, queue_depth=queue_depth,
                    submission_queues=submission_queues, affinity=affinity)
+
+    def to_json(self):
+        return dict(super().to_json(),
+                    weights=list(self.weights) if self.weights else None,
+                    affinity=dict(self.affinity) if self.affinity else None)

@@ -413,15 +413,15 @@ def main(paths, min_tracks=0, require_tracks=(), check_probe_attrs=False):
         except (OSError, ValueError) as exc:
             errors = ["cannot load: %s" % exc]
         else:
-            summary = _record_summary
             if isinstance(artifact, dict) and "traceEvents" in artifact:
+                errors = validate_chrome_trace(
+                    artifact, min_tracks=min_tracks,
+                    require_tracks=require_tracks,
+                    check_probe_attrs=check_probe_attrs)
                 summary = _trace_summary
-            errors = (validate_run_record(artifact)
-                      if summary is _record_summary
-                      else validate_chrome_trace(
-                          artifact, min_tracks=min_tracks,
-                          require_tracks=require_tracks,
-                          check_probe_attrs=check_probe_attrs))
+            else:
+                errors = validate_run_record(artifact)
+                summary = _record_summary
         if errors:
             status = 1
             print("%s: INVALID" % path)

@@ -84,6 +84,19 @@ class TestQueueTopology:
                              affinity={"log": 2})
         clone = QueueTopology.from_json(topo.to_json())
         assert clone.to_json() == topo.to_json()
+        assert clone == topo
+
+    def test_empty_and_aliased_settings_normalize(self):
+        """Empty ``weights``/``affinity`` mean none (``null`` in JSON),
+        and the spec keeps no reference to the caller's dict."""
+        assert QueueTopology(weights=[], affinity={}) == QueueTopology()
+        assert QueueTopology(affinity={}).to_json()["affinity"] is None
+        assert QueueTopology(weights=()).to_json()["weights"] is None
+        pins = {"log": 1}
+        topo = QueueTopology(interface="nvme", affinity=pins)
+        pins["log"] = 0
+        assert topo.to_json()["affinity"] == {"log": 1}
+        assert topo._replace(ordered=False).affinity == {"log": 1}
 
     def test_validation(self, sim):
         with pytest.raises(ValueError):

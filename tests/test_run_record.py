@@ -67,6 +67,18 @@ class TestRunner:
             == record["outcome"]
 
 
+def test_monitor_exit_status_ignores_the_record_checks(quick, monkeypatch,
+                                                       capsys):
+    """``monitor`` exits 0 as it always has: a profiled record's wall-clock
+    coverage floor is checked by ``repro profile``, not here."""
+    from repro.bench import monitor
+    from repro.telemetry import validate
+    monkeypatch.setattr(validate, "PROFILE_COVERAGE_FLOOR", 2.0)
+    assert monitor.main("table1", quiet=True,
+                        spec=WorldSpec(profile=True)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 class TestValidateRunRecord:
     def test_explain_record_is_valid(self, explain_record):
         assert validate_run_record(explain_record) == []
