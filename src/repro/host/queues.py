@@ -386,8 +386,3 @@ class QueueTopology(Record, _TopologyFields):
             affinity = {"log": submission_queues - 1}
         return cls(interface=interface, queue_depth=queue_depth,
                    submission_queues=submission_queues, affinity=affinity)
-
-    def to_json(self):
-        return dict(super().to_json(),
-                    weights=list(self.weights) if self.weights else None,
-                    affinity=dict(self.affinity) if self.affinity else None)
