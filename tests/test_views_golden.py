@@ -1,4 +1,5 @@
-"""Pins on what ``repro trace``, ``explain`` and ``monitor`` print and write.
+"""Pins on what ``repro trace``, ``explain``, ``monitor`` and a traced
+bench print and write.
 
 Each command runs in-process at ``REPRO_QUICK=1`` in an empty directory,
 and its views must come out byte for byte as committed:
@@ -7,9 +8,11 @@ and its views must come out byte for byte as committed:
 * ``explain linkbench --quick`` and ``explain gray --quick``: stdout and
   the markdown report;
 * ``monitor figure5``: stdout, the markdown dashboard, the Prometheus
-  text and the series CSV.
+  text and the series CSV;
+* ``table1 --telemetry`` and ``bursts --telemetry``: the whole table on
+  stdout and the Chrome trace of the one cell each traces.
 
-Text views are committed under ``tests/golden/``; the three large
+Text views are committed under ``tests/golden/``; the large
 machine-readable files are pinned by sha256 in
 ``tests/golden/views.sha256.json``.  After a deliberate change, rerun the
 command from an empty directory and copy its files over the goldens.
@@ -42,6 +45,10 @@ VIEWS = (
      ["monitor", "figure5", "--out", "d.md", "--prom", "m.prom",
       "--csv", "m.csv"],
      {"d.md": ".md", "m.prom": ".prom", "m.csv": ".csv"}),
+    ("table1-telemetry", ["table1", "--telemetry", "--out", "t.json"],
+     {"t.json": ".json"}),
+    ("bursts-telemetry", ["bursts", "--telemetry", "--out", "b.json"],
+     {"b.json": ".json"}),
 )
 
 
