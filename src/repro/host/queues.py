@@ -13,8 +13,8 @@ class.  Two implementations ship:
   what produces unserializable write orderings on volatile devices
   after a power cut.
 * :class:`NvmeMultiQueue` — N submission/completion queue pairs with
-  per-queue depth, round-robin or weighted arbitration, per-queue
-  command lifecycles, and queue-affinity routing (a request tagged with
+  per-queue depth, round-robin arbitration, per-queue command
+  lifecycles, and queue-affinity routing (a request tagged with
   ``stream="log"`` can pin to its own SQ, so WAL traffic never queues
   behind data writes).  Commands within one SQ dispatch in submission
   order; across SQs the controller's arbitration fetch offset reorders
@@ -44,9 +44,6 @@ ARBITRATION_SKEW = 0.5
 
 #: supported host interfaces.
 INTERFACES = ("sata", "nvme")
-
-#: supported NVMe arbitration policies.
-ARBITRATIONS = ("round-robin", "weighted")
 
 
 class QueueModel:
@@ -176,10 +173,7 @@ class NvmeMultiQueue(QueueModel):
 
     * a request whose ``stream`` appears in ``affinity`` pins to that
       SQ (``affinity={"log": 3}`` gives the WAL its own queue);
-    * everything else is spread over the non-reserved queues by the
-      arbitration policy — ``"round-robin"`` cycles them evenly,
-      ``"weighted"`` cycles a schedule where queue ``i`` appears
-      ``weights[i]`` times per round.
+    * everything else round-robins over the non-reserved queues.
 
     Ordering: within one SQ commands dispatch strictly in submission
     order (FIFO slot acquisition, no jitter).  Across SQs the
@@ -197,23 +191,18 @@ class NvmeMultiQueue(QueueModel):
 
     interface = "nvme"
 
-    def __init__(self, sim, device, queues=2, depth=None,
-                 arbitration="round-robin", weights=None, rng=None,
+    def __init__(self, sim, device, queues=2, depth=None, rng=None,
                  timeout_policy=None, affinity=None):
         depth = DEFAULT_QUEUE_DEPTH if depth is None else depth
         if depth < 1:
             raise ValueError("queue depth must be >= 1")
         if queues < 1:
             raise ValueError("an NVMe model needs at least one queue pair")
-        if arbitration not in ARBITRATIONS:
-            raise ValueError("unknown arbitration %r (want one of %s)"
-                             % (arbitration, ", ".join(ARBITRATIONS)))
         self.sim = sim
         self.device = device
         self.queues = queues
         self.queue_depth = depth
         self.depth = depth * queues
-        self.arbitration = arbitration
         self.affinity = dict(affinity) if affinity else {}
         for stream, index in self.affinity.items():
             if not 0 <= index < queues:
@@ -227,24 +216,11 @@ class NvmeMultiQueue(QueueModel):
             for index in range(queues))
         self.max_observed_depth = 0
         self.per_queue_max = [0] * queues
-        # Arbitration schedule over the queues not reserved by affinity
-        # (all queues when affinity would leave none for general traffic).
+        # Round-robin over the queues not reserved by affinity (all
+        # queues when affinity would leave none for general traffic).
         reserved = set(self.affinity.values())
-        general = [index for index in range(queues)
-                   if index not in reserved] or list(range(queues))
-        if arbitration == "weighted":
-            if weights is None:
-                weights = (1,) * queues
-            if len(weights) != queues or any(w < 1 for w in weights):
-                raise ValueError("weights must give every queue a "
-                                 "positive share")
-            self._schedule = [index for index in general
-                              for _ in range(weights[index])]
-        else:
-            if weights is not None:
-                raise ValueError("weights require weighted arbitration")
-            self._schedule = list(general)
-        self.weights = tuple(weights) if weights is not None else None
+        self._schedule = [index for index in range(queues)
+                          if index not in reserved] or list(range(queues))
         self._cursor = 0
         #: controller fetch offset per queue (see class docstring)
         self._skew = tuple(index * ARBITRATION_SKEW
@@ -274,7 +250,7 @@ class NvmeMultiQueue(QueueModel):
 
     def route(self, request):
         """The SQ index ``request`` would dispatch on (affinity first,
-        else the arbitration schedule — which this call advances)."""
+        else the round-robin schedule — which this call advances)."""
         stream = getattr(request, "stream", None)
         if stream is not None and stream in self.affinity:
             return self.affinity[stream]
@@ -320,8 +296,6 @@ class _TopologyFields(NamedTuple):
     interface: str = "sata"
     queue_depth: int = None
     submission_queues: int = 2
-    arbitration: str = "round-robin"
-    weights: tuple = None
     ordered: bool = True
     reorder_window: int = 8
     affinity: dict = None
@@ -338,20 +312,16 @@ class QueueTopology(Record, _TopologyFields):
     constructing queues directly; every device of a topology gets
     ``build(sim, device, ...)`` called on it.  ``queue_depth=None``
     means :data:`DEFAULT_QUEUE_DEPTH` — the single authoritative
-    default.  Empty ``weights`` or ``affinity`` mean none, and the
-    topology keeps its own copy of the caller's ``affinity`` dict.
+    default.  An empty ``affinity`` means none, and the topology keeps
+    its own copy of the caller's ``affinity`` dict.
     """
 
     __slots__ = ()
 
     def _check(self):
-        weights = tuple(self.weights or ()) or None
-        if weights != self.weights or (
-                self.affinity is not None
-                and type(self.affinity) is not _Affinity):
-            return self._replace(weights=weights,
-                                 affinity=_Affinity(self.affinity or {})
-                                 or None)
+        if self.affinity is not None \
+                and type(self.affinity) is not _Affinity:
+            return self._replace(affinity=_Affinity(self.affinity) or None)
         if self.interface not in INTERFACES:
             raise ValueError("unknown interface %r (want one of %s)"
                              % (self.interface, ", ".join(INTERFACES)))
@@ -368,9 +338,7 @@ class QueueTopology(Record, _TopologyFields):
                            reorder_window=self.reorder_window, rng=rng,
                            timeout_policy=timeout_policy)
         return NvmeMultiQueue(sim, device, queues=self.submission_queues,
-                              depth=self.queue_depth,
-                              arbitration=self.arbitration,
-                              weights=self.weights, rng=rng,
+                              depth=self.queue_depth, rng=rng,
                               timeout_policy=timeout_policy,
                               affinity=self.affinity)
 

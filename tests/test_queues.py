@@ -80,18 +80,16 @@ class TestQueueTopology:
 
     def test_json_round_trip(self):
         topo = QueueTopology(interface="nvme", submission_queues=3,
-                             arbitration="weighted", weights=(2, 1, 1),
                              affinity={"log": 2})
         clone = QueueTopology.from_json(topo.to_json())
         assert clone.to_json() == topo.to_json()
         assert clone == topo
 
     def test_empty_and_aliased_settings_normalize(self):
-        """Empty ``weights``/``affinity`` mean none (``null`` in JSON),
-        and the spec keeps no reference to the caller's dict."""
-        assert QueueTopology(weights=[], affinity={}) == QueueTopology()
+        """An empty ``affinity`` means none (``null`` in JSON), and the
+        spec keeps no reference to the caller's dict."""
+        assert QueueTopology(affinity={}) == QueueTopology()
         assert QueueTopology(affinity={}).to_json()["affinity"] is None
-        assert QueueTopology(weights=()).to_json()["weights"] is None
         pins = {"log": 1}
         topo = QueueTopology(interface="nvme", affinity=pins)
         pins["log"] = 0
@@ -108,12 +106,6 @@ class TestQueueTopology:
         with pytest.raises(ValueError):
             NvmeMultiQueue(sim, make_durassd(sim), queues=2,
                            affinity={"log": 2})
-        with pytest.raises(ValueError):
-            NvmeMultiQueue(sim, make_durassd(sim, name="d2"), queues=2,
-                           weights=(1, 1))  # weights need weighted mode
-        with pytest.raises(ValueError):
-            NvmeMultiQueue(sim, make_durassd(sim, name="d3"), queues=2,
-                           arbitration="weighted", weights=(1,))
 
     def test_resolve_defaults_to_legacy_sata(self, sim):
         """A file system given no queue model runs on ``QueueTopology()``:
@@ -276,13 +268,6 @@ class TestNvmeRouting:
                    for i in range(6)]
         assert general == [0, 1, 2, 0, 1, 2]
         assert request.stream == "log"
-
-    def test_weighted_arbitration_shares_by_weight(self, sim):
-        queue = NvmeMultiQueue(sim, make_durassd(sim), queues=2,
-                               arbitration="weighted", weights=(3, 1))
-        routed = [queue.route(IORequest("write", i, 1, payload=["x"]))
-                  for i in range(8)]
-        assert routed == [0, 0, 0, 1, 0, 0, 0, 1]
 
     def test_depth_accounting_per_queue(self, sim):
         device = make_durassd(sim)
