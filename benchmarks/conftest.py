@@ -44,9 +44,9 @@ def emit(name, text):
 def regenerate(benchmark, stem, **kwargs):
     """Run the registered table ``stem`` once under ``benchmark``, emit
     its text and return its results for the claim assertions."""
-    from repro.bench import TABLES
+    from repro.bench import TABLES, run_table
     table = TABLES[stem]
-    results = benchmark.pedantic(table.run, kwargs=kwargs, rounds=1,
-                                 iterations=1)
+    results = benchmark.pedantic(run_table, args=(table,), kwargs=kwargs,
+                                 rounds=1, iterations=1)
     emit(stem, table.render(results))
     return results

@@ -75,6 +75,7 @@ from .bench import (
     monitor,
     profile,
     regress,
+    run_table,
     scaling,
     torture,
     tracing,
@@ -91,8 +92,10 @@ from .telemetry import validate
 #: the experiments, in ``all``'s order (see :data:`repro.bench.EXPERIMENTS`)
 ORDER = list(EXPERIMENTS)
 
-#: experiments whose run takes a telemetry hub (--telemetry flag)
-TELEMETRY_CAPABLE = frozenset(TRACED.names())
+#: experiments with a traced table (--telemetry flag)
+TELEMETRY_CAPABLE = frozenset(
+    name for name, experiment in EXPERIMENTS.items()
+    if any(table.traced is not None for table in experiment.tables))
 
 #: the world flags' dests; every other option a world command parses is
 #: a keyword argument of its module's ``main``
@@ -182,8 +185,6 @@ def _add_world_commands(commands, world):
                      metavar="N")
 
     sub = command("monitor", monitor, TRACED)
-    sub.add_argument("--interval", type=seconds,
-                     default=monitor.DEFAULT_INTERVAL, metavar="SECONDS")
     paths(sub, "out", "json", "prom", "csv")
     sub.add_argument("--quiet", action="store_true")
 
@@ -437,15 +438,14 @@ def _run_bench(name, args, spec):
     """Print the experiment's tables, each ``render(run(...))`` exactly
     as committed, separated by blank lines."""
     worlds = []
-    options = {"spec": spec, "worlds": worlds}
     telemetry = None
     if getattr(args, "telemetry", False):
         from .telemetry import Telemetry
-        telemetry = options["telemetry"] = Telemetry(enabled=True)
+        telemetry = Telemetry(enabled=True)
     for index, table in enumerate(EXPERIMENTS[name].tables):
         if index:
             print()
-        print(table.render(table.run(**options)))
+        print(table.render(run_table(table, spec, worlds, telemetry)))
     if telemetry is not None:
         out = args.out or "%s-trace.json" % name
         telemetry.write_chrome_trace(out)

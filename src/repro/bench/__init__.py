@@ -3,13 +3,15 @@ plus the ablations.
 
 :data:`EXPERIMENTS` is the one ordered registry of them.  Each
 experiment maps to its :class:`Table` entries, and each table's text is
-``render(run(...))``; ``python -m repro <experiment>``, ``python -m
-repro all`` and the paper-claims suite under ``benchmarks/`` all make
-that call, so the CLI prints exactly the committed
-``benchmarks/output/<stem>.txt``.
+``render(run_table(table, ...))``; ``python -m repro <experiment>``,
+``python -m repro all`` and the paper-claims suite under
+``benchmarks/`` all make that call, so the CLI prints exactly the
+committed ``benchmarks/output/<stem>.txt``.
 """
 
-from typing import Callable, NamedTuple, Tuple
+from typing import Any, Callable, NamedTuple, Tuple
+
+from ..sim import units
 
 from . import (  # noqa: F401
     ablations,
@@ -31,14 +33,26 @@ from . import (  # noqa: F401
 class Table(NamedTuple):
     """One committed table, ``benchmarks/output/<stem>.txt``.
 
-    ``run(spec=..., worlds=...)`` measures it (a traced experiment's
-    ``run`` also takes ``telemetry=``) and ``render(results)`` is its
-    text.
+    ``run(world, **sizes)`` measures it, calling ``world(key)`` once per
+    cell for the world that cell runs on, and ``render(results)`` is its
+    text.  ``--telemetry`` traces the cell whose key is ``traced``.
     """
 
     stem: str
     run: Callable
     render: Callable
+    traced: Any = None
+
+
+def run_table(table, spec=setups.DEFAULT_SPEC, worlds=None, telemetry=None,
+              **sizes):
+    """``table.run`` on worlds built from ``spec``; the cell keyed
+    ``table.traced`` runs on ``telemetry``, and the worlds a spec arms
+    for metrics or profiling land in ``worlds``."""
+    def world(key):
+        return setups.fresh_world(
+            telemetry if key == table.traced else None, spec, worlds)
+    return table.run(world, **sizes)
 
 
 class Experiment(NamedTuple):
@@ -51,19 +65,22 @@ class Experiment(NamedTuple):
 EXPERIMENTS = {
     "table1": Experiment(
         "Table 1: fsync/flush-cache vs 4KB write IOPS",
-        (Table("table1", table1.run, table1.format_table),)),
+        (Table("table1", table1.run, table1.format_table,
+               traced=("durassd", "on", 8)),)),
     "table2": Experiment(
         "Table 2: page size vs IOPS",
         (Table("table2", table2.run, table2.format_table),)),
     "figure5": Experiment(
         "Figure 5: LinkBench TPS across configurations",
-        (Table("figure5", figure5.run, figure5.format_table),)),
+        (Table("figure5", figure5.run, figure5.format_table,
+               traced=(True, True, 16 * units.KIB)),)),
     "figure6": Experiment(
         "Figure 6: miss ratio / TPS vs buffer size",
         (Table("figure6", figure6.run, figure6.format_table),)),
     "table3": Experiment(
         "Table 3: LinkBench latency distributions",
-        (Table("table3", table3.run, table3.format_table),)),
+        (Table("table3", table3.run, table3.format_table,
+               traced="default"),)),
     "table4": Experiment(
         "Table 4: TPC-C tpmC",
         (Table("table4", table4.run, table4.format_table),)),
@@ -91,7 +108,8 @@ EXPERIMENTS = {
                atomicity.format_sqlite_table))),
     "bursts": Experiment(
         "Write-burst absorption / tail tolerance",
-        (Table("bursts", bursts.run, bursts.format_table),)),
+        (Table("bursts", bursts.run, bursts.format_table,
+               traced=bursts.CONFIGURATIONS[-1][0]),)),
 }
 
 #: every committed table by its file stem
@@ -103,6 +121,7 @@ __all__ = [
     "Experiment",
     "TABLES",
     "Table",
+    "run_table",
     "ablations",
     "atomicity",
     "bursts",

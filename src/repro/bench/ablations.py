@@ -17,7 +17,7 @@ from ..core import CapacitorBank, DuraSSD
 from ..devices import IORequest
 from ..devices.presets import durassd_spec
 from ..failures import PowerFailureInjector, check_device
-from ..host import FileSystem, FioJob, QueueTopology, run_fio
+from ..host import FioJob, run_fio
 from ..sim import units
 from ..workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 from . import setups
@@ -25,8 +25,7 @@ from .tableio import render_table
 
 
 # --- write amplification & lifetime ------------------------------------------
-def run_write_amplification(ops_per_client=None, spec=setups.DEFAULT_SPEC,
-                            worlds=None):
+def run_write_amplification(world, ops_per_client=None):
     """Bytes written to flash per logical page update, across the four
     Figure-5 configurations (plus the page-size effect)."""
     results = []
@@ -37,7 +36,7 @@ def run_write_amplification(ops_per_client=None, spec=setups.DEFAULT_SPEC,
         ("OFF/OFF 4KB (best)", False, False, 4 * units.KIB),
     ]
     for label, barrier, doublewrite, page_size in cases:
-        sim = setups.fresh_world(spec=spec, worlds=worlds)
+        sim = world(label)
         engine, devices = setups.mysql_setup(sim, page_size, barrier,
                                              doublewrite, buffer_gb=10)
         workload = LinkBenchWorkload(
@@ -78,12 +77,11 @@ def format_write_amplification(results):
 
 
 # --- capacitor budget sweep ------------------------------------------------------
-def run_capacitor_sweep(counts=(0, 1, 2, 4, 8, 15), writes=400,
-                        spec=setups.DEFAULT_SPEC, worlds=None):
+def run_capacitor_sweep(world, counts=(0, 1, 2, 4, 8, 15), writes=400):
     """Acked 4KB writes lost at power failure vs capacitor count."""
     results = []
     for count in counts:
-        sim = setups.fresh_world(spec=spec, worlds=worlds)
+        sim = world(count)
         bank = CapacitorBank(count=count)
         device = DuraSSD(sim, durassd_spec(), capacitors=bank)
         device.record_acks = True
@@ -121,14 +119,13 @@ def format_capacitor_sweep(results):
 
 
 # --- mapping granularity (pairing) -------------------------------------------------
-def run_mapping_granularity(ios=2000, spec=setups.DEFAULT_SPEC,
-                            worlds=None):
+def run_mapping_granularity(world, ios=2000):
     """Sustained 4KB random-write drain with 4KB vs 8KB mapping."""
     results = []
     for unit in (4 * units.KIB, 8 * units.KIB):
-        sim = setups.fresh_world(spec=spec, worlds=worlds)
+        sim = world(unit)
         device = DuraSSD(sim, durassd_spec().replace(mapping_unit=unit))
-        filesystem = FileSystem(sim, device, barriers=False)
+        filesystem = setups.file_system(sim, device, False)
         job = FioJob(rw="randwrite", block_size=4 * units.KIB,
                      numjobs=64, ios_per_job=max(10, ios // 64),
                      fsync_every=0)
@@ -155,8 +152,9 @@ def format_mapping_granularity(results):
 
 
 # --- flush semantics alternatives (Section 3.3) -----------------------------------
-def run_flush_semantics(ios=1500, spec=setups.DEFAULT_SPEC, worlds=None):
-    """fsync-heavy throughput under three barrier policies on DuraSSD."""
+def run_flush_semantics(world, ios=1500):
+    """fsync-heavy throughput under three barrier policies on DuraSSD
+    (each case sets the NCQ's ordering; the world, the rest)."""
     cases = [
         ("flush every fsync (barrier on)", True, True),
         ("no flush, ordered NCQ (nobarrier)", False, True),
@@ -164,10 +162,12 @@ def run_flush_semantics(ios=1500, spec=setups.DEFAULT_SPEC, worlds=None):
     ]
     results = []
     for label, barriers, ordered in cases:
-        sim = setups.fresh_world(spec=spec, worlds=worlds)
-        device = setups.make_device(sim, "durassd")
-        filesystem = FileSystem(sim, device, barriers=barriers,
-                                queue_model=QueueTopology(ordered=ordered))
+        sim = world(label)
+        queues = setups.spec_of(sim).topology._replace(ordered=ordered)
+        target, _members = setups.make_data_target(sim, "durassd",
+                                                   queue_model=queues)
+        filesystem = setups.file_system(sim, target, barriers,
+                                        queue_model=queues)
         job = FioJob(rw="randwrite", block_size=4 * units.KIB,
                      ios_per_job=min(ios, setups.ops_scale(ios)),
                      fsync_every=1)
@@ -185,14 +185,14 @@ def format_flush_semantics(results):
 
 
 # --- GC victim policy (Section 3.1.1's wear-aware scheduling) ----------------
-def run_victim_policies(rounds=400, spec=setups.DEFAULT_SPEC, worlds=None):
+def run_victim_policies(world, rounds=400):
     """Wear spread and GC effort under a hot/cold skew, greedy vs
     cost-benefit victim selection."""
     from ..flash import FlashArray, FlashGeometry, FlashTiming, PageMappingFTL
     from ..sim.rng import make_rng
     results = []
     for policy in ("greedy", "cost-benefit"):
-        sim = setups.fresh_world(spec=spec, worlds=worlds)
+        sim = world(policy)
         geometry = FlashGeometry(channels=2, packages_per_channel=2,
                                  chips_per_package=2, planes_per_chip=2,
                                  blocks_per_plane=8, pages_per_block=16,

@@ -17,85 +17,80 @@ All mechanisms protect the data; only the price differs.
 from ..db.innodb import InnoDBConfig, InnoDBEngine
 from ..db.postgres import PostgresConfig, PostgresEngine
 from ..db.sqlite import SQLiteConfig, SQLiteEngine
-from ..devices import make_durassd, make_fusionio, make_ssd_a
-from ..host import FileSystem
+from ..devices import make_fusionio
 from ..sim import units
 from ..workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 from . import setups
 from .tableio import render_table
 
 
-def _linkbench_tps(engine, data_device, ops):
+def _linkbench_tps(engine, data_devices, ops):
     workload = LinkBenchWorkload(
         engine, LinkBenchConfig(db_bytes=setups.scaled_db_bytes() // 4))
     result = workload.run(clients=32, ops_per_client=ops, warmup_ops=10)
+
+    def total(counter):
+        return sum(device.counters[counter] for device in data_devices)
     return {
         "tps": result.tps,
         "write_p99_ms": result.writes.percentile(0.99) * 1e3,
-        "barriers": data_device.counters["flushes"],
-        "host_mib": (data_device.counters["blocks_written"]
-                     * units.LBA_SIZE / units.MIB),
+        "barriers": total("flushes"),
+        "host_mib": total("blocks_written") * units.LBA_SIZE / units.MIB,
     }
 
 
-def _engine_world(device_maker, barriers, engine_cls, config, spec, worlds):
-    sim = setups.fresh_world(spec=spec, worlds=worlds)
+def _engine_world(sim, device_kind, barriers, engine_cls, config):
+    """``(engine, data devices)`` on a data and a log drive of
+    ``device_kind`` or, with ``"fusionio"``, of that bespoke device."""
     db_bytes = setups.scaled_db_bytes() // 4
-    data_device = device_maker(sim, capacity_bytes=int(db_bytes * 3))
-    log_device = device_maker(sim, capacity_bytes=units.GIB)
-    data_fs = FileSystem(sim, data_device, barriers=barriers)
-    log_fs = FileSystem(sim, log_device, barriers=barriers)
-    engine = engine_cls(sim, data_fs, log_fs, config)
-    return engine, data_device
+    if device_kind == "fusionio":
+        data_target = make_fusionio(sim, capacity_bytes=int(db_bytes * 3))
+        data_devices = (data_target,)
+        log_device = make_fusionio(sim, capacity_bytes=units.GIB)
+    else:
+        data_target, data_devices = setups.make_data_target(
+            sim, device_kind, int(db_bytes * 3))
+        log_device = setups.make_device(sim, device_kind,
+                                        capacity_bytes=units.GIB)
+    engine = engine_cls(sim, setups.file_system(sim, data_target, barriers),
+                        setups.file_system(sim, log_device, barriers), config)
+    return engine, data_devices
 
 
-def run(ops=None, spec=setups.DEFAULT_SPEC, worlds=None):
+def run(world, ops=None):
     if ops is None:
         ops = setups.ops_scale(60)
-    page = 8 * units.KIB
-    buffer_bytes = setups.scaled(10) // 4
+    sizes = dict(page_size=8 * units.KIB,
+                 buffer_pool_bytes=setups.scaled(10) // 4)
+    cases = (
+        ("InnoDB doublewrite (SSD, barriers)", "ssd-a", True,
+         InnoDBEngine, InnoDBConfig(doublewrite=True, **sizes)),
+        ("PostgreSQL full-page writes (SSD, barriers)", "ssd-a", True,
+         PostgresEngine, PostgresConfig(full_page_writes=True, **sizes)),
+        ("FusionIO atomic writes, no DWB (barriers)", "fusionio", True,
+         InnoDBEngine, InnoDBConfig(doublewrite=False, **sizes)),
+        ("DuraSSD, no DWB, no barriers", "durassd", False,
+         InnoDBEngine, InnoDBConfig(doublewrite=False, **sizes)),
+    )
     results = []
-
-    engine, device = _engine_world(
-        make_ssd_a, True, InnoDBEngine,
-        InnoDBConfig(page_size=page, buffer_pool_bytes=buffer_bytes,
-                     doublewrite=True), spec, worlds)
-    results.append(("InnoDB doublewrite (SSD, barriers)",
-                    _linkbench_tps(engine, device, ops)))
-
-    engine, device = _engine_world(
-        make_ssd_a, True, PostgresEngine,
-        PostgresConfig(page_size=page, buffer_pool_bytes=buffer_bytes,
-                       full_page_writes=True), spec, worlds)
-    results.append(("PostgreSQL full-page writes (SSD, barriers)",
-                    _linkbench_tps(engine, device, ops)))
-
-    engine, device = _engine_world(
-        make_fusionio, True, InnoDBEngine,
-        InnoDBConfig(page_size=page, buffer_pool_bytes=buffer_bytes,
-                     doublewrite=False), spec, worlds)
-    results.append(("FusionIO atomic writes, no DWB (barriers)",
-                    _linkbench_tps(engine, device, ops)))
-
-    engine, device = _engine_world(
-        make_durassd, False, InnoDBEngine,
-        InnoDBConfig(page_size=page, buffer_pool_bytes=buffer_bytes,
-                     doublewrite=False), spec, worlds)
-    results.append(("DuraSSD, no DWB, no barriers",
-                    _linkbench_tps(engine, device, ops)))
+    for label, device_kind, barriers, engine_cls, config in cases:
+        engine, devices = _engine_world(world(label), device_kind, barriers,
+                                        engine_cls, config)
+        results.append((label, _linkbench_tps(engine, devices, ops)))
     return results
 
 
-def run_sqlite_comparison(txns=300, spec=setups.DEFAULT_SPEC, worlds=None):
-    """The embedded-engine extreme: journal vs journal-off on DuraSSD."""
+def run_sqlite_comparison(world, txns=300):
+    """The embedded-engine extreme: journal vs journal-off on DuraSSD,
+    each mode on ``world(label)``."""
     results = []
     for journal_mode, barriers, label in (
             ("rollback", True, "rollback journal, barriers (classic)"),
             ("rollback", False, "rollback journal, nobarrier (DuraSSD)"),
             ("off", False, "journal OFF, nobarrier (DuraSSD atomic)")):
-        sim = setups.fresh_world(spec=spec, worlds=worlds)
-        device = make_durassd(sim, capacity_bytes=units.GIB)
-        fs = FileSystem(sim, device, barriers=barriers)
+        sim = world(label)
+        target, _members = setups.make_data_target(sim, "durassd", units.GIB)
+        fs = setups.file_system(sim, target, barriers)
         engine = SQLiteEngine(sim, fs, SQLiteConfig(
             journal_mode=journal_mode))
         from repro.sim.rng import make_rng

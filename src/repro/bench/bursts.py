@@ -13,27 +13,23 @@ burst at cache speed and barely disturbs the readers; the safe volatile
 configuration stalls them behind flush-cache commands.
 """
 
-from ..devices import IORequest, make_durassd, make_ssd_a
-from ..host import FileSystem
 from ..sim import LatencyRecorder, units
 from ..sim.rng import make_rng
 from . import setups
 from .tableio import render_table
 
-#: (label, device maker, barriers, fsync period during the burst)
+#: (label, device kind, barriers, fsync period during the burst)
 CONFIGURATIONS = [
-    ("volatile SSD, barriers on (safe)", make_ssd_a, True, 8),
-    ("volatile SSD, barriers off (UNSAFE)", make_ssd_a, False, 8),
-    ("DuraSSD, barriers off (safe)", make_durassd, False, 8),
+    ("volatile SSD, barriers on (safe)", "ssd-a", True, 8),
+    ("volatile SSD, barriers off (UNSAFE)", "ssd-a", False, 8),
+    ("DuraSSD, barriers off (safe)", "durassd", False, 8),
 ]
 
 
-def run_one(device_maker, barriers, fsync_period, burst_writes=600,
-            reader_count=8, telemetry=None, spec=setups.DEFAULT_SPEC,
-            worlds=None):
-    sim = setups.fresh_world(telemetry, spec, worlds)
-    device = device_maker(sim, capacity_bytes=units.GIB)
-    filesystem = FileSystem(sim, device, barriers=barriers)
+def run_one(sim, device_kind, barriers, fsync_period, burst_writes=600,
+            reader_count=8):
+    target, _members = setups.make_data_target(sim, device_kind, units.GIB)
+    filesystem = setups.file_system(sim, target, barriers)
     data = filesystem.create("data", 256 * units.MIB)
     from ..host.fio import _prefill_blank
     _prefill_blank(data)
@@ -82,17 +78,13 @@ def run_one(device_maker, barriers, fsync_period, burst_writes=600,
     }
 
 
-def run(burst_writes=None, telemetry=None, spec=setups.DEFAULT_SPEC,
-        worlds=None):
+def run(world, burst_writes=None):
+    """[(label, outcome)] per configuration, each on ``world(label)``."""
     if burst_writes is None:
         burst_writes = setups.ops_scale(600)
-    # --telemetry traces the DuraSSD configuration (the last one).
-    traced = CONFIGURATIONS[-1][0]
-    return [(label, run_one(maker, barriers, period,
-                            burst_writes=burst_writes,
-                            telemetry=telemetry if label == traced
-                            else None, spec=spec, worlds=worlds))
-            for label, maker, barriers, period in CONFIGURATIONS]
+    return [(label, run_one(world(label), device_kind, barriers, period,
+                            burst_writes=burst_writes))
+            for label, device_kind, barriers, period in CONFIGURATIONS]
 
 
 def format_table(results):

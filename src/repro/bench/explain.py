@@ -32,10 +32,9 @@ PAGE_SIZE = 16 * units.KIB
 
 def _mode(barrier, doublewrite, ops):
     """One LinkBench run in the given mode, as a runner scenario."""
-    def scenario(telemetry, spec, worlds):
-        result = run_config(barrier, doublewrite, PAGE_SIZE, clients=CLIENTS,
-                            ops_per_client=ops, telemetry=telemetry,
-                            spec=spec, worlds=worlds)
+    def scenario(world):
+        result = run_config(world, barrier, doublewrite, PAGE_SIZE,
+                            clients=CLIENTS, ops_per_client=ops)
         return {
             "barrier": barrier,
             "doublewrite": doublewrite,

@@ -26,10 +26,8 @@ PAPER_APPROX = {
 }
 
 
-def run_config(barrier, doublewrite, page_size, clients=128,
-               ops_per_client=None, buffer_gb=10, telemetry=None,
-               spec=setups.DEFAULT_SPEC, worlds=None):
-    sim = setups.fresh_world(telemetry, spec, worlds)
+def run_config(sim, barrier, doublewrite, page_size, clients=128,
+               ops_per_client=None, buffer_gb=10):
     engine, _devices = setups.mysql_setup(sim, page_size, barrier,
                                           doublewrite, buffer_gb=buffer_gb)
     workload = LinkBenchWorkload(
@@ -42,25 +40,13 @@ def run_config(barrier, doublewrite, page_size, clients=128,
                         warmup_ops=40)
 
 
-#: configuration traced under ``--telemetry``: MySQL defaults, 16KB
-TRACED_CONFIG = (True, True, 16 * units.KIB)
-
-
-def run(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
-    """{(barrier, dwb): [LinkBenchResult per page size]}
-
-    ``telemetry`` is threaded into the :data:`TRACED_CONFIG` run only
-    (one hub binds one simulator); tracing does not perturb the TPS.
-    """
-    results = {}
-    for barrier, doublewrite in CONFIGS:
-        results[(barrier, doublewrite)] = [
-            run_config(barrier, doublewrite, page_size,
-                       telemetry=telemetry
-                       if (barrier, doublewrite, page_size) == TRACED_CONFIG
-                       else None, spec=spec, worlds=worlds)
-            for page_size in PAGE_SIZES]
-    return results
+def run(world):
+    """{(barrier, dwb): [LinkBenchResult per page size]}, each cell on
+    ``world((barrier, dwb, page_size))``."""
+    return {(barrier, doublewrite): [
+        run_config(world((barrier, doublewrite, page_size)), barrier,
+                   doublewrite, page_size)
+        for page_size in PAGE_SIZES] for barrier, doublewrite in CONFIGS}
 
 
 def _label(config):

@@ -7,7 +7,6 @@ page sizes widens with the pool, with no saturation.
 """
 
 from ..sim import units
-from . import setups
 from .figure5 import run_config
 from .tableio import render_grid
 
@@ -27,15 +26,14 @@ PAPER_TPS_APPROX = {
 }
 
 
-def run(spec=setups.DEFAULT_SPEC, worlds=None):
+def run(world):
     """{page_size: [(miss_ratio, tps) per buffer size]}"""
     results = {}
     for page_size in PAGE_SIZES:
         series = []
         for buffer_gb in BUFFER_GB:
-            outcome = run_config(False, False, page_size,
-                                 buffer_gb=buffer_gb, spec=spec,
-                                 worlds=worlds)
+            outcome = run_config(world((page_size, buffer_gb)), False, False,
+                                 page_size, buffer_gb=buffer_gb)
             series.append((outcome.buffer_miss_ratio, outcome.tps))
         results[page_size] = series
     return results

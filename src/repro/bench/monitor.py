@@ -10,14 +10,15 @@ per-window series, device health, and fired alerts.
 Usage::
 
     python -m repro monitor figure5
-    python -m repro monitor figure5 --interval 0.005 --json dash.json
+    python -m repro monitor figure5 --metrics-interval 0.005 --json d.json
     python -m repro monitor table1 --gray-faults gc-storm --prom m.prom
     python -m repro monitor bursts --csv series.csv --quiet
 
 The world flags every bench takes (``--gray-faults``, ``--devices``,
-``--interface`` ...) shape the scenario's world; ``--profile`` adds a
-simulator self-profile (the record's ``profile`` section) to the
-dashboard.
+``--interface`` ...) shape the scenario's world;
+``--metrics-interval`` sets the window length (default
+:data:`DEFAULT_INTERVAL` seconds) and ``--profile`` adds a simulator
+self-profile (the record's ``profile`` section) to the dashboard.
 
 The run is the same world ``repro trace`` builds, so numbers line up
 with traces and the benches; with metrics disabled (every other CLI
@@ -143,14 +144,14 @@ def render_markdown(record):
     return "\n".join(lines)
 
 
-def main(scenario, interval=DEFAULT_INTERVAL, out_path=None, json_path=None,
-         prom_path=None, csv_path=None, quiet=False,
-         spec=setups.DEFAULT_SPEC, worlds=None):
+def main(scenario, out_path=None, json_path=None, prom_path=None,
+         csv_path=None, quiet=False, spec=setups.DEFAULT_SPEC, worlds=None):
     """``python -m repro monitor``: run one scenario under windowed
     metrics and write its dashboard and exports."""
-    record, telemetry = runner.run(scenario, TRACED.get(scenario), spec,
-                                   worlds, metrics=interval,
-                                   profile=spec.profile)
+    record, telemetry = runner.run(
+        scenario, TRACED.get(scenario), spec, worlds,
+        metrics=spec.metrics_interval or DEFAULT_INTERVAL,
+        profile=spec.profile)
     runner.write_views(record, render_markdown(record), out_path,
                        json_path, quiet, check=False)
     registry = telemetry.metrics

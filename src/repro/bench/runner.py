@@ -55,18 +55,19 @@ def _metrics(telemetry):
 def run(scenario, fn, spec=setups.DEFAULT_SPEC, worlds=None, spans=False,
         sample_interval=0.002, blame=None, metrics=None, profile=False,
         top=None):
-    """Run ``fn(telemetry, spec, worlds)`` on a hub armed with
-    ``spans``, ``blame=K`` (K tail timelines; implies spans),
-    ``metrics=S`` (S-second windows) and ``profile`` (``top`` targets,
-    or :func:`aggregate`'s default); returns ``(record, telemetry)``,
-    the hub live for the exporters."""
+    """Run ``fn(world)`` on a world built from ``spec`` (landing in
+    ``worlds`` if the spec arms it) whose hub is armed with ``spans``,
+    ``blame=K`` (K tail timelines; implies spans), ``metrics=S``
+    (S-second windows) and ``profile`` (``top`` targets, or
+    :func:`aggregate`'s default); returns ``(record, telemetry)``, the
+    hub live for the exporters."""
     registry = None if metrics is None else MetricsRegistry(interval=metrics)
     telemetry = Telemetry(enabled=spans or blame is not None,
                           sample_interval=sample_interval, metrics=registry)
     if profile:
         telemetry.profiler = SimProfiler()
     begin = time.perf_counter()
-    outcome = fn(telemetry, spec, worlds)
+    outcome = fn(setups.fresh_world(telemetry, spec, worlds))
     run_wall = time.perf_counter() - begin
     record = envelope(scenario, spec, outcome=outcome)
     if telemetry.enabled:

@@ -40,7 +40,7 @@ import json
 import os
 
 from ..db.innodb import InnoDBConfig, InnoDBEngine
-from ..host import FileSystem, QueueTopology, RegionView, StripedVolume
+from ..host import QueueTopology, RegionView, StripedVolume
 from ..sim import units
 from ..workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 from . import setups
@@ -136,14 +136,14 @@ def run_placement(colocated, width=ABLATION_WIDTH, clients=CLIENTS,
                                timeout_policy=spec.timeout_policy(),
                                queue_model=spec.topology)
         data_blocks = units.lba_count(data_bytes)
-        data_fs = FileSystem(
+        data_fs = setups.file_system(
             sim, RegionView(volume, 0, data_blocks, name="shared.data"),
-            barriers=barriers)
-        log_fs = FileSystem(
+            barriers)
+        log_fs = setups.file_system(
             sim, RegionView(volume, data_blocks,
                             volume.exported_lbas - data_blocks,
                             name="shared.log"),
-            barriers=barriers)
+            barriers)
         config = InnoDBConfig(page_size=PAGE_SIZE,
                               buffer_pool_bytes=setups.scaled(BUFFER_GB))
         engine = InnoDBEngine(sim, data_fs, log_fs, config)

@@ -25,7 +25,6 @@ table of cells, one row per cell.
 
 import time
 
-from ..devices import make_durassd
 from ..failures.corruption import (
     CORRUPTION_PROFILES as _CORRUPTION_MAKERS,
     make_corruption_profile,
@@ -75,46 +74,41 @@ class ScenarioSet:
 
 
 # --- traced benchmark worlds --------------------------------------------
-#: each scenario is ``fn(telemetry, spec=WorldSpec(), worlds=None)``: it
-#: builds its one world on ``telemetry`` under ``spec`` and returns an
-#: outcome line
+#: each scenario is ``fn(world)``: it runs on the one world the runner
+#: built and returns an outcome line
 TRACED = ScenarioSet("traced")
 
 
-def _trace_table1(telemetry, spec=setups.DEFAULT_SPEC, worlds=None):
+def _trace_table1(world):
     """One Table 1 fio cell: DuraSSD, cache on, fsync every 8 writes."""
     from .table1 import measure_cell
-    iops = measure_cell("durassd", "on", 8, ios=setups.ops_scale(200),
-                        telemetry=telemetry, spec=spec, worlds=worlds)
+    iops = measure_cell(world, "durassd", "on", 8, ios=setups.ops_scale(200))
     return "fio 4KB randwrite, durassd/on, fsync=8: %.0f IOPS" % iops
 
 
-def _trace_figure5(telemetry, spec=setups.DEFAULT_SPEC, worlds=None):
+def _trace_figure5(world):
     """One LinkBench run: MySQL defaults (ON/ON), 16KB pages."""
     from .figure5 import run_config
-    result = run_config(True, True, 16 * units.KIB, clients=16,
-                        ops_per_client=max(8, setups.ops_scale(12)),
-                        telemetry=telemetry, spec=spec, worlds=worlds)
+    result = run_config(world, True, True, 16 * units.KIB, clients=16,
+                        ops_per_client=max(8, setups.ops_scale(12)))
     return "LinkBench ON/ON 16KB, 16 clients: %.0f TPS" % result.tps
 
 
-def _trace_table3(telemetry, spec=setups.DEFAULT_SPEC, worlds=None):
+def _trace_table3(world):
     """The latency-tail configuration of Table 3 (ON/ON, 16KB)."""
     from .figure5 import run_config
-    result = run_config(True, True, 16 * units.KIB, clients=16,
-                        ops_per_client=max(8, setups.ops_scale(12)),
-                        telemetry=telemetry, spec=spec, worlds=worlds)
+    result = run_config(world, True, True, 16 * units.KIB, clients=16,
+                        ops_per_client=max(8, setups.ops_scale(12)))
     return ("LinkBench ON/ON 16KB: write mean %.1f ms, p99 %.1f ms"
             % (result.writes.mean * 1e3,
                result.writes.percentile(0.99) * 1e3))
 
 
-def _trace_bursts(telemetry, spec=setups.DEFAULT_SPEC, worlds=None):
+def _trace_bursts(world):
     """Write burst absorbed by DuraSSD with barriers off."""
     from .bursts import run_one
-    outcome = run_one(make_durassd, False, 8,
-                      burst_writes=setups.ops_scale(200),
-                      telemetry=telemetry, spec=spec, worlds=worlds)
+    outcome = run_one(world, "durassd", False, 8,
+                      burst_writes=setups.ops_scale(200))
     return ("burst drained in %.3f s; read p99 %.2f ms"
             % (outcome["burst_seconds"], outcome["read_p99_ms"]))
 

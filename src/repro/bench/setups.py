@@ -4,32 +4,21 @@ simulated world out.
 A bench passes the paper's own knobs — device kind, cache mode,
 barriers, doublewrite, page size — as arguments.  Everything else about
 the world lives in a :class:`WorldSpec`, which the CLI's world flags
-fill in:
+fill in (its docstring says which flags reach which worlds).
 
-* ``data_devices`` (``--devices N``) stripes the data target over N
-  member devices; ``mirror`` (``--mirror N``) replicates it across N
-  checksum-verified devices instead; ``dedicated_log``
-  (``--log-device``) moves the single-drive Couchbase world's append
-  log onto its own device.  The MySQL and commercial worlds always
-  have a separate log drive.
-* ``topology`` (``--interface sata|nvme``, ``--sq N``,
-  ``--queue-depth N``) is the :class:`repro.host.QueueTopology` every
-  queue of the world is built from.
-* ``gray_faults`` / ``gray_seed`` (``--gray-faults PROFILE``) inject a
-  gray-fault profile into every device and arm the command-lifecycle
-  timeout stack on every file system, so a bench degrades instead of
-  deadlocking.
-* ``metrics_interval`` (``--metrics-interval S``) and ``profile``
-  (``--profile``) give each world a windowed metrics registry or a
-  simulator self-profiler.
+A spec is immutable.  :func:`repro.bench.run_table` and the runner
+build each cell's world with :func:`fresh_world`, a :class:`World` that
+carries the spec, and hand it to the cell; the helpers below read the
+spec off the simulator they are handed.  A plain
+:class:`~repro.sim.Simulator` reads as ``WorldSpec()``, the healthy
+single-device SATA world.  Nothing here outlives a call: the worlds a
+bench armed for metrics or profiling land in a list the caller owns.
 
-A spec is immutable.  The CLI builds one per invocation and passes it
-to the bench, whose :func:`fresh_world` call returns a :class:`World`
-that carries it; the helpers below read it off the simulator they are
-handed.  A plain :class:`~repro.sim.Simulator` reads as ``WorldSpec()``,
-the healthy single-device SATA world.  Nothing here outlives a call:
-the worlds a bench armed for metrics or profiling land in a list the
-caller owns.
+Three helpers build every bench world's storage: :func:`make_device`
+(one preset device, gray-faulted under the spec),
+:func:`make_data_target` (the data extent, striped or mirrored under
+the spec) and :func:`file_system` (a file system behind the spec's
+queues and command deadlines).
 
 Environment knobs, read on every call:
 
@@ -46,6 +35,7 @@ from ..db.commercial import CommercialConfig, CommercialEngine
 from ..db.couchstore import CouchstoreConfig, CouchstoreEngine
 from ..db.innodb import InnoDBConfig, InnoDBEngine
 from ..devices import DEVICE_MAKERS
+from ..devices.presets import DEFAULT_CAPACITY
 from ..failures.grayfaults import PROFILES, GrayFaultModel, make_profile
 from ..host import (
     FileSystem,
@@ -69,13 +59,40 @@ class _WorldFields(NamedTuple):
     dedicated_log: bool = False
     topology: QueueTopology = QueueTopology()
     gray_faults: str = None
-    gray_seed: int = 0
     metrics_interval: float = None
     profile: bool = False
 
 
 class WorldSpec(Record, _WorldFields):
-    """The world-wide settings of a bench run (see the module docstring).
+    """The world-wide settings of a bench run.
+
+    * ``data_devices`` (``--devices N``) stripes the data target over N
+      member devices; ``mirror`` (``--mirror N``) replicates it across N
+      checksum-verified devices instead.  Both reach every data target
+      built by :func:`make_data_target`: the fio cells of Tables 1 and
+      2, the bursts, the flush ablation, the atomicity and SQLite
+      worlds on preset devices, and the MySQL, commercial and Couchbase
+      worlds.  The MySQL and commercial worlds always have a separate
+      log drive.
+    * ``dedicated_log`` (``--log-device``) moves the single-drive
+      Couchbase world's append log onto its own device.
+    * ``topology`` (``--interface sata|nvme``, ``--sq N``,
+      ``--queue-depth N``) is the :class:`repro.host.QueueTopology`
+      every queue is built from: every bench file system
+      (:func:`file_system`) and every striped or mirrored member.
+    * ``gray_faults`` (``--gray-faults PROFILE``) injects a gray-fault
+      profile into every device :func:`make_device` builds, and arms
+      the command-lifecycle deadlines on every bench file system, so a
+      bench degrades instead of deadlocking.
+    * ``metrics_interval`` (``--metrics-interval S``) and ``profile``
+      (``--profile``) give every world a windowed metrics registry or a
+      simulator self-profiler.
+
+    The FusionIO world of the atomicity table and the capacitor,
+    mapping and victim-policy ablations build bespoke devices, which
+    ``--devices``, ``--mirror`` and ``--gray-faults`` do not reach; the
+    FusionIO and mapping worlds' file systems still take the queue
+    flags.
 
     ``WorldSpec()`` is the calibrated world: one healthy device behind
     the SATA NCQ, no metrics, no profiler.  Construction validates:
@@ -103,8 +120,7 @@ class WorldSpec(Record, _WorldFields):
         ``None`` (no deadlines) on healthy devices."""
         if self.gray_faults is None:
             return None
-        return TimeoutPolicy(deadline=0.01, backoff_base=1e-3,
-                             seed=self.gray_seed)
+        return TimeoutPolicy(deadline=0.01, backoff_base=1e-3)
 
 
 DEFAULT_SPEC = WorldSpec()
@@ -160,26 +176,23 @@ def fresh_world(telemetry=None, spec=DEFAULT_SPEC, worlds=None):
     return world
 
 
-def make_device(sim, kind="durassd", cache_enabled=True, capacity_bytes=None,
-                name=None):
-    maker = DEVICE_MAKERS[kind]
-    if capacity_bytes is None:
-        device = maker(sim, cache_enabled=cache_enabled, name=name)
-    else:
-        device = maker(sim, cache_enabled=cache_enabled,
-                       capacity_bytes=capacity_bytes, name=name)
+def make_device(sim, kind="durassd", cache_enabled=True,
+                capacity_bytes=DEFAULT_CAPACITY, name=None):
+    device = DEVICE_MAKERS[kind](sim, cache_enabled=cache_enabled,
+                                 capacity_bytes=capacity_bytes, name=name)
     spec = spec_of(sim)
     if spec.gray_faults is not None:
         # Salted by build order so the devices stall at different instants.
         salt = "%s-%d" % (kind, sim.gray_devices)
         sim.gray_devices += 1
         device.inject_gray_faults(GrayFaultModel(
-            make_profile(spec.gray_faults, spec.gray_seed), salt=salt))
+            make_profile(spec.gray_faults), salt=salt))
     return device
 
 
-def make_data_target(sim, device_kind, capacity_bytes, width=None,
-                     mirror=None, queue_model=None):
+def make_data_target(sim, device_kind, capacity_bytes=DEFAULT_CAPACITY,
+                     width=None, mirror=None, queue_model=None,
+                     cache_enabled=True):
     """``(target_or_device, member_devices)`` for the data extent.
 
     ``width``, ``mirror`` and ``queue_model`` default to the world's
@@ -188,6 +201,7 @@ def make_data_target(sim, device_kind, capacity_bytes, width=None,
     each carry ``capacity / width`` (rounded up) behind their own queue
     + lifecycle; mirror replicas named ``<kind>.m<i>`` each carry the
     full capacity behind a checksum-verified :class:`MirroredVolume`.
+    Every member's write cache is on unless ``cache_enabled`` is false.
     """
     spec = spec_of(sim)
     width = spec.data_devices if width is None else width
@@ -195,7 +209,7 @@ def make_data_target(sim, device_kind, capacity_bytes, width=None,
     queue_model = queue_model or spec.topology
     if mirror > 1:
         members = tuple(
-            make_device(sim, device_kind, capacity_bytes=capacity_bytes,
+            make_device(sim, device_kind, cache_enabled, capacity_bytes,
                         name="%s.m%d" % (device_kind, index))
             for index in range(mirror))
         volume = MirroredVolume(sim, members,
@@ -203,11 +217,11 @@ def make_data_target(sim, device_kind, capacity_bytes, width=None,
                                 queue_model=queue_model)
         return volume, members
     if width <= 1:
-        device = make_device(sim, device_kind, capacity_bytes=capacity_bytes)
+        device = make_device(sim, device_kind, cache_enabled, capacity_bytes)
         return device, (device,)
     member_bytes = -(-int(capacity_bytes) // width)
     members = tuple(
-        make_device(sim, device_kind, capacity_bytes=member_bytes,
+        make_device(sim, device_kind, cache_enabled, member_bytes,
                     name="%s.d%d" % (device_kind, index))
         for index in range(width))
     volume = StripedVolume(sim, members, timeout_policy=spec.timeout_policy(),
@@ -242,11 +256,20 @@ def scaled(buffer_gb):
     return int(buffer_gb * units.GIB) // scale_factor()
 
 
+def file_system(sim, target, barriers, queue_model=None, **options):
+    """A bench file system over ``target``: behind the world's queue
+    topology (or ``queue_model``) and, under gray faults, its command
+    deadlines.  ``options`` go to :class:`FileSystem`."""
+    spec = spec_of(sim)
+    return FileSystem(sim, target, barriers=barriers,
+                      timeout_policy=spec.timeout_policy(),
+                      queue_model=queue_model or spec.topology, **options)
+
+
 def _data_and_log(sim, device_kind, barriers, **fs_options):
     """The two-drive layout of the MySQL and commercial worlds: a data
     target sized for the database plus a dedicated log drive, each
     under its own file system."""
-    spec = spec_of(sim)
     db_bytes = scaled_db_bytes()
     data_target, data_devices = make_data_target(sim, device_kind,
                                                  int(db_bytes * 2.5))
@@ -255,13 +278,8 @@ def _data_and_log(sim, device_kind, barriers, **fs_options):
     log_device = make_device(sim, device_kind,
                              capacity_bytes=max(units.GIB, db_bytes // 4),
                              name="%s.log" % device_kind)
-    policy = spec.timeout_policy()
-    data_fs = FileSystem(sim, data_target, barriers=barriers,
-                         timeout_policy=policy, queue_model=spec.topology,
-                         **fs_options)
-    log_fs = FileSystem(sim, log_device, barriers=barriers,
-                        timeout_policy=policy, queue_model=spec.topology,
-                        **fs_options)
+    data_fs = file_system(sim, data_target, barriers, **fs_options)
+    log_fs = file_system(sim, log_device, barriers, **fs_options)
     return data_fs, log_fs, data_devices + (log_device,)
 
 
@@ -312,8 +330,7 @@ def couchbase_setup(sim, batch_size, barriers, device_kind="durassd",
             "log": SingleDevice(sim, log_device, timeout_policy=policy,
                                 queue_model=model),
         })
-    filesystem = FileSystem(sim, data_target, barriers=barriers,
-                            timeout_policy=policy, queue_model=model)
+    filesystem = file_system(sim, data_target, barriers)
     config = CouchstoreConfig(batch_size=batch_size, **config_overrides)
     engine = CouchstoreEngine(sim, filesystem, config)
     return engine, devices

@@ -5,7 +5,7 @@ DuraSSD "nobarrier" row) x fsync period in {1..256, none}, measured
 with the fio tool at queue depth 1, exactly as the paper does.
 """
 
-from ..host import FileSystem, FioJob, run_fio
+from ..host import FioJob, run_fio
 from ..sim import units
 from . import setups
 from .tableio import render_grid
@@ -35,15 +35,11 @@ ROWS = [
 ]
 
 
-def measure_cell(device_kind, mode, fsync_period, ios=None, telemetry=None,
-                 spec=setups.DEFAULT_SPEC, worlds=None):
-    """One fio run; returns IOPS."""
-    sim = setups.fresh_world(telemetry, spec, worlds)
-    cache_enabled = mode != "off"
-    device = setups.make_device(sim, device_kind,
-                                cache_enabled=cache_enabled)
-    barriers = mode != "nobarrier"
-    filesystem = FileSystem(sim, device, barriers=barriers)
+def measure_cell(sim, device_kind, mode, fsync_period, ios=None):
+    """One fio run on ``sim``; returns IOPS."""
+    target, _members = setups.make_data_target(
+        sim, device_kind, cache_enabled=mode != "off")
+    filesystem = setups.file_system(sim, target, mode != "nobarrier")
     if ios is None:
         ios = _ios_for(device_kind, mode, fsync_period)
     job = FioJob(rw="randwrite", block_size=4 * units.KIB,
@@ -62,27 +58,13 @@ def _ios_for(device_kind, mode, fsync_period):
     return setups.ops_scale(base)
 
 
-#: cell traced when the bench runs with ``--telemetry`` (one world per
-#: hub; this is the configuration the paper's analysis centres on)
-TRACED_CELL = ("durassd", "on", 8)
-
-
-def run(telemetry=None, spec=setups.DEFAULT_SPEC, worlds=None):
-    """Measure the full table; returns {(device, mode): [iops...]}.
-
-    ``telemetry`` (optional, one enabled hub) is threaded into the
-    :data:`TRACED_CELL` run; tracing adds no simulation events, so the
-    traced cell's IOPS are unchanged.
-    """
-    results = {}
-    for device_kind, mode in ROWS:
-        results[(device_kind, mode)] = [
-            measure_cell(device_kind, mode, period,
-                         telemetry=telemetry if (device_kind, mode, period)
-                         == TRACED_CELL else None,
-                         spec=spec, worlds=worlds)
-            for period in FSYNC_PERIODS]
-    return results
+def run(world):
+    """Measure the full table, each cell on ``world((device, mode,
+    period))``; returns {(device, mode): [iops...]}."""
+    return {(device_kind, mode): [
+        measure_cell(world((device_kind, mode, period)), device_kind, mode,
+                     period)
+        for period in FSYNC_PERIODS] for device_kind, mode in ROWS}
 
 
 def format_table(results):

@@ -5,7 +5,7 @@ every 256 writes, and 128 threads with nobarrier.  HDD: read-only and
 write-only at 128 threads.  Page sizes 16/8/4KB.
 """
 
-from ..host import FileSystem, FioJob, run_fio
+from ..host import FioJob, run_fio
 from ..sim import units
 from . import setups
 from .tableio import render_grid
@@ -24,11 +24,10 @@ PAPER_HDD = {
 }
 
 
-def _measure(device_kind, rw, numjobs, fsync_every, barriers, page_size,
-             spec=setups.DEFAULT_SPEC, worlds=None):
-    sim = setups.fresh_world(spec=spec, worlds=worlds)
-    device = setups.make_device(sim, device_kind)
-    filesystem = FileSystem(sim, device, barriers=barriers)
+def _measure(sim, device_kind, rw, numjobs, fsync_every, barriers,
+             page_size):
+    target, _members = setups.make_data_target(sim, device_kind)
+    filesystem = setups.file_system(sim, target, barriers)
     per_job = setups.ops_scale(60 if numjobs > 1 else 400)
     if device_kind == "hdd":
         per_job = max(8, per_job // 8)
@@ -38,11 +37,10 @@ def _measure(device_kind, rw, numjobs, fsync_every, barriers, page_size,
     return run_fio(sim, filesystem, job).iops
 
 
-def run(spec=setups.DEFAULT_SPEC, worlds=None):
+def run(world):
     """Returns {section: {row_label: [iops per page size]}}."""
-    def row(device_kind, rw, numjobs, fsync_every, barriers):
-        return [_measure(device_kind, rw, numjobs, fsync_every, barriers,
-                         page_size, spec=spec, worlds=worlds)
+    def row(*cell):
+        return [_measure(world(cell + (page_size,)), *cell, page_size)
                 for page_size in PAGE_SIZES]
 
     durassd = {

@@ -8,7 +8,6 @@ takeaways: means drop 5-45x, P99 drops ~two orders of magnitude.
 
 from ..sim import units
 from ..workloads.linkbench import OPERATION_MIX
-from . import setups
 from .figure5 import run_config
 from .tableio import render_table
 
@@ -28,19 +27,14 @@ PAPER_MEANS = {
 }
 
 
-def run(ops_per_client=None, telemetry=None, spec=setups.DEFAULT_SPEC,
-        worlds=None):
-    """(default_result, best_result) LinkBench runs.
-
-    ``telemetry`` is threaded into the default (ON/ON 16KB) run — the
-    configuration whose latency tail the paper dissects.
-    """
-    default = run_config(True, True, 16 * units.KIB,
-                         ops_per_client=ops_per_client, telemetry=telemetry,
-                         spec=spec, worlds=worlds)
-    best = run_config(False, False, 4 * units.KIB,
-                      ops_per_client=ops_per_client, spec=spec,
-                      worlds=worlds)
+def run(world, ops_per_client=None):
+    """(default_result, best_result) LinkBench runs, on ``world("default")``
+    (ON/ON 16KB, the configuration whose latency tail the paper
+    dissects) and ``world("best")``."""
+    default = run_config(world("default"), True, True, 16 * units.KIB,
+                         ops_per_client=ops_per_client)
+    best = run_config(world("best"), False, False, 4 * units.KIB,
+                      ops_per_client=ops_per_client)
     return default, best
 
 

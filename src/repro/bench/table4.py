@@ -20,9 +20,7 @@ PAPER = {
 }
 
 
-def run_config(barrier, page_size, clients=64, txns_per_client=None,
-               spec=setups.DEFAULT_SPEC, worlds=None):
-    sim = setups.fresh_world(spec=spec, worlds=worlds)
+def run_config(sim, barrier, page_size, clients=64, txns_per_client=None):
     engine, _devices = setups.commercial_setup(sim, page_size, barrier,
                                                buffer_gb=2)
     workload = TPCCWorkload(engine, TPCCConfig(scale=setups.scale_factor()))
@@ -32,10 +30,10 @@ def run_config(barrier, page_size, clients=64, txns_per_client=None,
                         warmup_txns=15)
 
 
-def run(spec=setups.DEFAULT_SPEC, worlds=None):
+def run(world):
     """{barrier: [TPCCResult per page size]}"""
-    return {barrier: [run_config(barrier, page_size, spec=spec,
-                                 worlds=worlds)
+    return {barrier: [run_config(world((barrier, page_size)), barrier,
+                                 page_size)
                       for page_size in PAGE_SIZES]
             for barrier in (True, False)}
 

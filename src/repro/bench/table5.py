@@ -21,9 +21,7 @@ PAPER = {
 }
 
 
-def run_config(barrier, update_fraction, batch_size, ops=None,
-               spec=setups.DEFAULT_SPEC, worlds=None):
-    sim = setups.fresh_world(spec=spec, worlds=worlds)
+def run_config(sim, barrier, update_fraction, batch_size, ops=None):
     engine, _devices = setups.couchbase_setup(sim, batch_size, barrier)
     workload = YCSBWorkload(engine, YCSBConfig(
         "A", update_fraction=update_fraction,
@@ -33,14 +31,14 @@ def run_config(barrier, update_fraction, batch_size, ops=None,
     return workload.run(clients=1, ops_per_client=ops, warmup_ops=30)
 
 
-def run(spec=setups.DEFAULT_SPEC, worlds=None):
+def run(world):
     """{(barrier, update_fraction): [ops/s per batch size]}"""
     results = {}
     for barrier in (True, False):
         for update_fraction in (1.0, 0.5):
             results[(barrier, update_fraction)] = [
-                run_config(barrier, update_fraction, batch, spec=spec,
-                           worlds=worlds).ops_per_second
+                run_config(world((barrier, update_fraction, batch)), barrier,
+                           update_fraction, batch).ops_per_second
                 for batch in BATCH_SIZES]
     return results
 

@@ -538,8 +538,8 @@ class TestSpanCoverageEndToEnd:
     def test_gray_striped_commands_fully_covered(self):
         spec = setups.WorldSpec(data_devices=2, gray_faults="stalls")
         telemetry = Telemetry(enabled=True)
-        run_config(False, False, 16 * units.KIB, clients=16,
-                   ops_per_client=12, telemetry=telemetry, spec=spec)
+        run_config(setups.fresh_world(telemetry, spec), False, False,
+                   16 * units.KIB, clients=16, ops_per_client=12)
         events = telemetry.events
         slots, worst_residue, worst_uncovered = _slot_coverage(events)
         assert slots, "no ncq.slot spans recorded"
@@ -627,8 +627,8 @@ class TestSpanCoverageEndToEnd:
 
     def test_healthy_commands_fully_covered(self):
         telemetry = Telemetry(enabled=True)
-        run_config(True, True, 16 * units.KIB, clients=8,
-                   ops_per_client=10, telemetry=telemetry)
+        run_config(Simulator(telemetry), True, True, 16 * units.KIB,
+                   clients=8, ops_per_client=10)
         slots, worst_residue, worst_uncovered = _slot_coverage(
             telemetry.events)
         assert slots

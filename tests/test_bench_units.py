@@ -5,7 +5,8 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.bench import EXPERIMENTS, TABLES, setups, table1, tableio
+from repro.bench import EXPERIMENTS, TABLES, run_table, setups, table1, \
+    tableio
 from repro.sim import units
 
 
@@ -49,7 +50,7 @@ class TestRegistry:
     def test_cli_prints_the_registered_table(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_QUICK", "1")
         table, = EXPERIMENTS["table5"].tables
-        expected = table.render(table.run())
+        expected = table.render(run_table(table))
         assert main(["table5"]) == 0
         assert capsys.readouterr().out == expected + "\n"
 
@@ -105,15 +106,18 @@ class TestTable1Cells:
     """Spot checks that single cells reproduce the paper's values."""
 
     def test_durassd_fsync1_matches_paper(self):
-        iops = table1.measure_cell("durassd", "on", 1, ios=150)
+        iops = table1.measure_cell(setups.fresh_world(), "durassd", "on", 1,
+                                   ios=150)
         assert iops == pytest.approx(225, rel=0.25)
 
     def test_hdd_off_no_fsync_matches_paper(self):
-        iops = table1.measure_cell("hdd", "off", 0, ios=80)
+        iops = table1.measure_cell(setups.fresh_world(), "hdd", "off", 0,
+                                   ios=80)
         assert iops == pytest.approx(158, rel=0.25)
 
     def test_nobarrier_cell_is_fast(self):
-        iops = table1.measure_cell("durassd", "nobarrier", 1, ios=400)
+        iops = table1.measure_cell(setups.fresh_world(), "durassd",
+                                   "nobarrier", 1, ios=400)
         assert iops > 10000
 
     def test_paper_reference_table_complete(self):

@@ -79,6 +79,18 @@ def test_monitor_exit_status_ignores_the_record_checks(quick, monkeypatch,
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_monitor_windows_are_the_spec_interval(quick, tmp_path):
+    """One knob sets monitor's window: the record's ``metrics.interval_s``
+    is the ``--metrics-interval`` its own ``spec`` carries."""
+    from repro.__main__ import main
+    path = tmp_path / "d.json"
+    assert main(["monitor", "table1", "--metrics-interval", "0.005",
+                 "--quiet", "--json", str(path)]) == 0
+    record = json.loads(path.read_text())
+    assert record["metrics"]["interval_s"] == 0.005
+    assert record["spec"]["metrics_interval"] == 0.005
+
+
 class TestValidateRunRecord:
     def test_explain_record_is_valid(self, explain_record):
         assert validate_run_record(explain_record) == []

@@ -199,8 +199,8 @@ class TestCrossCheck:
     def test_wal_fsync_counter_agrees_with_span_counts(self):
         registry = MetricsRegistry(interval=0.005)
         telemetry = Telemetry(enabled=True, metrics=registry)
-        run_config(True, True, 16 * units.KIB, clients=8,
-                   ops_per_client=10, telemetry=telemetry)
+        run_config(Simulator(telemetry), True, True, 16 * units.KIB,
+                   clients=8, ops_per_client=10)
         registry.finish()
         fsyncs = series_mod.counter_total(registry, "db.wal_fsyncs")
         spans = telemetry.spans("wal.write_out")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.bench.bursts import run_one
 from repro.bench.table1 import measure_cell
-from repro.devices import make_durassd, make_ssd_a
+from repro.devices import make_durassd
 from repro.sim import Simulator, units
 from repro.telemetry import (
     NULL_SPAN,
@@ -196,14 +196,14 @@ class TestDeterminism:
         streams = []
         for _ in range(2):
             telemetry = Telemetry(enabled=True)
-            measure_cell("durassd", "on", 8, ios=40, telemetry=telemetry)
+            measure_cell(Simulator(telemetry), "durassd", "on", 8, ios=40)
             streams.append(telemetry.jsonl())
         assert streams[0] == streams[1]
         assert streams[0]  # non-empty
 
     def test_trace_covers_all_four_stack_layers(self):
         telemetry = Telemetry(enabled=True)
-        measure_cell("durassd", "on", 8, ios=40, telemetry=telemetry)
+        measure_cell(Simulator(telemetry), "durassd", "on", 8, ios=40)
         assert {"workload", "host", "device", "flash"} <= \
             set(telemetry.tracks())
 
@@ -227,8 +227,8 @@ def pinned_linkbench_world(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "256")
     monkeypatch.delenv("REPRO_QUICK", raising=False)
     telemetry = Telemetry(enabled=True)
-    run_config(True, True, 16 * units.KIB, clients=16, ops_per_client=10,
-               telemetry=telemetry)
+    run_config(Simulator(telemetry), True, True, 16 * units.KIB, clients=16,
+               ops_per_client=10)
     return telemetry
 
 
@@ -533,17 +533,17 @@ class TestEventLogRoundTrip:
 # --- zero overhead --------------------------------------------------------
 class TestZeroOverhead:
     def test_table1_cell_is_identical_with_telemetry(self):
-        bare = measure_cell("durassd", "on", 8, ios=60)
-        traced = measure_cell("durassd", "on", 8, ios=60,
-                              telemetry=Telemetry(enabled=True))
-        disabled = measure_cell("durassd", "on", 8, ios=60,
-                                telemetry=Telemetry(enabled=False))
+        bare = measure_cell(Simulator(), "durassd", "on", 8, ios=60)
+        traced = measure_cell(Simulator(Telemetry(enabled=True)),
+                              "durassd", "on", 8, ios=60)
+        disabled = measure_cell(Simulator(Telemetry(enabled=False)),
+                                "durassd", "on", 8, ios=60)
         assert bare == traced == disabled
 
     def test_burst_run_is_identical_with_telemetry(self):
-        bare = run_one(make_ssd_a, True, 8, burst_writes=120)
-        traced = run_one(make_ssd_a, True, 8, burst_writes=120,
-                         telemetry=Telemetry(enabled=True))
+        bare = run_one(Simulator(), "ssd-a", True, 8, burst_writes=120)
+        traced = run_one(Simulator(Telemetry(enabled=True)), "ssd-a", True,
+                         8, burst_writes=120)
         assert bare == traced
 
 
@@ -582,7 +582,7 @@ class TestExporters:
 
     def test_written_trace_file_validates(self, tmp_path):
         telemetry = Telemetry(enabled=True)
-        measure_cell("durassd", "on", 8, ios=40, telemetry=telemetry)
+        measure_cell(Simulator(telemetry), "durassd", "on", 8, ios=40)
         path = str(tmp_path / "trace.json")
         telemetry.write_chrome_trace(path)
         errors, stats = validate_trace_file(
@@ -593,7 +593,7 @@ class TestExporters:
 
     def test_jsonl_round_trips(self, tmp_path):
         telemetry = Telemetry(enabled=True)
-        measure_cell("durassd", "on", 8, ios=40, telemetry=telemetry)
+        measure_cell(Simulator(telemetry), "durassd", "on", 8, ios=40)
         path = str(tmp_path / "events.jsonl")
         telemetry.write_jsonl(path)
         with open(path) as handle:
@@ -683,7 +683,7 @@ class TestTraceCLI:
 
     def test_validator_cli(self, tmp_path):
         telemetry = Telemetry(enabled=True)
-        measure_cell("durassd", "on", 8, ios=30, telemetry=telemetry)
+        measure_cell(Simulator(telemetry), "durassd", "on", 8, ios=30)
         path = str(tmp_path / "trace.json")
         telemetry.write_chrome_trace(path)
         result = subprocess.run(

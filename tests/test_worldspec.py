@@ -9,6 +9,8 @@ Three claims:
    (exit 2), not tracebacks, and every command has a ``--help``.
 3. **No shared state** — a world depends only on its own spec, never on
    what the process built before it.
+4. **Flags reach the cells** — a world flag changes what a bench
+   table prints, the fio tables included.
 """
 
 import json
@@ -40,7 +42,7 @@ class TestSpec:
     def test_json_round_trip(self):
         spec = WorldSpec(data_devices=3, dedicated_log=True,
                          topology=QueueTopology.for_interface("nvme", 4, 16),
-                         gray_faults="stalls", gray_seed=7,
+                         gray_faults="stalls",
                          metrics_interval=0.25, profile=True)
         wire = json.loads(json.dumps(spec.to_json()))
         clone = WorldSpec.from_json(wire)
@@ -72,7 +74,7 @@ class TestSpec:
             == WorldSpec(data_devices=2)
 
     def test_gray_spec_arms_the_lifecycle_policy(self):
-        policy = WorldSpec(gray_faults="mild", gray_seed=3).timeout_policy()
+        policy = WorldSpec(gray_faults="mild").timeout_policy()
         assert policy is not None
         assert policy.deadline == 0.01
 
@@ -183,7 +185,7 @@ class TestCli:
         ["profile", "figure5", "--top", "abc"],
         ["profile", "--speed", "--ops"],
         ["explain", "linkbench", "--top"],
-        ["monitor", "figure5", "--interval", "0"],
+        ["monitor", "figure5", "--metrics-interval", "0"],
         ["trace", "nope"],
         ["validate", "--min-tracks", "abc", "x.json"],
         ["trace", "--out", "x.json"],
@@ -242,11 +244,14 @@ class TestCli:
 class TestNoSharedState:
     def test_same_gray_cell_twice_gives_the_same_result(self):
         spec = WorldSpec(gray_faults="stalls")
-        first = table1.measure_cell("durassd", "on", 8, ios=600, spec=spec)
-        second = table1.measure_cell("durassd", "on", 8, ios=600, spec=spec)
+        first, second = (
+            table1.measure_cell(setups.fresh_world(spec=spec), "durassd",
+                                "on", 8, ios=600)
+            for _ in range(2))
         assert first == second
-        # the first world after arming was already this world
-        assert first == pytest.approx(1016.9, abs=0.05)
+        # the first world after arming was already this world; its file
+        # system runs under the spec's 10 ms command deadlines
+        assert first == pytest.approx(1007.9, abs=0.05)
 
     @staticmethod
     def _cell(**kwargs):
@@ -268,3 +273,20 @@ class TestNoSharedState:
         engine, _devices = setups.couchbase_setup(sim, 1, False)
         queue, = engine.filesystem.target.queues
         assert isinstance(queue, SataNcq)
+
+
+class TestFlagsReachTheCells:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--interface", "nvme", "--sq", "4"],
+        ["table2", "--queue-depth", "1"],
+        ["bursts", "--queue-depth", "1"],
+    ], ids=" ".join)
+    def test_flag_changes_the_table(self, argv, capsys, monkeypatch):
+        """The fio tables build their devices and file systems through
+        :mod:`repro.bench.setups`, so a queue flag reaches every cell
+        instead of printing the default table."""
+        monkeypatch.setenv("REPRO_QUICK", "1")
+        assert main(argv[:1]) == 0
+        default = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out != default
