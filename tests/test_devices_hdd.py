@@ -103,14 +103,6 @@ class TestPowerFailure:
         dev.reboot()
         assert dev.read_persistent(7) is None
 
-    def test_flushed_contents_survive(self, sim):
-        dev = make_hdd(sim)
-        write(sim, dev, 7, ["kept"])
-        flush(sim, dev)
-        dev.power_fail()
-        dev.reboot()
-        assert dev.read_persistent(7) == "kept"
-
     def test_torn_write_mid_transfer(self, sim):
         """Cutting power mid media write shears the block under the head."""
         dev = make_hdd(sim, cache_enabled=False)

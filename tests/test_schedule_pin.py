@@ -1,4 +1,4 @@
-"""The event schedule of two small benchmark worlds, pinned.
+"""The event schedule of small benchmark and Table 1 worlds, pinned.
 
 A speed change to the kernel or the command path must fire the same
 queue entries in the same ``(time, schedule order)``.  The table values
@@ -7,15 +7,18 @@ moved (say, a same-instant hop skipped), so the pins are the cheap
 fingerprint the replay harnesses use: ``sim.processed_events`` and the
 final clock, compared exactly.
 
-The worlds mirror the ``fio-gc`` and LinkBench workloads of
+The first worlds mirror the ``fio-gc`` and LinkBench workloads of
 ``benchmarks/perf`` at their smoke sizes, built through the public
-constructors.  A change that moves the schedule on purpose records the
-new values here and says why.
+constructors.  Those all run DuraSSD with its cache on, so the Table 1
+cells add what they leave out: the disk and the volatile SSD behind
+fsync every 8 writes (cached writes, the flusher and the flush-cache
+drain), and both with the cache off (write-through).  A change that
+moves the schedule on purpose records the new values here and says why.
 """
 
 import pytest
 
-from repro.bench import setups
+from repro.bench import setups, table1
 from repro.db.innodb import InnoDBConfig, InnoDBEngine
 from repro.host import FileSystem, QueueTopology
 from repro.host.fio import FioJob, run_fio
@@ -27,6 +30,10 @@ PINNED = {
     "fio-preconditioned": (62545, 0.6144665104166734),
     "linkbench-durable": (8675, 0.18120950000000005),
     "linkbench-flush": (9318, 0.21057079166666665),
+    "table1-hdd-on-8": (2209, 0.867186593749996),
+    "table1-ssd-a-on-8": (7911, 0.37976328125000197),
+    "table1-hdd-off-8": (1083, 0.7693124374999996),
+    "table1-ssd-a-off-8": (3376, 0.5083976145833364),
 }
 
 
@@ -76,10 +83,22 @@ def linkbench_world(barriers):
     return sim
 
 
+def table1_world(kind, mode, ios):
+    """One Table 1 cell: fio 4 KiB random writes at queue depth 1,
+    fsync every 8, ``ios`` writes."""
+    sim = Simulator()
+    table1.measure_cell(sim, kind, mode, 8, ios=ios)
+    return sim
+
+
 WORLDS = {
     "fio-preconditioned": fio_world,
     "linkbench-durable": lambda: linkbench_world(barriers=False),
     "linkbench-flush": lambda: linkbench_world(barriers=True),
+    "table1-hdd-on-8": lambda: table1_world("hdd", "on", 200),
+    "table1-ssd-a-on-8": lambda: table1_world("ssd-a", "on", 600),
+    "table1-hdd-off-8": lambda: table1_world("hdd", "off", 100),
+    "table1-ssd-a-off-8": lambda: table1_world("ssd-a", "off", 200),
 }
 
 
