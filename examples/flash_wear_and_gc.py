@@ -64,7 +64,7 @@ def main():
     # mapping granularity: the same churn without 4KB pairing
     sim = Simulator()
     device = DuraSSD(sim, durassd_spec(capacity_bytes=64 * units.MIB)
-                     .replace(mapping_unit=8 * units.KIB))
+                     ._replace(mapping_unit=8 * units.KIB))
     churn(device, writes=30_000, span_blocks=span)
     report("DuraSSD with 8KB mapping (no pairing)", device)
 

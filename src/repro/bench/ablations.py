@@ -124,7 +124,7 @@ def run_mapping_granularity(world, ios=2000):
     results = []
     for unit in (4 * units.KIB, 8 * units.KIB):
         sim = world(unit)
-        device = DuraSSD(sim, durassd_spec().replace(mapping_unit=unit))
+        device = DuraSSD(sim, durassd_spec()._replace(mapping_unit=unit))
         filesystem = setups.file_system(sim, device, False)
         job = FioJob(rw="randwrite", block_size=4 * units.KIB,
                      numjobs=64, ios_per_job=max(10, ios // 64),

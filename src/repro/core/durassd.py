@@ -165,10 +165,7 @@ class DuraSSD(FlashSSD):
         the mid-recovery state a nested power failure would produce; the
         emergency flag stays set and the next reboot recovers in full.
         """
-        self.powered = True
-        if self._power_on_event is not None:
-            self._power_on_event.succeed()
-            self._power_on_event = None
+        super().reboot()
         recovery_time = self.recovery_manager.replay(
             self, interrupt_after=interrupt_recovery_after)
         self.sim.telemetry.instant(

@@ -11,50 +11,35 @@ from exactly the same cache/flush machinery as the SSDs, only with a
 mechanical medium behind it.
 """
 
+from typing import NamedTuple
+
 from ..flash.torn import TORN
 from ..sim import units
+from ..sim.record import Record
 from ..sim.resources import Resource
 from .base import PowerFailedError, StorageDevice
-from .write_cache import WriteCache
 
 
-class HDDSpec:
+class _HDDSpecFields(NamedTuple):
+    name: str = "hdd"
+    capacity_bytes: int = 4 * units.GIB
+    cache_bytes: int = 16 * units.MIB
+    seek_time: float = 4.1 * units.MSEC
+    rotational_latency: float = 2.0 * units.MSEC
+    queue_alpha: float = 0.25
+    media_bandwidth: float = 120 * units.MIB
+    writeback_efficiency: float = 0.41
+    link_bandwidth: float = 300 * units.MIB
+    command_overhead: float = 0.1 * units.MSEC
+    flush_fixed: float = 4.2 * units.MSEC
+    flush_cache_off_cost: float = 4.5 * units.MSEC
+    cache_hit_time: float = 20 * units.USEC
+
+
+class HDDSpec(Record, _HDDSpecFields):
     """Mechanical and cache parameters of a disk drive."""
 
-    def __init__(
-        self,
-        name="hdd",
-        capacity_bytes=4 * units.GIB,
-        cache_bytes=16 * units.MIB,
-        seek_time=4.1 * units.MSEC,
-        rotational_latency=2.0 * units.MSEC,
-        queue_alpha=0.25,
-        media_bandwidth=120 * units.MIB,
-        writeback_efficiency=0.41,
-        link_bandwidth=300 * units.MIB,
-        command_overhead=0.1 * units.MSEC,
-        flush_fixed=4.2 * units.MSEC,
-        flush_cache_off_cost=4.5 * units.MSEC,
-        cache_hit_time=20 * units.USEC,
-    ):
-        self.name = name
-        self.capacity_bytes = capacity_bytes
-        self.cache_bytes = cache_bytes
-        self.seek_time = seek_time
-        self.rotational_latency = rotational_latency
-        self.queue_alpha = queue_alpha
-        self.media_bandwidth = media_bandwidth
-        self.writeback_efficiency = writeback_efficiency
-        self.link_bandwidth = link_bandwidth
-        self.command_overhead = command_overhead
-        self.flush_fixed = flush_fixed
-        self.flush_cache_off_cost = flush_cache_off_cost
-        self.cache_hit_time = cache_hit_time
-
-    def replace(self, **overrides):
-        fields = dict(self.__dict__)
-        fields.update(overrides)
-        return HDDSpec(**fields)
+    __slots__ = ()
 
 
 class DiskDrive(StorageDevice):
@@ -62,37 +47,14 @@ class DiskDrive(StorageDevice):
 
     def __init__(self, sim, spec=None, cache_enabled=True):
         spec = spec or HDDSpec()
-        super().__init__(sim, spec.name, link_bandwidth=spec.link_bandwidth,
-                         command_overhead=spec.command_overhead)
-        self.spec = spec
-        self.cache_enabled = cache_enabled
+        super().__init__(sim, spec, spec.cache_bytes, cache_enabled)
         self.exported_lbas = spec.capacity_bytes // units.LBA_SIZE
         self._medium = {}
         self._actuator = Resource(sim, capacity=1)
         self._pending_media_ops = 0
         self._in_flight_media = None
-        cache_slots = max(1, spec.cache_bytes // units.LBA_SIZE)
-        self.cache = WriteCache(cache_slots)
-        self._space_waiters = []
-        self._drain_waiters = []
-        self._inflight_sequences = set()
-        self._flusher_wakeup = None
-        self._power_on_event = None
-        sim.telemetry.metrics.gauge("device.cache_occupancy",
-                                    fn=lambda: len(self.cache),
-                                    device=self.name)
         if cache_enabled:
             sim.process(self._flusher())
-
-    def smart(self):
-        report = super().smart()
-        report["cache"] = {
-            "occupancy_slots": len(self.cache),
-            "capacity_slots": self.cache.capacity_slots,
-            "dedup_hits": self.cache.dedup_hits,
-            "enabled": self.cache_enabled,
-        }
-        return report
 
     # --- medium access -----------------------------------------------------
     def _positioning_time(self):
@@ -144,27 +106,14 @@ class DiskDrive(StorageDevice):
             self._pending_media_ops -= 1
 
     # --- write path ----------------------------------------------------------
-    def _write(self, request):
-        if request.lba + request.nblocks > self.exported_lbas:
-            raise ValueError("I/O beyond device capacity: %r" % request)
-        if self.cache_enabled:
-            while self.cache.is_full:
-                waiter = self.sim.event()
-                self._space_waiters.append(waiter)
-                yield waiter
-                if not self.powered:
-                    raise PowerFailedError(self.name)
-            for index, lba in enumerate(request.blocks):
-                self.cache.put(lba, request.payload[index])
-            self._wake_flusher()
-        else:
-            # Write-through: contiguous blocks share one positioning.
-            items = list(zip(request.blocks, request.payload))
-            yield from self._media_access(request.nbytes, write_items=items)
-            if not self.powered:
-                raise PowerFailedError(self.name)
-            for lba, value in items:
-                self._medium[lba] = value
+    def _write_through(self, request):
+        # Contiguous blocks share one positioning.
+        items = list(zip(request.blocks, request.payload))
+        yield from self._media_access(request.nbytes, write_items=items)
+        if not self.powered:
+            raise PowerFailedError(self.name)
+        for lba, value in items:
+            self._medium[lba] = value
 
     # --- read path ---------------------------------------------------------------
     def _read(self, request):
@@ -183,69 +132,16 @@ class DiskDrive(StorageDevice):
         return values
 
     # --- flusher --------------------------------------------------------------------
-    def _flusher(self):
-        while True:
-            if not self.powered:
-                yield self._require_power()
-                continue
-            batch = self.cache.take_batch(1)
-            if not batch:
-                self._flusher_wakeup = self.sim.event()
-                yield self._flusher_wakeup
-                continue
-            lba, sequence, value = batch[0]
-            self._inflight_sequences.add(sequence)
-            try:
-                yield from self._media_access(units.LBA_SIZE, writeback=True,
-                                              write_items=[(lba, value)])
-            finally:
-                self._inflight_sequences.discard(sequence)
+    def _flush_batch_slots(self):
+        return 1
+
+    def _flush_batch(self, batch):
+        # One positioning per block.
+        for lba, _sequence, value in batch:
+            yield from self._media_access(units.LBA_SIZE, writeback=True,
+                                          write_items=[(lba, value)])
             if self.powered:
                 self._medium[lba] = value
-                self.cache.confirm_flushed(lba, sequence)
-                self._notify_space()
-                self._notify_drain_waiters()
-
-    def _wake_flusher(self):
-        if self._flusher_wakeup is not None and not self._flusher_wakeup.triggered:
-            self._flusher_wakeup.succeed()
-            self._flusher_wakeup = None
-
-    def _notify_space(self):
-        while self._space_waiters and not self.cache.is_full:
-            self._space_waiters.pop(0).succeed()
-
-    def _notify_drain_waiters(self):
-        still_waiting = []
-        for snapshot, event in self._drain_waiters:
-            if self._drained_through(snapshot):
-                event.succeed()
-            else:
-                still_waiting.append((snapshot, event))
-        self._drain_waiters = still_waiting
-
-    def _drained_through(self, snapshot):
-        if any(sequence <= snapshot for sequence in self._inflight_sequences):
-            return False
-        return self.cache.drained_up_to(snapshot)
-
-    def _require_power(self):
-        if self._power_on_event is None:
-            self._power_on_event = self.sim.event()
-        return self._power_on_event
-
-    # --- flush-cache ------------------------------------------------------------------
-    def _do_flush(self):
-        if not self.cache_enabled:
-            yield self.sim.timeout(self.spec.flush_cache_off_cost)
-            return
-        snapshot = self.cache.last_sequence
-        if not self._drained_through(snapshot):
-            waiter = self.sim.event()
-            self._drain_waiters.append((snapshot, waiter))
-            self._wake_flusher()
-            yield waiter
-        yield self.sim.timeout(self.spec.flush_fixed)
 
     # --- power failure -----------------------------------------------------------------
     def power_fail(self):
@@ -266,13 +162,6 @@ class DiskDrive(StorageDevice):
                 self._medium[items[done][0]] = TORN
             self._in_flight_media = None
         self.cache.clear()
-
-    def reboot(self):
-        self.powered = True
-        if self._power_on_event is not None:
-            self._power_on_event.succeed()
-            self._power_on_event = None
-        return 0.0
 
     def install_persistent(self, lba, value):
         self._medium[lba] = value

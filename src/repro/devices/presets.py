@@ -108,7 +108,7 @@ def durassd_spec(capacity_bytes=DEFAULT_CAPACITY):
 def _named(spec, name):
     """Override a spec's name (distinct stripe members need distinct
     names — telemetry attrs and lifecycle RNG streams key on them)."""
-    return spec if name is None else spec.replace(name=name)
+    return spec if name is None else spec._replace(name=name)
 
 
 def make_hdd(sim, cache_enabled=True, capacity_bytes=DEFAULT_CAPACITY,

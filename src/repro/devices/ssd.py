@@ -10,80 +10,55 @@ DuraSSD subclasses this device in :mod:`repro.core.durassd`, replacing
 the volatile power-failure behaviour with the capacitor-backed dump.
 """
 
+from typing import NamedTuple
+
 from ..flash import FlashArray, FlashGeometry, FlashTiming, PageMappingFTL
 from ..flash.torn import TORN
 from ..sim import units
-from .base import PowerFailedError, StorageDevice
-from .write_cache import WriteCache
+from ..sim.record import Record
+from .base import StorageDevice
 
 
-class SSDSpec:
+class _SSDSpecFields(NamedTuple):
+    name: str
+    capacity_bytes: int = 4 * units.GIB
+    # Total device DRAM; most of it holds the mapping table (the
+    # paper's 480GB drive needs 480MB of map for 4KB pages), only
+    # ``write_buffer_bytes`` of it buffers writes (Section 3.1.1).
+    cache_bytes: int = 512 * units.MIB
+    write_buffer_bytes: int = 8 * units.MIB
+    mapping_unit: int = 8 * units.KIB
+    nand_page: int = 8 * units.KIB
+    lanes: int = 16
+    program_time: float = 1.3 * units.MSEC
+    read_sense: float = 0.075 * units.MSEC
+    read_transfer_per_kib: float = 0.019 * units.MSEC
+    erase_time: float = 2.0 * units.MSEC
+    link_bandwidth: float = 600 * units.MIB
+    command_overhead: float = 55 * units.USEC
+    flush_fixed: float = 1.9 * units.MSEC
+    map_persist_flush: float = 0.5 * units.MSEC
+    map_persist_writethrough: float = 0.66 * units.MSEC
+    flush_cache_off_cost: float = 1.9 * units.MSEC
+    cache_hit_time: float = 5 * units.USEC
+    overprovision: float = 0.07
+
+
+class SSDSpec(Record, _SSDSpecFields):
     """Everything that differentiates one SSD model from another.
 
     Timing fields are calibrated against Table 1 / Table 2 of the paper
     (see ``presets.py`` for the values and their derivations).
     """
 
-    def __init__(
-        self,
-        name,
-        capacity_bytes=4 * units.GIB,
-        cache_bytes=512 * units.MIB,
-        write_buffer_bytes=8 * units.MIB,
-        mapping_unit=8 * units.KIB,
-        nand_page=8 * units.KIB,
-        lanes=16,
-        program_time=1.3 * units.MSEC,
-        read_sense=0.075 * units.MSEC,
-        read_transfer_per_kib=0.019 * units.MSEC,
-        erase_time=2.0 * units.MSEC,
-        link_bandwidth=600 * units.MIB,
-        command_overhead=55 * units.USEC,
-        flush_fixed=1.9 * units.MSEC,
-        map_persist_flush=0.5 * units.MSEC,
-        map_persist_writethrough=0.66 * units.MSEC,
-        flush_cache_off_cost=1.9 * units.MSEC,
-        cache_hit_time=5 * units.USEC,
-        overprovision=0.07,
-    ):
-        self.name = name
-        self.capacity_bytes = capacity_bytes
-        # Total device DRAM; most of it holds the mapping table (the
-        # paper's 480GB drive needs 480MB of map for 4KB pages), only
-        # ``write_buffer_bytes`` of it buffers writes (Section 3.1.1).
-        self.cache_bytes = cache_bytes
-        self.write_buffer_bytes = write_buffer_bytes
-        self.mapping_unit = mapping_unit
-        self.nand_page = nand_page
-        self.lanes = lanes
-        self.program_time = program_time
-        self.read_sense = read_sense
-        self.read_transfer_per_kib = read_transfer_per_kib
-        self.erase_time = erase_time
-        self.link_bandwidth = link_bandwidth
-        self.command_overhead = command_overhead
-        self.flush_fixed = flush_fixed
-        self.map_persist_flush = map_persist_flush
-        self.map_persist_writethrough = map_persist_writethrough
-        self.flush_cache_off_cost = flush_cache_off_cost
-        self.cache_hit_time = cache_hit_time
-        self.overprovision = overprovision
-
-    def replace(self, **overrides):
-        """A copy of this spec with some fields overridden."""
-        fields = dict(self.__dict__)
-        fields.update(overrides)
-        return SSDSpec(**fields)
+    __slots__ = ()
 
 
 class FlashSSD(StorageDevice):
     """Volatile-write-cache SSD on top of the flash substrate."""
 
     def __init__(self, sim, spec, cache_enabled=True):
-        super().__init__(sim, spec.name, link_bandwidth=spec.link_bandwidth,
-                         command_overhead=spec.command_overhead)
-        self.spec = spec
-        self.cache_enabled = cache_enabled
+        super().__init__(sim, spec, spec.write_buffer_bytes, cache_enabled)
         geometry = FlashGeometry.scaled(
             # Leave headroom over the exported LBA space for OP blocks.
             int(spec.capacity_bytes * (1.0 + spec.overprovision) * 1.05),
@@ -103,9 +78,6 @@ class FlashSSD(StorageDevice):
             self.ftl.exported_slots * (spec.mapping_unit // units.LBA_SIZE)
             if spec.mapping_unit >= units.LBA_SIZE else 0)
 
-        cache_slots = max(1, spec.write_buffer_bytes // units.LBA_SIZE)
-        self.cache = WriteCache(cache_slots)
-        self.cache.bind_telemetry(sim.telemetry)
         telemetry = sim.telemetry
         telemetry.add_probe("device.cache_occupancy",
                             lambda: len(self.cache), "device",
@@ -123,8 +95,6 @@ class FlashSSD(StorageDevice):
                             lambda: self.ftl.counters["gc_runs"], "flash",
                             device=self.name)
         metrics = telemetry.metrics
-        metrics.gauge("device.cache_occupancy",
-                      fn=lambda: len(self.cache), device=self.name)
         metrics.counter("device.cache_dedup_hits",
                         fn=lambda: self.cache.dedup_hits, device=self.name)
         metrics.counter("flash.gc_runs",
@@ -148,11 +118,6 @@ class FlashSSD(StorageDevice):
                       device=self.name)
         metrics.gauge("flash.waf",
                       fn=self.write_amplification, device=self.name)
-        self._space_waiters = []
-        self._drain_waiters = []  # (snapshot_sequence, event)
-        self._inflight_sequences = set()
-        self._flusher_wakeup = None
-        self._power_on_event = None
         if cache_enabled:
             sim.process(self._flusher())
 
@@ -186,12 +151,6 @@ class FlashSSD(StorageDevice):
     def smart(self):
         wear_min, wear_max, wear_total = self.ftl.wear()
         report = super().smart()
-        report["cache"] = {
-            "occupancy_slots": len(self.cache),
-            "capacity_slots": self.cache.capacity_slots,
-            "dedup_hits": self.cache.dedup_hits,
-            "enabled": self.cache_enabled,
-        }
         report["media"] = {
             "erase_count_min": wear_min,
             "erase_count_max": wear_max,
@@ -219,33 +178,7 @@ class FlashSSD(StorageDevice):
     def _slot_of_lba(self, lba):
         return lba // self._lbas_per_slot
 
-    def _check_range(self, request):
-        if request.lba + request.nblocks > self.exported_lbas:
-            raise ValueError("I/O beyond device capacity: %r" % request)
-
     # --- write path -----------------------------------------------------------
-    def _write(self, request):
-        self._check_range(request)
-        if self.cache_enabled:
-            yield from self._write_cached(request)
-        else:
-            yield from self._write_through(request)
-
-    def _write_cached(self, request):
-        # Flow control: block while the cache is full (Section 3.1.1).
-        if self.cache.is_full:
-            with self.sim.telemetry.span("cache.stall", "device",
-                                         device=self.name):
-                while self.cache.is_full:
-                    waiter = self.sim.event()
-                    self._space_waiters.append(waiter)
-                    yield waiter
-                    if not self.powered:
-                        raise PowerFailedError(self.name)
-        for index, lba in enumerate(request.blocks):
-            self.cache.put(lba, request.payload[index])
-        self._wake_flusher()
-
     def _write_through(self, request):
         # The FTL work runs in its own process so a host abort unwinds
         # the *service* only: FTL/GC invariants never see Interrupted,
@@ -331,31 +264,8 @@ class FlashSSD(StorageDevice):
         return None
 
     # --- flusher ----------------------------------------------------------------
-    def _flusher(self):
-        batch_slots = self.spec.lanes * self.ftl.slots_per_page * self._lbas_per_slot
-        while True:
-            if not self.powered:
-                yield self._require_power()
-                continue
-            batch = self.cache.take_batch(batch_slots)
-            if not batch:
-                self._flusher_wakeup = self.sim.event()
-                yield self._flusher_wakeup
-                continue
-            sequences = {sequence for _lba, sequence, _value in batch}
-            self._inflight_sequences |= sequences
-            try:
-                with self.sim.telemetry.span("flusher.batch", "device",
-                                             device=self.name,
-                                             n=len(batch)):
-                    yield from self._flush_batch(batch)
-            finally:
-                self._inflight_sequences -= sequences
-            if self.powered:
-                for lba, sequence, _value in batch:
-                    self.cache.confirm_flushed(lba, sequence)
-                self._notify_space()
-                self._notify_drain_waiters()
+    def _flush_batch_slots(self):
+        return self.spec.lanes * self.ftl.slots_per_page * self._lbas_per_slot
 
     def _flush_batch(self, batch):
         items = self._batch_slot_items(batch)
@@ -374,49 +284,8 @@ class FlashSSD(StorageDevice):
             merged[lba] = value
         return list(by_slot.items())
 
-    def _wake_flusher(self):
-        if self._flusher_wakeup is not None and not self._flusher_wakeup.triggered:
-            self._flusher_wakeup.succeed()
-            self._flusher_wakeup = None
-
-    def _notify_space(self):
-        while self._space_waiters and not self.cache.is_full:
-            self._space_waiters.pop(0).succeed()
-
-    def _notify_drain_waiters(self):
-        still_waiting = []
-        for snapshot, event in self._drain_waiters:
-            if self._drained_through(snapshot):
-                event.succeed()
-            else:
-                still_waiting.append((snapshot, event))
-        self._drain_waiters = still_waiting
-
-    def _drained_through(self, snapshot):
-        if any(sequence <= snapshot for sequence in self._inflight_sequences):
-            return False
-        return self.cache.drained_up_to(snapshot)
-
-    def _require_power(self):
-        if self._power_on_event is None:
-            self._power_on_event = self.sim.event()
-        return self._power_on_event
-
     # --- flush-cache command -------------------------------------------------
-    def _do_flush(self):
-        if not self.cache_enabled:
-            # Nothing buffered; devices still burn time on the command.
-            yield self.sim.timeout(self.spec.flush_cache_off_cost)
-            return
-        snapshot = self.cache.last_sequence
-        if not self._drained_through(snapshot):
-            with self.sim.telemetry.span("flush.drain", "device",
-                                         device=self.name,
-                                         pending=len(self.cache)):
-                waiter = self.sim.event()
-                self._drain_waiters.append((snapshot, waiter))
-                self._wake_flusher()
-                yield waiter
+    def _commit_flush(self):
         yield self.sim.timeout(self.spec.flush_fixed + self.spec.map_persist_flush)
         self.ftl.mark_mapping_persisted()
 
@@ -443,14 +312,6 @@ class FlashSSD(StorageDevice):
         # Volatile DRAM: buffered writes and the mapping delta vanish.
         self.cache.clear()
         self.ftl.revert_unpersisted_mapping()
-
-    def reboot(self):
-        self.powered = True
-        if self._power_on_event is not None:
-            self._power_on_event.succeed()
-            self._power_on_event = None
-        # Conventional device: no replay to do; mapping already reverted.
-        return 0.0
 
     def install_persistent(self, lba, value):
         if self.cache_enabled and lba in self.cache:
