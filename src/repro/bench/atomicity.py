@@ -43,15 +43,18 @@ def _engine_world(sim, device_kind, barriers, engine_cls, config):
     """``(engine, data devices)`` on a data and a log drive of
     ``device_kind`` or, with ``"fusionio"``, of that bespoke device."""
     db_bytes = setups.scaled_db_bytes() // 4
+    log_name = "%s.log" % device_kind
     if device_kind == "fusionio":
         data_target = make_fusionio(sim, capacity_bytes=int(db_bytes * 3))
         data_devices = (data_target,)
-        log_device = make_fusionio(sim, capacity_bytes=units.GIB)
+        log_device = make_fusionio(sim, capacity_bytes=units.GIB,
+                                   name=log_name)
     else:
         data_target, data_devices = setups.make_data_target(
             sim, device_kind, int(db_bytes * 3))
         log_device = setups.make_device(sim, device_kind,
-                                        capacity_bytes=units.GIB)
+                                        capacity_bytes=units.GIB,
+                                        name=log_name)
     engine = engine_cls(sim, setups.file_system(sim, data_target, barriers),
                         setups.file_system(sim, log_device, barriers), config)
     return engine, data_devices

@@ -18,6 +18,7 @@ but keeps paying for barriers.
 """
 
 from ..sim import units
+from .presets import _named
 from .ssd import FlashSSD, SSDSpec
 
 
@@ -105,8 +106,9 @@ class AtomicWriteSSD(FlashSSD):
             del self._atomic_inflight[group]
 
 
-def make_fusionio(sim, cache_enabled=True, capacity_bytes=4 * units.GIB):
-    device = AtomicWriteSSD(sim, fusionio_spec(capacity_bytes),
+def make_fusionio(sim, cache_enabled=True, capacity_bytes=4 * units.GIB,
+                  name=None):
+    device = AtomicWriteSSD(sim, _named(fusionio_spec(capacity_bytes), name),
                             cache_enabled=cache_enabled)
     device.enable_atomic_writes()
     return device

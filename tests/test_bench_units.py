@@ -5,8 +5,9 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.bench import EXPERIMENTS, TABLES, run_table, setups, table1, \
-    tableio
+from repro.bench import EXPERIMENTS, TABLES, atomicity, run_table, setups, \
+    table1, tableio
+from repro.db.innodb import InnoDBConfig, InnoDBEngine
 from repro.sim import units
 
 
@@ -100,6 +101,16 @@ class TestSetups:
                                                  barriers=False)
         assert engine.config.batch_size == 10
         assert len(devices) == 1
+
+    @pytest.mark.parametrize("kind", ["ssd-a", "fusionio", "durassd"])
+    def test_atomicity_world_names_its_drives_apart(self, kind):
+        """Probes, metrics and lifecycle streams key on device names."""
+        sim = setups.fresh_world()
+        atomicity._engine_world(sim, kind, True, InnoDBEngine,
+                                InnoDBConfig(page_size=8 * units.KIB))
+        names = [device.name for device in sim.telemetry.smart_sources]
+        assert len(names) == 2
+        assert len(set(names)) == 2
 
 
 class TestTable1Cells:
