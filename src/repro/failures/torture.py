@@ -100,18 +100,20 @@ def fault_targets(target, data_devices, log_device):
 
     A salt names the device's role (``data:<i>``, ``log``), so models
     sharing one profile never share a random stream.  ``index`` orders
-    staggered deaths: a member's position, the member count for the
-    log, and 0 for the one member a ``data:<i>`` target names.
+    staggered deaths: the device's position among the devices ``target``
+    hits, so a lone ``log`` or ``data:<i>`` target dies first.
     """
     if target.startswith("data:"):
-        return ((data_devices[int(target[5:])], target, 0),)
-    hits = ()
-    if target != "log":
-        hits = tuple((device, "data:%d" % index, index)
-                     for index, device in enumerate(data_devices))
-    if target != "data":
-        hits += ((log_device, "log", len(data_devices)),)
-    return hits
+        hits = ((data_devices[int(target[5:])], target),)
+    else:
+        hits = ()
+        if target != "log":
+            hits = tuple((device, "data:%d" % index)
+                         for index, device in enumerate(data_devices))
+        if target != "data":
+            hits += ((log_device, "log"),)
+    return tuple((device, salt, index)
+                 for index, (device, salt) in enumerate(hits))
 
 
 class _ScenarioFields(NamedTuple):
