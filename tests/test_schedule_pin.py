@@ -12,7 +12,11 @@ The first worlds mirror the ``fio-gc`` and LinkBench workloads of
 constructors.  Those all run DuraSSD with its cache on, so the Table 1
 cells add what they leave out: the disk and the volatile SSD behind
 fsync every 8 writes (cached writes, the flusher and the flush-cache
-drain), and both with the cache off (write-through).  A change that
+drain), and both with the cache off (write-through).  The gray worlds
+arm the command lifecycle's deadlines on the SATA queue and on a
+two-queue NVMe model, so commands time out, are aborted and unwind
+through the device's service frame while a soft reset sweeps the rest;
+the torture sweep builds one world per power-cut trial.  A change that
 moves the schedule on purpose records the new values here and says why.
 """
 
@@ -20,6 +24,7 @@ import pytest
 
 from repro.bench import setups, table1
 from repro.db.innodb import InnoDBConfig, InnoDBEngine
+from repro.failures import torture
 from repro.host import FileSystem, QueueTopology
 from repro.host.fio import FioJob, run_fio
 from repro.sim import Simulator, units
@@ -34,7 +39,13 @@ PINNED = {
     "table1-ssd-a-on-8": (7911, 0.37976328125000197),
     "table1-hdd-off-8": (1083, 0.7693124374999996),
     "table1-ssd-a-off-8": (3376, 0.5083976145833364),
+    "gray-mild-sata": (8501, 0.36081696081787723),
+    "gray-mild-nvme-sq2": (8922, 0.4074456851738067),
 }
+
+#: the smoke torture sweep: (processed_events summed over every world
+#: it builds, trials)
+TORTURE_PINNED = (6665, 17)
 
 
 def fio_world():
@@ -91,6 +102,25 @@ def table1_world(kind, mode, ios):
     return sim
 
 
+def gray_world(interface):
+    """fio on a DuraSSD under the ``mild`` gray-fault profile with the
+    bench command deadlines: four jobs of 150 4 KiB random writes,
+    fsync every 8 with barriers on, so writes and flushes both run the
+    lifecycle's escalation ladder."""
+    topology = QueueTopology(interface=interface, submission_queues=2)
+    sim = setups.World(setups.WorldSpec(gray_faults="mild",
+                                        topology=topology))
+    device = setups.make_device(sim, "durassd", capacity_bytes=64 * units.MIB)
+    filesystem = setups.file_system(sim, device, barriers=True)
+    job = FioJob(rw="randwrite", block_size=4 * units.KIB, numjobs=4,
+                 ios_per_job=150, fsync_every=8, file_size=16 * units.MIB,
+                 seed=1)
+    result = run_fio(sim, filesystem, job)
+    assert result.completed == 600
+    assert device.counters["aborts"] > 0 and device.counters["resets"] > 0
+    return sim
+
+
 WORLDS = {
     "fio-preconditioned": fio_world,
     "linkbench-durable": lambda: linkbench_world(barriers=False),
@@ -99,6 +129,8 @@ WORLDS = {
     "table1-ssd-a-on-8": lambda: table1_world("ssd-a", "on", 600),
     "table1-hdd-off-8": lambda: table1_world("hdd", "off", 100),
     "table1-ssd-a-off-8": lambda: table1_world("ssd-a", "off", 200),
+    "gray-mild-sata": lambda: gray_world("sata"),
+    "gray-mild-nvme-sq2": lambda: gray_world("nvme"),
 }
 
 
@@ -106,3 +138,22 @@ WORLDS = {
 def test_schedule_is_pinned(name):
     sim = WORLDS[name]()
     assert (sim.processed_events, sim.now) == PINNED[name]
+
+
+def test_torture_sweep_schedule_is_pinned(monkeypatch):
+    """The smoke sweep of ``benchmarks/perf``'s torture workload: InnoDB
+    on DuraSSD, 30 ops, every ack boundary a power cut."""
+    worlds = []
+    build_world = torture.build_world
+
+    def recording_build_world(scenario, telemetry=None):
+        world = build_world(scenario, telemetry)
+        worlds.append(world)
+        return world
+
+    monkeypatch.setattr(torture, "build_world", recording_build_world)
+    result = torture.sweep(torture.TortureScenario(
+        engine="innodb", device="durassd", ops=30, seed=1))
+    assert result.mode == "exhaustive" and result.clean
+    events = sum(world.sim.processed_events for world in worlds)
+    assert (events, len(result.trials)) == TORTURE_PINNED
