@@ -77,7 +77,6 @@ delta between two snapshots) by repro layer — the churn half of the
 
 import os
 import time
-import tracemalloc
 from collections import Counter
 
 from .engine import Process
@@ -437,6 +436,7 @@ def aggregate(profilers, top=15):
 
 def _traced_kib(_filters=()):
     """Currently traced allocation KiB, 0 when tracemalloc is off."""
+    import tracemalloc
     if not tracemalloc.is_tracing():
         return 0.0
     return tracemalloc.get_traced_memory()[0] / 1024.0
@@ -450,6 +450,7 @@ def allocation_stats(before=None):
     snapshot — the allocation cost of the code that ran in between.
     Returns ``{"layers": [...], "total_kib": ..., "peak_kib": ...}``.
     """
+    import tracemalloc
     if not tracemalloc.is_tracing():
         raise RuntimeError("tracemalloc is not tracing; call "
                            "tracemalloc.start() around the profiled run")

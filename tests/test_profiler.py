@@ -14,9 +14,12 @@ The profiler's contract has three legs:
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.sim import SimProfiler, Simulator
 from repro.sim.profiler import aggregate, allocation_stats, layer_of_path
 from repro.telemetry import MetricsRegistry, Telemetry
@@ -72,6 +75,18 @@ class TestZeroOverheadOff:
         sim = Simulator(telemetry)
         assert sim._profiler is telemetry.profiler
         assert telemetry.profiler.sim is sim
+
+    def test_importing_the_world_builders_leaves_tracemalloc_out(self):
+        """Every world pays for its imports: the profiler imports
+        tracemalloc only when asked for allocation figures."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONTRACEMALLOC", None)
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.bench.setups; "
+             "print('tracemalloc' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert loaded.strip() == "False"
 
 
 class TestAttribution:
