@@ -50,6 +50,9 @@ class DiskDrive(StorageDevice):
         super().__init__(sim, spec, spec.cache_bytes, cache_enabled)
         self.exported_lbas = spec.capacity_bytes // units.LBA_SIZE
         self._medium = {}
+        # Bumped by every power cut: a media access in flight at a cut
+        # completes in a later power-on and must not write the medium.
+        self._power_epoch = 0
         self._actuator = Resource(sim, capacity=1)
         self._pending_media_ops = 0
         self._in_flight_media = None
@@ -109,8 +112,9 @@ class DiskDrive(StorageDevice):
     def _write_through(self, request):
         # Contiguous blocks share one positioning.
         items = list(zip(request.blocks, request.payload))
+        epoch = self._power_epoch
         yield from self._media_access(request.nbytes, write_items=items)
-        if not self.powered:
+        if not self.powered or epoch != self._power_epoch:
             raise PowerFailedError(self.name)
         for lba, value in items:
             self._medium[lba] = value
@@ -137,15 +141,17 @@ class DiskDrive(StorageDevice):
 
     def _flush_batch(self, batch):
         # One positioning per block.
+        epoch = self._power_epoch
         for lba, _sequence, value in batch:
             yield from self._media_access(units.LBA_SIZE, writeback=True,
                                           write_items=[(lba, value)])
-            if self.powered:
+            if self.powered and epoch == self._power_epoch:
                 self._medium[lba] = value
 
     # --- power failure -----------------------------------------------------------------
     def power_fail(self):
         super().power_fail()
+        self._power_epoch += 1
         in_flight = self._in_flight_media
         if in_flight is not None and self.sim.now > in_flight["start"]:
             # The head was writing this sector train: the already-passed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.devices import IORequest, make_hdd
+from repro.devices import IORequest, PowerFailedError, make_hdd
 from repro.flash import is_torn
 from repro.sim import units
 
@@ -112,6 +112,44 @@ class TestPowerFailure:
         dev.power_fail()
         view = [dev.read_persistent(lba) for lba in range(4)]
         assert any(is_torn(v) or v is None for v in view)
+
+    def test_flusher_access_cut_mid_flight_does_not_land_after_reboot(
+            self, sim):
+        """A flusher access in flight at a cut belongs to the destroyed
+        cache: finishing after the reboot, it must not overwrite what
+        recovery installed."""
+        dev = make_hdd(sim)
+        write(sim, dev, 7, ["old"])
+        sim.run(until=2 * units.MSEC)  # the flusher is mid-access
+        dev.power_fail()
+        dev.reboot()
+        dev.install_persistent(7, "recovered")
+        sim.run()
+        assert dev.read_persistent(7) == "recovered"
+
+    def test_write_through_cut_mid_flight_fails_after_reboot(self, sim):
+        """A write-through command cut mid-access is never acked and
+        never reaches the medium, even when power is back by the time
+        its access would have finished."""
+        dev = make_hdd(sim, cache_enabled=False)
+        outcome = []
+
+        def writer():
+            try:
+                yield dev.submit(IORequest("write", 7, 1, payload=["old"]))
+            except PowerFailedError:
+                outcome.append("failed")
+            else:
+                outcome.append("acked")
+
+        sim.process(writer())
+        sim.run(until=2 * units.MSEC)  # positioning for the write
+        dev.power_fail()
+        dev.reboot()
+        dev.install_persistent(7, "recovered")
+        sim.run()
+        assert outcome == ["failed"]
+        assert dev.read_persistent(7) == "recovered"
 
     def test_write_only_disk_cache_note(self, sim):
         """Solworth/Orji style write cache: reads may bypass, writes hit."""
