@@ -15,6 +15,7 @@ configuration stalls them behind flush-cache commands.
 
 from ..sim import LatencyRecorder, units
 from ..sim.rng import make_rng
+from ..telemetry.hub import NULL_SPAN
 from . import setups
 from .tableio import render_table
 
@@ -38,12 +39,15 @@ def run_one(sim, device_kind, barriers, fsync_period, burst_writes=600,
     read_latency = LatencyRecorder("reads-during-burst")
     baseline_latency = LatencyRecorder("reads-baseline")
 
+    telemetry = sim.telemetry
+
     def reader(index):
         rng = make_rng((41, index))
         while burst_window["end"] is None:
             offset = rng.randrange(data.nblocks) * units.LBA_SIZE
             begin = sim.now
-            with sim.telemetry.span("burst.read", "workload", reader=index):
+            with (telemetry.span("burst.read", "workload", reader=index)
+                  if telemetry.enabled else NULL_SPAN):
                 yield from filesystem.pread(data, offset, 1)
             latency = sim.now - begin
             if burst_window["start"] is None:
@@ -57,7 +61,8 @@ def run_one(sim, device_kind, barriers, fsync_period, burst_writes=600,
         burst_window["start"] = sim.now
         for index in range(burst_writes):
             offset = rng.randrange(data.nblocks) * units.LBA_SIZE
-            with sim.telemetry.span("burst.write", "workload", i=index):
+            with (telemetry.span("burst.write", "workload", i=index)
+                  if telemetry.enabled else NULL_SPAN):
                 yield from filesystem.pwrite(data, offset,
                                              [("burst", index)])
                 if fsync_period and (index + 1) % fsync_period == 0:

@@ -11,6 +11,8 @@ explicitly (``reads_blocked_by_write``).
 
 from collections import OrderedDict
 
+from ..telemetry.hub import NULL_SPAN
+
 
 class Frame:
     """One resident page."""
@@ -112,7 +114,9 @@ class BufferPool:
                 return frame
             inflight = self._inflight_reads.get(key)
             if inflight is not None:
-                with self.sim.telemetry.span("bp.read_wait", "db"):
+                telemetry = self.sim.telemetry
+                with (telemetry.span("bp.read_wait", "db")
+                      if telemetry.enabled else NULL_SPAN):
                     yield inflight
                 continue  # re-check: it should be resident now
             return (yield from self._read_in(key, reader))
@@ -149,8 +153,9 @@ class BufferPool:
                 continue  # the eviction freed a frame; claim it
             # Everything is pinned or in flux: brief wait, then retry.
             self.stats["free_waits"] += 1
-            with self.sim.telemetry.span("bp.evict_wait", "db",
-                                         reason="free-wait"):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("bp.evict_wait", "db", reason="free-wait")
+                  if telemetry.enabled else NULL_SPAN):
                 yield self.sim.timeout(100e-6)
 
     def _evict_one(self):
@@ -170,9 +175,11 @@ class BufferPool:
             # readers coalesce on one in-flight batch flush rather than
             # each paying a full double-write cycle.
             self.stats["reads_blocked_by_write"] += 1
+            telemetry = self.sim.telemetry
             if self._eviction_flush_gate is not None:
-                with self.sim.telemetry.span("bp.evict_wait", "db",
-                                             reason="join-batch"):
+                with (telemetry.span("bp.evict_wait", "db",
+                                     reason="join-batch")
+                      if telemetry.enabled else NULL_SPAN):
                     yield self._eviction_flush_gate
                 return False  # retry: the batch freed frames
             if self._flush_batch is not None:
@@ -181,8 +188,9 @@ class BufferPool:
             victim.pin_count += 1  # nobody else may steal it mid-flush
             try:
                 flush_version = victim.version
-                with self.sim.telemetry.span("bp.evict_wait", "db",
-                                             reason="flush-victim"):
+                with (telemetry.span("bp.evict_wait", "db",
+                                     reason="flush-victim")
+                      if telemetry.enabled else NULL_SPAN):
                     yield from self._flush_page(victim.key, flush_version)
             finally:
                 victim.pin_count -= 1

@@ -14,6 +14,7 @@ of Figure 5).
 """
 
 from ..sim.resources import Mutex
+from ..telemetry.hub import NULL_SPAN
 
 
 class DoubleWriteBuffer:
@@ -51,7 +52,9 @@ class DoubleWriteBuffer:
                 yield from self.flush_pages(entries[start:start + self.AREA_PAGES],
                                             touched_handles)
             return
-        with self.sim.telemetry.span("dwb.flush", "db", n=len(entries)):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("dwb.flush", "db", n=len(entries))
+              if telemetry.enabled else NULL_SPAN):
             yield self._mutex.acquire()
             try:
                 # Step 1: sequential write into the double-write area.

@@ -18,6 +18,7 @@ before its redo records do).
 from ..host.integrity import CorruptDataError
 from ..host.lifecycle import STORAGE_ERRORS
 from ..sim import units
+from ..telemetry.hub import NULL_SPAN
 from .buffer_pool import BufferPool
 from .degrade import AdmissionBackpressureError, DegradationMonitor
 from .doublewrite import DoubleWriteBuffer
@@ -167,8 +168,9 @@ class InnoDBEngine:
             version = yield from self.pagestore.read_page(space_id, page_no)
             # The post-read CPU slice (checksum, frame init) is its own
             # span so attribution books it as cpu, not buffer-pool wait.
-            with self.sim.telemetry.span("bp.read_in", "db",
-                                         page=page_no):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("bp.read_in", "db", page=page_no)
+                  if telemetry.enabled else NULL_SPAN):
                 yield self.sim.timeout(self.config.page_size / units.KIB
                                        * self.config.miss_cpu_per_kib)
             return 0 if version is None else version
@@ -238,8 +240,9 @@ class InnoDBEngine:
                                            reason=reason)
                 raise AdmissionBackpressureError("innodb", reason)
             self.degradation.counters["admission_waits"] += 1
-            with self.sim.telemetry.span("db.admission_wait", "db",
-                                         reason=reason):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("db.admission_wait", "db", reason=reason)
+                  if telemetry.enabled else NULL_SPAN):
                 yield self.sim.timeout(config.cleaner_interval)
             waited += config.cleaner_interval
             reason = blocked()
@@ -250,8 +253,10 @@ class InnoDBEngine:
         self.degradation.check_writable()
         yield from self._admit_write()
         try:
-            with self.sim.telemetry.span("txn.modify", "db", txn=txn.txn_id,
-                                         table=table.name, rank=rank):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("txn.modify", "db", txn=txn.txn_id,
+                                 table=table.name, rank=rank)
+                  if telemetry.enabled else NULL_SPAN):
                 path = table.path_for(rank)
                 for page_no in path[:-1]:
                     yield from self.fetch_page(table.space_id, page_no)
@@ -284,7 +289,9 @@ class InnoDBEngine:
         abort the transaction.  The escalation is recorded so repeated
         failures demote the engine to read-only.
         """
-        with self.sim.telemetry.span("txn.commit", "db", txn=txn.txn_id):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("txn.commit", "db", txn=txn.txn_id)
+              if telemetry.enabled else NULL_SPAN):
             self.degradation.check_writable()
             try:
                 lsn = self.wal.append(txn.txn_id, COMMIT_MARKER, None, None,
@@ -329,9 +336,10 @@ class InnoDBEngine:
             raise
 
     def _flush_entries_inner(self, entries):
-        with self.sim.telemetry.span("bp.flush_batch", "db",
-                                     n=len(entries),
-                                     doublewrite=self.doublewrite is not None):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("bp.flush_batch", "db", n=len(entries),
+                             doublewrite=self.doublewrite is not None)
+              if telemetry.enabled else NULL_SPAN):
             # WAL rule: redo for these page versions must be durable first.
             newest = max((self._newest_lsn.get((space, page), 0)
                           for space, page, _version in entries), default=0)
@@ -404,7 +412,9 @@ class InnoDBEngine:
         """Redo space is running out: flush every dirty page so the log
         tail becomes reusable (the stall real engines hit when the redo
         log is undersized)."""
-        with self.sim.telemetry.span("bp.checkpoint", "db"):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("bp.checkpoint", "db")
+              if telemetry.enabled else NULL_SPAN):
             while True:
                 victims = self.pool.oldest_dirty(self.config.cleaner_batch)
                 if not victims:

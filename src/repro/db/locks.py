@@ -13,6 +13,8 @@ would close a cycle (the youngest-waiter-dies policy a la InnoDB).
 
 from collections import deque
 
+from ..telemetry.hub import NULL_SPAN
+
 
 class DeadlockError(Exception):
     """Granting this lock would create a waits-for cycle."""
@@ -82,8 +84,9 @@ class LockManager:
         self._waiting_on[txn_id] = key
         self.counters["waits"] += 1
         try:
-            with self.sim.telemetry.span("lock.wait", "db",
-                                         key=str(key)):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("lock.wait", "db", key=str(key))
+                  if telemetry.enabled else NULL_SPAN):
                 yield event
         finally:
             self._waiting_on.pop(txn_id, None)

@@ -12,6 +12,7 @@ they carry exactly what crash recovery needs to redo a page update.
 
 from ..sim import units
 from ..sim.resources import Mutex
+from ..telemetry.hub import NULL_SPAN
 
 
 class LogRecord:
@@ -121,13 +122,16 @@ class WriteAheadLog:
         Returns once ``flushed_lsn >= lsn``.  Under concurrency, one
         flusher writes for everyone queued behind it.
         """
-        with self.sim.telemetry.span("wal.flush_to", "db", lsn=lsn) as span:
+        telemetry = self.sim.telemetry
+        with (telemetry.span("wal.flush_to", "db", lsn=lsn)
+              if telemetry.enabled else NULL_SPAN) as span:
             while self.flushed_lsn < lsn:
                 yield self._flush_mutex.acquire()
                 try:
                     if self.flushed_lsn >= lsn:
                         self.counters["group_commits"] += 1
-                        span.annotate(group_commit=True)
+                        if telemetry.enabled:
+                            span.annotate(group_commit=True)
                         return
                     yield from self._write_out()
                 finally:
@@ -144,9 +148,10 @@ class WriteAheadLog:
             self._write_cursor_blocks = 0  # circular log wrap
         top_lsn = records[-1].lsn
         try:
-            with self.sim.telemetry.span("wal.write_out", "db", lsn=top_lsn,
-                                         records=len(records),
-                                         nblocks=nblocks):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("wal.write_out", "db", lsn=top_lsn,
+                                 records=len(records), nblocks=nblocks)
+                  if telemetry.enabled else NULL_SPAN):
                 tokens = [("log", top_lsn, index) for index in range(nblocks)]
                 offset = self._write_cursor_blocks * units.LBA_SIZE
                 yield from self.filesystem.pwrite(self.handle, offset, tokens)

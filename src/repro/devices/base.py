@@ -22,6 +22,7 @@ import math
 from ..sim import units
 from ..sim.engine import Interrupted
 from ..sim.resources import Resource
+from ..telemetry.hub import NULL_SPAN
 from .write_cache import WriteCache
 
 READ = "read"
@@ -240,12 +241,15 @@ class StorageDevice:
             raise PowerFailedError(self.name)
         if self.dead:
             raise self._dead_error()
-        process = self.sim.active_process
+        sim = self.sim
+        process = sim.active_process
         self._inflight[process] = request
+        telemetry = sim.telemetry
         try:
-            with self.sim.telemetry.span("dev." + request.op, "device",
-                                         device=self.name, lba=request.lba,
-                                         nblocks=request.nblocks):
+            with (telemetry.span("dev." + request.op, "device",
+                                 device=self.name, lba=request.lba,
+                                 nblocks=request.nblocks)
+                  if telemetry.enabled else NULL_SPAN):
                 # Both gates pass straight through unless a reset or
                 # flush barrier is up or a gray-fault model is armed.
                 if self._resetting is not None \
@@ -253,9 +257,30 @@ class StorageDevice:
                     yield from self._entry_gate()
                 if self.gray_faults is not None:
                     yield from self._gray_gate(request.op)
-                request.submit_time = self.sim.now
+                request.submit_time = sim.now
                 self._on_command_start(request)
-                yield from self._transfer(request.nbytes)
+                # Command latency plus data transfer.  Only the wire
+                # time serialises on the link; the fixed
+                # ``command_overhead`` is controller work that proceeds
+                # in parallel for queued commands (otherwise a 32-deep
+                # NCQ could never exceed ~1/command_overhead IOPS, which
+                # contradicts Table 2).  Resource.acquire_guarded,
+                # inlined on this per-command path.
+                link = self._link
+                grant = link.acquire()
+                try:
+                    yield grant
+                except BaseException:
+                    link.cancel(grant)
+                    raise
+                try:
+                    yield sim.timeout(
+                        self.BUS_OVERHEAD
+                        + request.nblocks * units.LBA_SIZE
+                        / self.link_bandwidth)
+                finally:
+                    link.release()
+                yield sim.timeout(self.command_overhead)
                 if request.op == WRITE:
                     yield from self._write(request)
                     self.counters["writes"] += 1
@@ -265,7 +290,7 @@ class StorageDevice:
                     request.result = yield from self._read(request)
                     self.counters["reads"] += 1
                     self.counters["blocks_read"] += request.nblocks
-                request.complete_time = self.sim.now
+                request.complete_time = sim.now
                 self._on_command_end(request)
                 if self.death is not None and not self.dead:
                     self.death.check_smart(self)
@@ -286,9 +311,11 @@ class StorageDevice:
             raise self._dead_error()
         process = self.sim.active_process
         self._inflight[process] = FLUSH
+        telemetry = self.sim.telemetry
         try:
-            with self.sim.telemetry.span("dev.flush_cache", "device",
-                                         device=self.name):
+            with (telemetry.span("dev.flush_cache", "device",
+                                 device=self.name)
+                  if telemetry.enabled else NULL_SPAN):
                 yield from self._entry_gate()
                 yield from self._gray_gate(FLUSH)
                 barrier = self.sim.event()
@@ -304,10 +331,11 @@ class StorageDevice:
                         # Drain every write accepted before this command.
                         snapshot = self.cache.last_sequence
                         if not self._drained_through(snapshot):
-                            with self.sim.telemetry.span(
+                            with (telemetry.span(
                                     "flush.drain", "device",
                                     device=self.name,
-                                    pending=len(self.cache)):
+                                    pending=len(self.cache))
+                                  if telemetry.enabled else NULL_SPAN):
                                 waiter = self.sim.event()
                                 self._drain_waiters.append(
                                     (snapshot, waiter))
@@ -338,8 +366,9 @@ class StorageDevice:
                 gate, wait_name = self._flush_barrier, "dev.barrier_wait"
             else:
                 return
-            with self.sim.telemetry.span(wait_name, "device",
-                                         device=self.name):
+            telemetry = self.sim.telemetry
+            with (telemetry.span(wait_name, "device", device=self.name)
+                  if telemetry.enabled else NULL_SPAN):
                 yield gate
             if not self.powered:
                 raise PowerFailedError(self.name)
@@ -358,8 +387,9 @@ class StorageDevice:
         telemetry = self.sim.telemetry
         hold = model.hold_remaining(self.sim.now)
         while hold > 0.0:
-            with telemetry.span("dev.fault_delay", "device",
-                                device=self.name, op=op, kind="hold"):
+            with (telemetry.span("dev.fault_delay", "device",
+                                 device=self.name, op=op, kind="hold")
+                  if telemetry.enabled else NULL_SPAN):
                 if hold == math.inf:
                     yield self.sim.event()  # hung: only an abort returns
                     raise PowerFailedError(self.name)  # pragma: no cover
@@ -369,8 +399,9 @@ class StorageDevice:
             hold = model.hold_remaining(self.sim.now)
         delay = model.command_delay(op, self.sim.now)
         if delay > 0.0:
-            with telemetry.span("dev.fault_delay", "device",
-                                device=self.name, op=op, kind="delay"):
+            with (telemetry.span("dev.fault_delay", "device",
+                                 device=self.name, op=op, kind="delay")
+                  if telemetry.enabled else NULL_SPAN):
                 yield self.sim.timeout(delay)
             if not self.powered:
                 raise PowerFailedError(self.name)
@@ -379,29 +410,6 @@ class StorageDevice:
     #: rest of ``command_overhead`` is controller latency that overlaps
     #: across queued commands.
     BUS_OVERHEAD = 2e-6
-
-    def _transfer(self, nbytes):
-        """Command latency plus data transfer.
-
-        Only the wire time serialises on the link; the fixed
-        ``command_overhead`` is controller work that proceeds in parallel
-        for queued commands (otherwise a 32-deep NCQ could never exceed
-        ~1/command_overhead IOPS, which contradicts Table 2).
-        """
-        # Resource.acquire_guarded, inlined on this per-command path.
-        link = self._link
-        grant = link.acquire()
-        try:
-            yield grant
-        except BaseException:
-            link.cancel(grant)
-            raise
-        try:
-            yield self.sim.timeout(self.BUS_OVERHEAD +
-                                   nbytes / self.link_bandwidth)
-        finally:
-            link.release()
-        yield self.sim.timeout(self.command_overhead)
 
     # --- gray failures: abort and soft reset ---------------------------------
     #: simulated latency of a host-initiated soft reset (COMRESET +
@@ -524,8 +532,9 @@ class StorageDevice:
             return
         # Flow control: block while the cache is full (Section 3.1.1).
         if self.cache.is_full:
-            with self.sim.telemetry.span("cache.stall", "device",
-                                         device=self.name):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("cache.stall", "device", device=self.name)
+                  if telemetry.enabled else NULL_SPAN):
                 while self.cache.is_full:
                     waiter = self.sim.event()
                     self._space_waiters.append(waiter)
@@ -539,6 +548,7 @@ class StorageDevice:
     def _flusher(self):
         """Drain the cache to the medium, one taken batch at a time."""
         batch_slots = self._flush_batch_slots()
+        telemetry = self.sim.telemetry
         while True:
             if not self.powered:
                 yield self._require_power()
@@ -551,9 +561,9 @@ class StorageDevice:
             sequences = {sequence for _lba, sequence, _value in batch}
             self._inflight_sequences |= sequences
             try:
-                with self.sim.telemetry.span("flusher.batch", "device",
-                                             device=self.name,
-                                             n=len(batch)):
+                with (telemetry.span("flusher.batch", "device",
+                                     device=self.name, n=len(batch))
+                      if telemetry.enabled else NULL_SPAN):
                     yield from self._flush_batch(batch)
             finally:
                 self._inflight_sequences -= sequences

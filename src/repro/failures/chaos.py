@@ -33,7 +33,7 @@ are shared with the torture harness (:mod:`repro.failures.campaign`).
 import math
 
 from ..host.lifecycle import TimeoutPolicy
-from ..telemetry.hub import Telemetry
+from ..telemetry.hub import NULL_SPAN, Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.slo import SLOMonitor, default_chaos_rules
 from .campaign import (
@@ -451,9 +451,9 @@ def run_chaos(scenario, ops=None, telemetry=None, baseline=None,
     tally = new_tally()
     stream = sim.process(client(world.workload, ops, tally))
     watchdog = sim.timeout(horizon_guard(scenario, ops))
-    with sim.telemetry.span("chaos.run", "failures",
-                            device=scenario.device,
-                            ops=len(ops)) as span:
+    with (sim.telemetry.span("chaos.run", "failures",
+                             device=scenario.device, ops=len(ops))
+          if sim.telemetry.enabled else NULL_SPAN) as span:
         sim.run_until(sim.any_of([stream, watchdog]))
         world.engine.stop_cleaner()
         result.ops_ok = tally["ok"]

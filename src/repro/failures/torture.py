@@ -54,6 +54,7 @@ from ..host.queues import INTERFACES, QueueTopology
 from ..sim import Simulator, units
 from ..sim.record import Record
 from ..sim.rng import make_rng
+from ..telemetry.hub import NULL_SPAN
 from ..workloads.linkbench import (
     OPERATION_MIX,
     LinkBenchConfig,
@@ -573,9 +574,11 @@ def run_trial(scenario, ops, cut_time, nested=None, telemetry=None):
     result = TrialResult(cut_time, nested)
     result.expected_clean = world.expected_clean
     result.integrity_expected = world.integrity_expected
-    with sim.telemetry.span("torture.trial", "failures",
-                            device=scenario.device, engine=scenario.engine,
-                            cut_time=cut_time) as span:
+    telemetry = sim.telemetry
+    with (telemetry.span("torture.trial", "failures",
+                         device=scenario.device, engine=scenario.engine,
+                         cut_time=cut_time)
+          if telemetry.enabled else NULL_SPAN) as span:
         sim.run_until(done)
         result.fired = cut.fired
         result.ops_completed = tally["completed"]
@@ -586,10 +589,11 @@ def run_trial(scenario, ops, cut_time, nested=None, telemetry=None):
             # The stream finished before the cut: nothing else to check.
             span.annotate(fired=False)
             return result
-        sim.telemetry.instant("torture.cut", "failures",
-                              at=sim.now, ops_completed=result.ops_completed)
-        with sim.telemetry.span("torture.device_recovery", "failures",
-                                nested=bool(nested)):
+        telemetry.instant("torture.cut", "failures",
+                          at=sim.now, ops_completed=result.ops_completed)
+        with (telemetry.span("torture.device_recovery", "failures",
+                             nested=bool(nested))
+              if telemetry.enabled else NULL_SPAN):
             result.recovery_seconds = _recover_devices(world, injector,
                                                        nested, result)
         first_pass = None
@@ -602,8 +606,9 @@ def run_trial(scenario, ops, cut_time, nested=None, telemetry=None):
                     result.nested_performed = True
                     injector.execute_cut()
                     injector.reboot_all()
-        with sim.telemetry.span("torture.check", "failures",
-                                nested=bool(nested)):
+        with (telemetry.span("torture.check", "failures",
+                             nested=bool(nested))
+              if telemetry.enabled else NULL_SPAN):
             result.db_report = check_after_cut(world, result.violations,
                                                first_pass)
         span.annotate(violations=len(result.violations),

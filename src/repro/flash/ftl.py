@@ -19,6 +19,7 @@ delta (Section 3.4) and loses nothing.
 
 from collections import deque
 
+from ..telemetry.hub import NULL_SPAN
 from .torn import (
     BIT_ROT,
     LOST_WRITE,
@@ -183,8 +184,9 @@ class PageMappingFTL:
         if pslot is None:
             return None
         ppn = pslot // self.slots_per_page
-        with self.sim.telemetry.span("flash.read", "flash", lslot=lslot,
-                                     ppn=ppn) as span:
+        telemetry = self.sim.telemetry
+        with (telemetry.span("flash.read", "flash", lslot=lslot, ppn=ppn)
+              if telemetry.enabled else NULL_SPAN) as span:
             ok = yield from self.array.read(ppn, self.mapping_unit)
             attempts = 1
             while not ok and attempts <= self._max_retries():
@@ -194,7 +196,8 @@ class PageMappingFTL:
                 attempts += 1
             if not ok:
                 self.counters["uncorrectable_reads"] += 1
-                span.annotate(uncorrectable=True)
+                if telemetry.enabled:
+                    span.annotate(uncorrectable=True)
                 return TORN
         value = self.stored_value(lslot)
         model = self.corruption_model
@@ -219,9 +222,12 @@ class PageMappingFTL:
         for lslot, _value in items:
             if not 0 <= lslot < self.exported_slots:
                 raise ValueError("logical slot %d out of range" % lslot)
-        with self.sim.telemetry.span("ftl.write_slots", "flash",
-                                     slots=len(items)):
-            yield from self._maybe_collect()
+        telemetry = self.sim.telemetry
+        with (telemetry.span("ftl.write_slots", "flash", slots=len(items))
+              if telemetry.enabled else NULL_SPAN):
+            low = self.GC_LOW_WATERMARK_PER_LANE * self.array.lanes
+            if self._free_total < low:
+                yield from self._maybe_collect(low)
             groups = [items[i:i + self.slots_per_page]
                       for i in range(0, len(items), self.slots_per_page)]
             programs = [self.sim.process(self._program_group(group))
@@ -238,8 +244,10 @@ class PageMappingFTL:
             # Count the incoming slots valid up front so GC never picks
             # the page mid-program; the commit refines bookkeeping after.
             self._valid_count[block] += len(group)
-            with self.sim.telemetry.span("flash.program", "flash", ppn=ppn,
-                                         slots=len(group)):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("flash.program", "flash", ppn=ppn,
+                                 slots=len(group))
+                  if telemetry.enabled else NULL_SPAN):
                 ok = yield from self.array.program(ppn)
             if epoch != self._epoch:
                 # A power cut landed while this page was programming: the
@@ -413,8 +421,8 @@ class PageMappingFTL:
             self._block_free[block] = False
         raise FlashFullError("no free NAND blocks outside the bad list")
 
-    def _maybe_collect(self):
-        low = self.GC_LOW_WATERMARK_PER_LANE * self.array.lanes
+    def _maybe_collect(self, low):
+        """Collect victims while fewer than ``low`` blocks are free."""
         while self._free_total < low and not self._gc_running:
             self._gc_running = True
             try:
@@ -439,8 +447,10 @@ class PageMappingFTL:
             entry = self._contents.get(pslot)
             if entry is not None and self._mapping.get(entry[0]) == pslot:
                 live_items.append(entry)
-        with self.sim.telemetry.span("ftl.gc", "flash", victim=victim,
-                                     moved=len(live_items)):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("ftl.gc", "flash", victim=victim,
+                             moved=len(live_items))
+              if telemetry.enabled else NULL_SPAN):
             if live_items:
                 groups = [live_items[i:i + spp]
                           for i in range(0, len(live_items), spp)]

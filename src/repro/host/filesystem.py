@@ -23,6 +23,7 @@ historical single-drive behavior exactly.
 
 from ..devices.base import READ, WRITE, IORequest
 from ..sim import units
+from ..telemetry.hub import NULL_SPAN
 from .volume import as_target
 
 #: CPU cost of entering/leaving the kernel for fsync (calibration: the
@@ -221,8 +222,10 @@ class FileSystem:
         nblocks = len(values)
         if lba + nblocks > handle.base_lba + handle.nblocks:
             raise ValueError("write past end of %r" % handle.name)
-        with self.sim.telemetry.span("fs.pwrite", "host", file=handle.name,
-                                     lba=lba, nblocks=nblocks):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("fs.pwrite", "host", file=handle.name,
+                             lba=lba, nblocks=nblocks)
+              if telemetry.enabled else NULL_SPAN):
             request = IORequest(WRITE, lba, nblocks, payload=list(values),
                                 stream=handle.placement)
             completed = yield self.target.submit(request)
@@ -240,8 +243,10 @@ class FileSystem:
         lba = handle.lba_of(offset_bytes)
         if lba + nblocks > handle.base_lba + handle.nblocks:
             raise ValueError("read past end of %r" % handle.name)
-        with self.sim.telemetry.span("fs.pread", "host", file=handle.name,
-                                     lba=lba, nblocks=nblocks):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("fs.pread", "host", file=handle.name,
+                             lba=lba, nblocks=nblocks)
+              if telemetry.enabled else NULL_SPAN):
             request = IORequest(READ, lba, nblocks,
                                 stream=handle.placement)
             completed = yield self.target.submit(request)
@@ -261,7 +266,9 @@ class FileSystem:
         1. If metadata is dirty, commit a journal record (a device write).
         2. If barriers are on, issue flush-cache (Figure 2's stall).
         """
-        with self.sim.telemetry.span("fs.fsync", "host", file=handle.name):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("fs.fsync", "host", file=handle.name)
+              if telemetry.enabled else NULL_SPAN):
             yield self.sim.timeout(FSYNC_SYSCALL_TIME)
             self.counters["fsyncs"] += 1
             if handle.metadata_dirty:
@@ -271,15 +278,17 @@ class FileSystem:
 
     def fdatasync(self, handle):
         """Like fsync but skips the metadata journal commit."""
-        with self.sim.telemetry.span("fs.fdatasync", "host",
-                                     file=handle.name):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("fs.fdatasync", "host", file=handle.name)
+              if telemetry.enabled else NULL_SPAN):
             yield self.sim.timeout(FSYNC_SYSCALL_TIME)
             self.counters["fsyncs"] += 1
             yield from self._barrier_if_enabled()
 
     def _journal_commit(self, handle):
-        with self.sim.telemetry.span("fs.journal_commit", "host",
-                                     file=handle.name):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("fs.journal_commit", "host", file=handle.name)
+              if telemetry.enabled else NULL_SPAN):
             lba = self._journal_base + self._journal_cursor
             self._journal_cursor = (self._journal_cursor + 1) \
                 % self.JOURNAL_BLOCKS
@@ -299,8 +308,10 @@ class FileSystem:
         """
         if not self.barriers:
             return
-        with self.sim.telemetry.span("fs.barrier", "host",
-                                     coalesced=self.coalesce_barriers):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("fs.barrier", "host",
+                             coalesced=self.coalesce_barriers)
+              if telemetry.enabled else NULL_SPAN):
             if not self.coalesce_barriers:
                 self.counters["barriers_issued"] += 1
                 yield self.target.flush()

@@ -8,6 +8,7 @@ shapes against the simulated file system.
 
 from ..sim import LatencyRecorder, units
 from ..sim.rng import make_rng
+from ..telemetry.hub import NULL_SPAN
 
 
 class FioJob:
@@ -70,6 +71,8 @@ def run_fio(sim, filesystem, job):
     if aligned_slots < 1:
         raise ValueError("file smaller than one block")
 
+    telemetry = sim.telemetry
+
     def worker(index):
         rng = make_rng((job.seed, index))
         total = job.warmup_ios + job.ios_per_job
@@ -79,14 +82,16 @@ def run_fio(sim, filesystem, job):
             offset = rng.randrange(aligned_slots) * job.block_size
             begin = sim.now
             if job.rw == "randwrite":
-                with sim.telemetry.span("fio.write", "workload", job=index):
+                with (telemetry.span("fio.write", "workload", job=index)
+                      if telemetry.enabled else NULL_SPAN):
                     values = [("fio", index, i, b)
                               for b in range(job.blocks_per_io)]
                     yield from filesystem.pwrite(handle, offset, values)
                     if job.fsync_every and (i + 1) % job.fsync_every == 0:
                         yield from filesystem.fsync(handle)
             else:
-                with sim.telemetry.span("fio.read", "workload", job=index):
+                with (telemetry.span("fio.read", "workload", job=index)
+                      if telemetry.enabled else NULL_SPAN):
                     yield from filesystem.pread(handle, offset,
                                                 job.blocks_per_io)
             if i >= job.warmup_ios:

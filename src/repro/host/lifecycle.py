@@ -21,8 +21,10 @@ block layer implements (SCSI/ATA error handling):
    :class:`DeviceTimeoutError`; the database layer decides what survives
    (fail the transaction, demote to read-only — ``repro.db.degrade``).
 
-With ``policy=None`` the lifecycle is pass-through and byte-identical to
-the legacy submit path, so calibrated benchmarks are unperturbed.
+With ``policy=None`` the lifecycle is pass-through: the queue model's
+dispatch process submits straight to the device and only the
+``host.cmd_latency`` histogram sees the command, so calibrated
+benchmarks are unperturbed.
 """
 
 from typing import NamedTuple
@@ -31,6 +33,7 @@ from ..devices.base import DeviceDeadError
 from ..sim.engine import Interrupted
 from ..sim.record import Record
 from ..sim.rng import make_rng
+from ..telemetry.hub import NULL_SPAN
 
 
 class DeviceTimeoutError(Exception):
@@ -93,7 +96,9 @@ class CommandLifecycle:
     Lives inside the NCQ dispatch process (``yield from
     lifecycle.execute(request)``), so the queue's depth accounting is
     untouched by aborts and resets: the slot stays held across retries
-    and is released exactly once however the command ends.
+    and is released exactly once however the command ends.  Without a
+    policy the dispatch process submits to the device itself and
+    observes :attr:`latency`; ``execute`` is then never entered.
     """
 
     COUNTER_KEYS = ("timeouts", "aborts", "resets", "retries",
@@ -122,7 +127,8 @@ class CommandLifecycle:
                             **label)
         metrics.gauge("host.inflight_age", fn=device.oldest_inflight_age,
                       **label)
-        self._latency = metrics.histogram("host.cmd_latency", **label)
+        #: the ``host.cmd_latency`` histogram of every command served
+        self.latency = metrics.histogram("host.cmd_latency", **label)
         if policy is not None:
             telemetry = sim.telemetry
             probe_attrs = dict(device=device.name)
@@ -137,15 +143,13 @@ class CommandLifecycle:
                                 **probe_attrs)
 
     def execute(self, request):
-        """Run one I/O command through the full lifecycle (generator)."""
+        """Run one I/O command through the full lifecycle (generator;
+        needs a policy)."""
         begin = self.sim.now
-        if self.policy is None:
-            completed = yield self.device.submit(request)
-            self._latency.observe(self.sim.now - begin)
-            return completed
         completed = yield from self._run(
             lambda: self.device.submit(request), request.op, request.lba)
-        self._latency.observe(self.sim.now - begin)
+        if self.sim.telemetry.metrics.enabled:
+            self.latency.observe(self.sim.now - begin)
         return completed
 
     def flush(self):
@@ -162,7 +166,8 @@ class CommandLifecycle:
         (generator; needs a policy)."""
         begin = self.sim.now
         result = yield from self._run(self.device.flush_cache, "flush", None)
-        self._latency.observe(self.sim.now - begin)
+        if self.sim.telemetry.metrics.enabled:
+            self.latency.observe(self.sim.now - begin)
         return result
 
     # --- the escalation ladder -------------------------------------------
@@ -176,9 +181,10 @@ class CommandLifecycle:
             # down the ladder: the spawned service process inherits it,
             # so device spans hang under it, and the reset leg below is
             # its sibling child — blame stays exact under retries.
-            with telemetry.span("lifecycle.attempt", "host",
-                                device=self.device.name, op=op,
-                                attempt=attempt):
+            with (telemetry.span("lifecycle.attempt", "host",
+                                 device=self.device.name, op=op,
+                                 attempt=attempt)
+                  if telemetry.enabled else NULL_SPAN):
                 service = start()
                 timer = self.sim.timeout(policy.deadline)
                 timed_out = False
@@ -222,9 +228,10 @@ class CommandLifecycle:
                     if self.device.abort_command(service, cause="deadline"):
                         self.counters["aborts"] += 1
                     self.counters["resets"] += 1
-                    with telemetry.span("lifecycle.reset", "host",
-                                        device=self.device.name, op=op,
-                                        attempt=attempt):
+                    with (telemetry.span("lifecycle.reset", "host",
+                                         device=self.device.name, op=op,
+                                         attempt=attempt)
+                          if telemetry.enabled else NULL_SPAN):
                         yield from self.device.soft_reset()
                     if service.triggered and service.ok:
                         # The completion raced the abort and won.
@@ -236,9 +243,10 @@ class CommandLifecycle:
                                   lba=lba, attempts=attempt)
                 raise DeviceTimeoutError(self.device.name, op, attempt,
                                          alive=not self.device.dead)
-            with telemetry.span("lifecycle.backoff", "host",
-                                device=self.device.name, op=op,
-                                attempt=attempt):
+            with (telemetry.span("lifecycle.backoff", "host",
+                                 device=self.device.name, op=op,
+                                 attempt=attempt)
+                  if telemetry.enabled else NULL_SPAN):
                 yield self.sim.timeout(policy.backoff(attempt, self._rng))
             self.counters["retries"] += 1
 
@@ -246,7 +254,8 @@ class CommandLifecycle:
         """Wait out a reset another lifecycle is driving, if any."""
         gate = self.device._resetting
         if gate is not None:
-            with self.sim.telemetry.span("lifecycle.reset", "host",
-                                         device=self.device.name,
-                                         joined=True):
+            telemetry = self.sim.telemetry
+            with (telemetry.span("lifecycle.reset", "host",
+                                 device=self.device.name, joined=True)
+                  if telemetry.enabled else NULL_SPAN):
                 yield gate

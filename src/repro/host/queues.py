@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from ..sim.record import Record
 from ..sim.resources import Resource
+from ..telemetry.hub import NULL_SPAN
 from .lifecycle import CommandLifecycle
 
 #: the one authoritative host queue-depth default (per queue).
@@ -132,30 +133,42 @@ class SataNcq(QueueModel):
         return self.sim.process(self._dispatch(request))
 
     def _dispatch(self, request):
-        with self.sim.telemetry.span("ncq.slot", "host", op=request.op,
-                                     lba=request.lba,
-                                     device=self.device.name) as span:
+        sim = self.sim
+        telemetry = sim.telemetry
+        with (telemetry.span("ncq.slot", "host", op=request.op,
+                             lba=request.lba, device=self.device.name)
+              if telemetry.enabled else NULL_SPAN) as span:
             if not self.ordered and self._rng is not None \
                     and self.reorder_window > 1:
                 # An unordered queue may sit on a command briefly while
                 # later arrivals overtake it.
                 jitter = self._rng.random() * self.device.command_overhead \
                     * self.reorder_window
-                yield self.sim.timeout(jitter)
+                yield sim.timeout(jitter)
             # Resource.acquire_guarded, inlined on this per-command path.
-            grant = self._slots.acquire()
+            slots = self._slots
+            grant = slots.acquire()
             try:
                 yield grant
             except BaseException:
-                self._slots.cancel(grant)
+                slots.cancel(grant)
                 raise
-            self.max_observed_depth = max(self.max_observed_depth,
-                                          self._slots.in_use)
-            span.annotate(depth=self._slots.in_use)
+            depth = slots.in_use
+            if depth > self.max_observed_depth:
+                self.max_observed_depth = depth
+            if telemetry.enabled:
+                span.annotate(depth=depth)
+            lifecycle = self.lifecycle
             try:
-                completed = yield from self.lifecycle.execute(request)
+                if lifecycle.policy is None:
+                    begin = sim.now
+                    completed = yield self.device.submit(request)
+                    if telemetry.metrics.enabled:
+                        lifecycle.latency.observe(sim.now - begin)
+                else:
+                    completed = yield from lifecycle.execute(request)
             finally:
-                self._slots.release()
+                slots.release()
         return completed
 
     def flush(self):
@@ -263,24 +276,34 @@ class NvmeMultiQueue(QueueModel):
         return self.sim.process(self._dispatch(self.route(request), request))
 
     def _dispatch(self, index, request):
-        with self.sim.telemetry.span("queue.slot", "host", op=request.op,
-                                     lba=request.lba,
-                                     device=self.device.name,
-                                     queue=index) as span:
+        sim = self.sim
+        telemetry = sim.telemetry
+        with (telemetry.span("queue.slot", "host", op=request.op,
+                             lba=request.lba, device=self.device.name,
+                             queue=index)
+              if telemetry.enabled else NULL_SPAN) as span:
             if self._skew[index]:
                 # Arbitration fetch offset: higher-numbered queues are
                 # visited later in the controller's round.
-                yield self.sim.timeout(self._skew[index])
+                yield sim.timeout(self._skew[index])
             slots = self._slots[index]
             yield from slots.acquire_guarded()
-            self.per_queue_max[index] = max(self.per_queue_max[index],
-                                            slots.in_use)
-            self.max_observed_depth = max(self.max_observed_depth,
-                                          slots.in_use)
-            span.annotate(depth=slots.in_use)
+            depth = slots.in_use
+            if depth > self.per_queue_max[index]:
+                self.per_queue_max[index] = depth
+            if depth > self.max_observed_depth:
+                self.max_observed_depth = depth
+            if telemetry.enabled:
+                span.annotate(depth=depth)
+            lifecycle = self.lifecycles[index]
             try:
-                completed = yield from self.lifecycles[index].execute(
-                    request)
+                if lifecycle.policy is None:
+                    begin = sim.now
+                    completed = yield self.device.submit(request)
+                    if telemetry.metrics.enabled:
+                        lifecycle.latency.observe(sim.now - begin)
+                else:
+                    completed = yield from lifecycle.execute(request)
             finally:
                 slots.release()
         return completed

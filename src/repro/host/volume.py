@@ -29,6 +29,7 @@ ablation in ``repro.bench.scaling``.
 
 from ..devices.base import READ, WRITE, DeviceDeadError, IORequest
 from ..flash.torn import corrupt_kind
+from ..telemetry.hub import NULL_SPAN
 from .integrity import (
     BlockChecksums,
     CorruptDataError,
@@ -310,10 +311,11 @@ class StripedVolume(BlockTarget):
             raise ValueError("request past end of %s: lba=%d n=%d"
                              % (self.name, request.lba, request.nblocks))
         frags = self.fragments(request.lba, request.nblocks)
-        with self.sim.telemetry.span("vol.submit", "host", op=request.op,
-                                     lba=request.lba,
-                                     nblocks=request.nblocks,
-                                     fragments=len(frags)):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("vol.submit", "host", op=request.op,
+                             lba=request.lba, nblocks=request.nblocks,
+                             fragments=len(frags))
+              if telemetry.enabled else NULL_SPAN):
             pending = []
             for member, member_lba, offset, count in frags:
                 payload = (list(request.payload[offset:offset + count])
@@ -361,8 +363,9 @@ class StripedVolume(BlockTarget):
         covered = [(index, state.completed)
                    for index, state in enumerate(self._activity)
                    if state.dirty]
-        with self.sim.telemetry.span("vol.flush", "host",
-                                     fanout=len(covered)):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("vol.flush", "host", fanout=len(covered))
+              if telemetry.enabled else NULL_SPAN):
             pending = []
             for index, completed in covered:
                 event = self._queues[index].flush()
@@ -546,10 +549,12 @@ class MirroredVolume(BlockTarget):
         if request.lba + request.nblocks > self._exported:
             raise ValueError("request past end of %s: lba=%d n=%d"
                              % (self.name, request.lba, request.nblocks))
-        with self.sim.telemetry.span(
+        telemetry = self.sim.telemetry
+        with (telemetry.span(
                 "vol.submit", "host", op=request.op, lba=request.lba,
                 nblocks=request.nblocks,
-                fragments=self.width if request.op == WRITE else 1):
+                fragments=self.width if request.op == WRITE else 1)
+              if telemetry.enabled else NULL_SPAN):
             if request.op == WRITE:
                 yield from self._submit_write(request)
             else:
@@ -699,7 +704,9 @@ class MirroredVolume(BlockTarget):
         self.sim.telemetry.instant("integrity.mismatch", "host",
                                    volume=self.name, lba=lba,
                                    member=self._devices[bad_member].name)
-        with self.sim.telemetry.span("vol.repair", "host", lba=lba):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("vol.repair", "host", lba=lba)
+              if telemetry.enabled else NULL_SPAN):
             if lba in self._lost:
                 raise DetectedDataLossError(self.name, lba)
             for offset in range(1, self.width):
@@ -799,8 +806,9 @@ class MirroredVolume(BlockTarget):
         covered = [(index, state.completed)
                    for index, state in enumerate(self._activity)
                    if state.dirty and not self._dead[index]]
-        with self.sim.telemetry.span("vol.flush", "host",
-                                     fanout=len(covered)):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("vol.flush", "host", fanout=len(covered))
+              if telemetry.enabled else NULL_SPAN):
             pending = []
             for index, completed in covered:
                 event = self._queues[index].flush()
@@ -1033,9 +1041,10 @@ class Rebuilder:
     def rebuild(self, member):
         """Drain one member's missing-block list (a generator)."""
         volume = self.volume
-        with self.sim.telemetry.span(
-                "vol.rebuild", "host", volume=volume.name,
-                member=volume._devices[member].name):
+        telemetry = self.sim.telemetry
+        with (telemetry.span("vol.rebuild", "host", volume=volume.name,
+                             member=volume._devices[member].name)
+              if telemetry.enabled else NULL_SPAN):
             while True:
                 if volume._dead[member]:
                     # The replacement died too; back to claiming.

@@ -19,10 +19,10 @@ layer of the stack reports into it:
   ``trace_event`` JSON (open it in Perfetto or ``chrome://tracing``)
   or an ASCII flamegraph/summary for terminals.
 
-The hub is *zero-overhead when disabled*: every instrumentation call
-short-circuits on one attribute check, never touches the event heap,
-and never consumes randomness — simulation results are byte-identical
-with telemetry absent, disabled or enabled.
+A disabled hub costs one attribute check per instrumentation site:
+every site tests ``telemetry.enabled`` before it builds a span, never
+touches the event heap, and never consumes randomness — simulation
+results are byte-identical with telemetry absent, disabled or enabled.
 
 Quick start::
 

@@ -9,10 +9,12 @@ Design constraints (tested, not aspirational):
   are a per-hub counter, and probe sampling happens at fixed points of
   the *simulated* clock — two runs with the same seed produce
   byte-identical JSONL streams.
-* **Zero overhead when disabled.**  Every entry point short-circuits on
-  ``self.enabled``; a disabled hub never allocates a span, schedules an
-  event or reads a probe, so simulation outputs are identical with or
-  without it.
+* **Nothing recorded, nothing paid.**  Every instrumentation site tests
+  ``enabled`` before it builds a span's arguments, so a disabled hub is
+  not even called on the command path; every entry point also
+  short-circuits on ``self.enabled``.  A disabled hub never allocates a
+  span, schedules an event or reads a probe, so simulation outputs are
+  identical with or without it.
 
 Span context propagation
 ------------------------

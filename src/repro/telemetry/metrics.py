@@ -10,13 +10,14 @@ clock advances: it adds no events to the simulation and consumes no
 randomness, so a metered run is event-for-event identical to an
 unmetered one.
 
-Zero overhead when disabled
----------------------------
+Disabled registries
+-------------------
 A disabled registry (the default on every hub) hands out one shared
 no-op instrument, stores nothing, and never arms the simulator's
-telemetry tick.  Instrumented layers therefore register and update
-metrics unconditionally; the disabled path is an attribute check and a
-no-op method call.
+telemetry tick.  Instrumented layers therefore register metrics
+unconditionally.  Updates that run once per command or per operation
+test ``enabled`` first, so the disabled path is one attribute check;
+elsewhere an update may call the no-op instrument.
 
 Instrument kinds
 ----------------

@@ -16,6 +16,7 @@ from itertools import accumulate
 from ..sim import LatencyRecorder, ThroughputMeter
 from ..sim.resources import Resource
 from ..sim.rng import ZipfGenerator, make_rng
+from ..telemetry.hub import NULL_SPAN
 
 #: (operation name, weight %, kind) — the benchmark's default mix.
 OPERATION_MIX = [
@@ -237,6 +238,8 @@ class LinkBenchWorkload:
         names = [name for name, _w, _k in OPERATION_MIX]
         misses_at_start = {}
         cores = Resource(sim, capacity=self.config.host_cores)
+        telemetry = sim.telemetry
+        metrics = telemetry.metrics
 
         def client(index):
             rng = make_rng((self.config.seed, "client", index))
@@ -257,9 +260,11 @@ class LinkBenchWorkload:
                 cpu = (self.config.cpu_per_operation +
                        self._pages_touched(name) * page_kib *
                        self.config.cpu_per_page_kib)
-                with sim.telemetry.span("op." + name, "workload",
-                                        client=index, node=node):
-                    with sim.telemetry.span("op.cpu", "workload"):
+                with (telemetry.span("op." + name, "workload",
+                                     client=index, node=node)
+                      if telemetry.enabled else NULL_SPAN):
+                    with (telemetry.span("op.cpu", "workload")
+                          if telemetry.enabled else NULL_SPAN):
                         yield cores.acquire()
                         try:
                             yield sim.timeout(cpu)
@@ -273,8 +278,10 @@ class LinkBenchWorkload:
                               else result.writes)
                     target.record(latency)
                     result.meter.record(sim.now)
-                    self._op_counter.inc()
-                    self._latency_hists[self._kinds[name]].observe(latency)
+                    if metrics.enabled:
+                        self._op_counter.inc()
+                        self._latency_hists[self._kinds[name]].observe(
+                            latency)
 
         done = sim.all_of([sim.process(client(i)) for i in range(clients)])
         sim.run_until(done)

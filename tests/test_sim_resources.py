@@ -5,7 +5,7 @@ import pytest
 from repro.devices import WRITE, IORequest, make_durassd
 from repro.flash import FlashArray, FlashGeometry, FlashTiming
 from repro.host import SataNcq
-from repro.sim import Interrupted, Resource, SimulationError, Store, units
+from repro.sim import Interrupted, Resource, SimulationError, Store
 
 from conftest import run_process
 
@@ -172,7 +172,8 @@ def _guarded(sim):
 
 def _link(sim):
     device = make_durassd(sim)
-    return device._transfer(4 * units.KIB), device._link
+    request = IORequest(WRITE, 0, 1, payload=["x"])
+    return device._service(request), device._link
 
 
 def _ncq_slot(sim):
