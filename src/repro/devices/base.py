@@ -236,6 +236,11 @@ class StorageDevice:
         """The ATA flush-cache command (issued by fsync with barriers on)."""
         return self.sim.process(self._flush())
 
+    #: Bus occupancy per command beyond the data transfer itself; the
+    #: rest of ``command_overhead`` is controller latency that overlaps
+    #: across queued commands.
+    BUS_OVERHEAD = 2e-6
+
     def _service(self, request):
         if not self.powered:
             raise PowerFailedError(self.name)
@@ -405,11 +410,6 @@ class StorageDevice:
                 yield self.sim.timeout(delay)
             if not self.powered:
                 raise PowerFailedError(self.name)
-
-    #: Bus occupancy per command beyond the data transfer itself; the
-    #: rest of ``command_overhead`` is controller latency that overlaps
-    #: across queued commands.
-    BUS_OVERHEAD = 2e-6
 
     # --- gray failures: abort and soft reset ---------------------------------
     #: simulated latency of a host-initiated soft reset (COMRESET +
