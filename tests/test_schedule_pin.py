@@ -16,14 +16,24 @@ drain), and both with the cache off (write-through).  The gray worlds
 arm the command lifecycle's deadlines on the SATA queue and on a
 two-queue NVMe model, so commands time out, are aborted and unwind
 through the device's service frame while a soft reset sweeps the rest;
-the torture sweep builds one world per power-cut trial.  A change that
-moves the schedule on purpose records the new values here and says why.
+the torture sweep builds one world per power-cut trial.
+
+Each world also pins what its devices did: a digest of every device's
+completed commands, ``(op, lba, nblocks, complete_time)`` in completion
+order, device by device in creation order.  A speed change may drop
+queue entries, and so fire same-instant entries in a new order, which
+moves ``processed_events`` (it may only fall); it may not move a
+command, a completion time or the final clock.  A change that moves the
+schedule on purpose records the new values here and says why.
 """
+
+import hashlib
 
 import pytest
 
 from repro.bench import setups, table1
 from repro.db.innodb import InnoDBConfig, InnoDBEngine
+from repro.devices.base import StorageDevice
 from repro.failures import torture
 from repro.host import FileSystem, QueueTopology
 from repro.host.fio import FioJob, run_fio
@@ -46,6 +56,73 @@ PINNED = {
 #: the smoke torture sweep: (processed_events summed over every world
 #: it builds, trials)
 TORTURE_PINNED = (6665, 17)
+
+#: world -> sha256 of its devices' completed commands (see
+#: :func:`command_log`); "torture-sweep" covers every world it builds
+COMMANDS_PINNED = {
+    "fio-preconditioned":
+        "6e20af5c61220ec38f542a7aed3d56ecd65f01d01c3996ae673c5bc7326c5f6f",
+    "gray-mild-nvme-sq2":
+        "2a96b5a9b123e97f416e1c0ce61187fe9e2959b6c330e6078874f7346fe127ab",
+    "gray-mild-sata":
+        "77bf6f2b8feb17fe587a5340b6c11a67fbbe0e1a52050c9109decef90d80a5dd",
+    "linkbench-durable":
+        "e44ed1296e83b745bca8277d6deba2e05872e198c75ea511284a0e9d6d106e0e",
+    "linkbench-flush":
+        "170438fec19bd1a8116a751df9a1213845469f37e126bc32a82a54e5b022aeb1",
+    "table1-hdd-off-8":
+        "35455b5549ae27537b427190adf1a98615a6638935b12617443c6b7d9e70a6c9",
+    "table1-hdd-on-8":
+        "4bdd3090a736bf6321fdc97548971bf3051d779a762a353eca9bb4231144f873",
+    "table1-ssd-a-off-8":
+        "712528c622fc5e9acfc7aaa83655b6eb6959f5099974baf8a73b808d50da22f2",
+    "table1-ssd-a-on-8":
+        "553e01bf9c6abbab98c98d694d37e41922745f8b5e6e860f0ca642ad0d8a8279",
+    "torture-sweep":
+        "975dff2c96393997abb5fa9cf4f199d3d62b8f8cba7ecb5e583d144c7c111655",
+}
+
+
+def _subclasses(cls):
+    found = [cls]
+    for sub in cls.__subclasses__():
+        found.extend(_subclasses(sub))
+    return found
+
+
+@pytest.fixture
+def command_log(monkeypatch):
+    """Record every device's completed commands; returns a function
+    giving the digest of what was recorded so far."""
+    logs = []
+    init = StorageDevice.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._pinned_log = []
+        logs.append(self._pinned_log)
+
+    monkeypatch.setattr(StorageDevice, "__init__", recording_init)
+    for cls in _subclasses(StorageDevice):
+        if "_on_command_end" not in vars(cls):
+            continue
+        original = vars(cls)["_on_command_end"]
+
+        def recording_end(self, request, original=original):
+            self._pinned_log.append((request.op, request.lba,
+                                     request.nblocks,
+                                     repr(request.complete_time)))
+            original(self, request)
+
+        monkeypatch.setattr(cls, "_on_command_end", recording_end)
+
+    def digest():
+        text = "\n\n".join("\n".join(" ".join(map(str, entry))
+                                     for entry in log)
+                            for log in logs)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    return digest
 
 
 def fio_world():
@@ -135,12 +212,13 @@ WORLDS = {
 
 
 @pytest.mark.parametrize("name", sorted(WORLDS))
-def test_schedule_is_pinned(name):
+def test_schedule_is_pinned(name, command_log):
     sim = WORLDS[name]()
     assert (sim.processed_events, sim.now) == PINNED[name]
+    assert command_log() == COMMANDS_PINNED[name]
 
 
-def test_torture_sweep_schedule_is_pinned(monkeypatch):
+def test_torture_sweep_schedule_is_pinned(monkeypatch, command_log):
     """The smoke sweep of ``benchmarks/perf``'s torture workload: InnoDB
     on DuraSSD, 30 ops, every ack boundary a power cut."""
     worlds = []
@@ -157,3 +235,4 @@ def test_torture_sweep_schedule_is_pinned(monkeypatch):
     assert result.mode == "exhaustive" and result.clean
     events = sum(world.sim.processed_events for world in worlds)
     assert (events, len(result.trials)) == TORTURE_PINNED
+    assert command_log() == COMMANDS_PINNED["torture-sweep"]

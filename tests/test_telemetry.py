@@ -30,6 +30,7 @@ from repro.telemetry import (
     validate_chrome_trace,
     validate_trace_file,
 )
+from trace_digest import canonical_digest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -216,6 +217,14 @@ PINNED_JSONL_SHA256 = \
 PINNED_CHROME_SHA256 = \
     "fa6e22adf9360efda5fd2d00fa58cd8f97fb89ece9932da1a317247f0703883b"
 
+#: the span-ID-free digests (``trace_digest.canonical_digest``) of the
+#: same two files: what the world recorded, whatever order its
+#: same-instant entries fired in
+PINNED_JSONL_CANONICAL = \
+    "8c10a34a2bbf0c078b5735aeecd05c996ebbbb09441e063dcb2ac6fe5fd031b2"
+PINNED_CHROME_CANONICAL = \
+    "18827c18a17d476339e13900d116ed16d87db7d07abdeceb5d2235728c23a81d"
+
 
 def pinned_linkbench_world(monkeypatch):
     """The ``repro trace figure5`` world at quick size: LinkBench on
@@ -248,6 +257,14 @@ class TestPinnedStream:
         assert sha256_of(chrome) == PINNED_CHROME_SHA256
         assert hashlib.sha256(telemetry.jsonl().encode()).hexdigest() \
             == PINNED_JSONL_SHA256
+
+    def test_canonical_digests(self, tmp_path, monkeypatch):
+        telemetry = pinned_linkbench_world(monkeypatch)
+        chrome = tmp_path / "trace.json"
+        telemetry.write_chrome_trace(str(chrome))
+        assert canonical_digest(telemetry.jsonl()) == PINNED_JSONL_CANONICAL
+        assert canonical_digest(chrome.read_bytes()) \
+            == PINNED_CHROME_CANONICAL
 
 
 # --- the event log --------------------------------------------------------

@@ -14,8 +14,13 @@ and its views must come out byte for byte as committed:
 
 Text views are committed under ``tests/golden/``; the large
 machine-readable files are pinned by sha256 in
-``tests/golden/views.sha256.json``.  After a deliberate change, rerun the
-command from an empty directory and copy its files over the goldens.
+``tests/golden/views.sha256.json``.  The telemetry traces are pinned
+twice: by their raw sha256, and by the span-ID-free canonical digest of
+``trace_digest.py`` (key ``<file>.canonical``).  A refactor that only
+reorders same-instant queue entries may move the raw hash, which then
+is recorded again; the canonical digest must not move.  After a
+deliberate change, rerun the command from an empty directory and copy
+its files over the goldens.
 """
 
 import hashlib
@@ -27,6 +32,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.__main__ import main
+from trace_digest import canonical_digest
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -69,3 +75,6 @@ def test_view_matches_its_golden(stem, argv, files, tmp_path, monkeypatch):
             assert hashlib.sha256(data).hexdigest() == hashes[name], name
         else:
             assert data == (GOLDEN / name).read_bytes(), name
+        canonical = name + ".canonical"
+        if canonical in hashes:
+            assert canonical_digest(data) == hashes[canonical], canonical
