@@ -156,7 +156,7 @@ class BufferPool:
             telemetry = self.sim.telemetry
             with (telemetry.span("bp.evict_wait", "db", reason="free-wait")
                   if telemetry.enabled else NULL_SPAN):
-                yield self.sim.timeout(100e-6)
+                yield 100e-6
 
     def _evict_one(self):
         """Evict the coldest unpinned frame; flush it first if dirty.

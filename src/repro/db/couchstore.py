@@ -99,7 +99,7 @@ class CouchstoreEngine:
         Returns the update's sequence number.
         """
         self.degradation.check_writable()
-        yield self.sim.timeout(self.config.cpu_per_operation)
+        yield self.config.cpu_per_operation
         yield self._write_mutex.acquire()
         try:
             self._sequence += 1
@@ -125,7 +125,7 @@ class CouchstoreEngine:
 
     def read(self, key, rng):
         """Look a document up; most reads hit the managed cache."""
-        yield self.sim.timeout(self.config.cpu_per_operation)
+        yield self.config.cpu_per_operation
         self.counters["reads"] += 1
         if rng.random() < self.config.cache_hit_ratio:
             self.counters["cache_hits"] += 1
@@ -153,7 +153,7 @@ class CouchstoreEngine:
         so a single flush covers both; this is couchstore's (default)
         relaxed commit rather than the belt-and-braces double fsync.
         """
-        yield self.sim.timeout(self.config.commit_cpu)
+        yield self.config.commit_cpu
         try:
             header_token = [("couch-header", self._sequence)]
             offset = yield from self.filesystem.append(self.handle,

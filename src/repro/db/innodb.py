@@ -171,8 +171,8 @@ class InnoDBEngine:
             telemetry = self.sim.telemetry
             with (telemetry.span("bp.read_in", "db", page=page_no)
                   if telemetry.enabled else NULL_SPAN):
-                yield self.sim.timeout(self.config.page_size / units.KIB
-                                       * self.config.miss_cpu_per_kib)
+                yield (self.config.page_size / units.KIB
+                       * self.config.miss_cpu_per_kib)
             return 0 if version is None else version
 
         frame = yield from self.pool.fetch(key, reader)
@@ -243,7 +243,7 @@ class InnoDBEngine:
             telemetry = self.sim.telemetry
             with (telemetry.span("db.admission_wait", "db", reason=reason)
                   if telemetry.enabled else NULL_SPAN):
-                yield self.sim.timeout(config.cleaner_interval)
+                yield config.cleaner_interval
             waited += config.cleaner_interval
             reason = blocked()
 
@@ -374,7 +374,7 @@ class InnoDBEngine:
         free_target = max(2, int(self.pool.capacity *
                                  self.config.free_target_fraction))
         while not self._cleaner_stop:
-            yield self.sim.timeout(self.config.cleaner_interval)
+            yield self.config.cleaner_interval
             need_free = self.pool.free_frames < free_target
             too_dirty = (self.pool.dirty_fraction()
                          > self.config.max_dirty_fraction)
@@ -397,7 +397,7 @@ class InnoDBEngine:
                 # survive a gray device — nobody waits on this process,
                 # so an uncaught exception would crash the simulation.
                 # Back off before hammering the device again.
-                yield self.sim.timeout(10 * self.config.cleaner_interval)
+                yield 10 * self.config.cleaner_interval
                 continue
             self.counters["cleaner_batches"] += 1
             if need_free:
@@ -406,7 +406,7 @@ class InnoDBEngine:
                         break
                     self.pool.evict_clean(frame)
             # io_capacity throttle: pace background flushing.
-            yield self.sim.timeout(len(entries) / self.config.io_capacity)
+            yield len(entries) / self.config.io_capacity
 
     def _force_checkpoint(self):
         """Redo space is running out: flush every dirty page so the log

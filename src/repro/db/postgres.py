@@ -78,7 +78,7 @@ class PostgresEngine(InnoDBEngine):
         """Periodic checkpoints reset the FPW bookkeeping — every page's
         next touch pays the full-image price again."""
         while not self._cleaner_stop:
-            yield self.sim.timeout(self.config.checkpoint_interval)
+            yield self.config.checkpoint_interval
             self._fpw_logged.clear()
             self.counters["checkpoints"] += 1
 

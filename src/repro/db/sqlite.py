@@ -58,7 +58,7 @@ class SQLiteEngine:
     # --- the commit protocol (one generator per transaction) ---------------
     def write_transaction(self, page_numbers):
         """Atomically update ``page_numbers`` (versions bump by one)."""
-        yield self.sim.timeout(self.config.cpu_per_txn)
+        yield self.config.cpu_per_txn
         updates = {}
         for page_no in page_numbers:
             old = self._page_versions.get(page_no, 0)

@@ -158,7 +158,7 @@ class StorageDevice:
         self.ack_log = []
         self._ack_sequence = 0
         # Gray-failure machinery: commands currently being serviced (the
-        # Process running _service/_flush -> its request), an optional
+        # process serving each command -> its request), an optional
         # latency-fault oracle, and the single-flight soft-reset gate.
         self._inflight = {}
         self.gray_faults = None
@@ -228,20 +228,15 @@ class StorageDevice:
         }
 
     # --- host interface ----------------------------------------------------
-    def submit(self, request):
-        """Submit a request; returns its completion event."""
-        return self.sim.process(self._service(request))
+    def serve(self, request):
+        """Serve one command in the calling process (``yield from``);
+        returns the completed request.
 
-    def flush_cache(self):
-        """The ATA flush-cache command (issued by fsync with barriers on)."""
-        return self.sim.process(self._flush())
-
-    #: Bus occupancy per command beyond the data transfer itself; the
-    #: rest of ``command_overhead`` is controller latency that overlaps
-    #: across queued commands.
-    BUS_OVERHEAD = 2e-6
-
-    def _service(self, request):
+        The process that serves a command is the one an abort
+        interrupts (:meth:`abort_command`), so a caller that must be
+        able to abort a command without unwinding itself — the command
+        lifecycle's deadline race — runs it under :meth:`submit`.
+        """
         if not self.powered:
             raise PowerFailedError(self.name)
         if self.dead:
@@ -269,23 +264,16 @@ class StorageDevice:
                 # ``command_overhead`` is controller work that proceeds
                 # in parallel for queued commands (otherwise a 32-deep
                 # NCQ could never exceed ~1/command_overhead IOPS, which
-                # contradicts Table 2).  Resource.acquire_guarded,
-                # inlined on this per-command path.
+                # contradicts Table 2).
                 link = self._link
-                grant = link.acquire()
+                yield from link.acquire_guarded()
                 try:
-                    yield grant
-                except BaseException:
-                    link.cancel(grant)
-                    raise
-                try:
-                    yield sim.timeout(
-                        self.BUS_OVERHEAD
-                        + request.nblocks * units.LBA_SIZE
-                        / self.link_bandwidth)
+                    yield (self.BUS_OVERHEAD
+                           + request.nblocks * units.LBA_SIZE
+                           / self.link_bandwidth)
                 finally:
                     link.release()
-                yield sim.timeout(self.command_overhead)
+                yield self.command_overhead
                 if request.op == WRITE:
                     yield from self._write(request)
                     self.counters["writes"] += 1
@@ -309,6 +297,21 @@ class StorageDevice:
             self._inflight.pop(process, None)
         return request
 
+    def submit(self, request):
+        """Serve a request in a process of its own; returns its
+        completion event (for fan-out, and for callers that race or
+        abort the command)."""
+        return self.sim.process(self.serve(request))
+
+    def flush_cache(self):
+        """The ATA flush-cache command (issued by fsync with barriers on)."""
+        return self.sim.process(self._flush())
+
+    #: Bus occupancy per command beyond the data transfer itself; the
+    #: rest of ``command_overhead`` is controller latency that overlaps
+    #: across queued commands.
+    BUS_OVERHEAD = 2e-6
+
     def _flush(self):
         if not self.powered:
             raise PowerFailedError(self.name)
@@ -330,8 +333,7 @@ class StorageDevice:
                     if not self.cache_enabled:
                         # Nothing buffered; devices still burn time on
                         # the command.
-                        yield self.sim.timeout(
-                            self.spec.flush_cache_off_cost)
+                        yield self.spec.flush_cache_off_cost
                     else:
                         # Drain every write accepted before this command.
                         snapshot = self.cache.last_sequence
@@ -398,7 +400,7 @@ class StorageDevice:
                 if hold == math.inf:
                     yield self.sim.event()  # hung: only an abort returns
                     raise PowerFailedError(self.name)  # pragma: no cover
-                yield self.sim.timeout(hold)
+                yield hold
             if not self.powered:
                 raise PowerFailedError(self.name)
             hold = model.hold_remaining(self.sim.now)
@@ -407,7 +409,7 @@ class StorageDevice:
             with (telemetry.span("dev.fault_delay", "device",
                                  device=self.name, op=op, kind="delay")
                   if telemetry.enabled else NULL_SPAN):
-                yield self.sim.timeout(delay)
+                yield delay
             if not self.powered:
                 raise PowerFailedError(self.name)
 
@@ -467,7 +469,7 @@ class StorageDevice:
         return 0.0 if oldest is None else self.sim.now - oldest
 
     def abort_command(self, process, cause="host-abort"):
-        """Abort one in-flight command by interrupting its service process.
+        """Abort one in-flight command by interrupting the process serving it.
 
         The command is unwound wherever it is waiting (gray gate, link,
         flash lanes, cache flow control); it is never acked, and any
@@ -513,7 +515,7 @@ class StorageDevice:
                 self.abort_command(process, cause="device-reset")
             if self.gray_faults is not None:
                 self.gray_faults.on_reset(self.sim.now)
-            yield self.sim.timeout(self.RESET_TIME)
+            yield self.RESET_TIME
             yield from self._quiesce()
             self._reset_writeorder()
         finally:
@@ -660,7 +662,7 @@ class StorageDevice:
     def _commit_flush(self):
         """The flush-cache work after the drain: the fixed cost here
         (override)."""
-        yield self.sim.timeout(self.spec.flush_fixed)
+        yield self.spec.flush_fixed
 
     # --- power-failure protocol ----------------------------------------------
     def power_fail(self):

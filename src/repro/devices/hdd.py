@@ -94,7 +94,7 @@ class DiskDrive(StorageDevice):
                     "end": self.sim.now + duration,
                 }
             try:
-                yield self.sim.timeout(duration)
+                yield duration
             except BaseException:
                 # Host abort mid-access: the heads stop before the media
                 # commit, and the in-flight record must not be sheared by
@@ -132,7 +132,7 @@ class DiskDrive(StorageDevice):
         if need_media:
             yield from self._media_access(request.nbytes)
         else:
-            yield self.sim.timeout(self.spec.cache_hit_time)
+            yield self.spec.cache_hit_time
         return values
 
     # --- flusher --------------------------------------------------------------------

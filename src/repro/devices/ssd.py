@@ -200,7 +200,7 @@ class FlashSSD(StorageDevice):
         yield from self.ftl.write_slots(items)
         # Conventional write-through persists the mapping delta for every
         # command — the dominant cost the paper attributes to "cache off".
-        yield self.sim.timeout(self.spec.map_persist_writethrough)
+        yield self.spec.map_persist_writethrough
         self.ftl.mark_mapping_persisted()
 
     def _slot_items(self, request):
@@ -246,7 +246,7 @@ class FlashSSD(StorageDevice):
             for (index, _lba), value in zip(flash_lbas, results):
                 values[index] = value
         else:
-            yield self.sim.timeout(self.spec.cache_hit_time)
+            yield self.spec.cache_hit_time
         return values
 
     def _read_slot_for(self, lba):
@@ -286,7 +286,7 @@ class FlashSSD(StorageDevice):
 
     # --- flush-cache command -------------------------------------------------
     def _commit_flush(self):
-        yield self.sim.timeout(self.spec.flush_fixed + self.spec.map_persist_flush)
+        yield self.spec.flush_fixed + self.spec.map_persist_flush
         self.ftl.mark_mapping_persisted()
 
     # --- gray failures ---------------------------------------------------------
@@ -302,7 +302,7 @@ class FlashSSD(StorageDevice):
         for _ in range(8):
             if not self.array.in_flight:
                 return
-            yield self.sim.timeout(self.spec.program_time)
+            yield self.spec.program_time
 
     # --- power failure ----------------------------------------------------------
     def power_fail(self):

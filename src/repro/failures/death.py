@@ -125,7 +125,7 @@ class DeviceDeathModel:
             device.sim.process(self._countdown(device))
 
     def _countdown(self, device):
-        yield device.sim.timeout(self.die_at)
+        yield self.die_at
         device.fail_stop("scheduled-death")
 
     def on_death(self, now, cause):

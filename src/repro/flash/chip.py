@@ -86,24 +86,17 @@ class FlashArray:
     # --- operations (generators to run under sim.process or yield from) --
     # Each operation returns True on success, False when the attached
     # fault model injected a transient failure (status-register error on
-    # real NAND).  The FTL owns the retry policy.  Program and read run
-    # once per NAND page, so they take their lane with
-    # Resource.acquire_guarded inlined: no generator frame per page.
+    # real NAND).  The FTL owns the retry policy.
     def program(self, ppn):
         """Program one NAND page; yields until the program completes."""
         lane = self._lane_resources[self.lane_of_page(ppn)]
-        grant = lane.acquire()
-        try:
-            yield grant
-        except BaseException:
-            lane.cancel(grant)
-            raise
+        yield from lane.acquire_guarded()
         try:
             record = InFlightProgram(ppn, self.sim.now,
                                      self.sim.now + self.timing.program)
             self.in_flight[ppn] = record
             try:
-                yield self.sim.timeout(self.timing.program)
+                yield self.timing.program
             except BaseException:
                 # Aborted mid-program: drop the in-flight record so a
                 # later power cut cannot misattribute the tear.  (A real
@@ -125,14 +118,9 @@ class FlashArray:
         if nbytes is None:
             nbytes = self.geometry.page_size
         lane = self._lane_resources[self.lane_of_page(ppn)]
-        grant = lane.acquire()
+        yield from lane.acquire_guarded()
         try:
-            yield grant
-        except BaseException:
-            lane.cancel(grant)
-            raise
-        try:
-            yield self.sim.timeout(self.timing.read_time(nbytes))
+            yield self.timing.read_time(nbytes)
             self.counters["reads"] += 1
             if self.fault_model is not None \
                     and self.fault_model.read_fails(ppn):
@@ -145,7 +133,7 @@ class FlashArray:
         lane = self._lane_resources[self.lane_of_block(block)]
         yield from lane.acquire_guarded()
         try:
-            yield self.sim.timeout(self.timing.erase)
+            yield self.timing.erase
             self.counters["erases"] += 1
             if self.fault_model is not None \
                     and self.fault_model.erase_fails(block):

@@ -191,7 +191,7 @@ class PageMappingFTL:
             attempts = 1
             while not ok and attempts <= self._max_retries():
                 self.counters["read_retries"] += 1
-                yield self.sim.timeout(self._retry_backoff() * attempts)
+                yield self._retry_backoff() * attempts
                 ok = yield from self.array.read(ppn, self.mapping_unit)
                 attempts += 1
             if not ok:
@@ -270,7 +270,7 @@ class PageMappingFTL:
                 from ..failures.faults import FlashFaultError
                 raise FlashFaultError(
                     "program failed on %d distinct pages" % attempts)
-            yield self.sim.timeout(self._retry_backoff() * attempts)
+            yield self._retry_backoff() * attempts
             if epoch != self._epoch:
                 return
         model = None if gc else self.corruption_model
@@ -470,7 +470,7 @@ class PageMappingFTL:
             attempts = 1
             while not ok and attempts <= self._max_retries():
                 self.counters["erase_retries"] += 1
-                yield self.sim.timeout(self._retry_backoff() * attempts)
+                yield self._retry_backoff() * attempts
                 if epoch != self._epoch:
                     return None
                 ok = yield from self.array.erase(victim)

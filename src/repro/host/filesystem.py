@@ -228,7 +228,7 @@ class FileSystem:
               if telemetry.enabled else NULL_SPAN):
             request = IORequest(WRITE, lba, nblocks, payload=list(values),
                                 stream=handle.placement)
-            completed = yield self.target.submit(request)
+            completed = yield from self.target.serve(request)
             self.counters["data_writes"] += 1
             end_block = offset_bytes // units.LBA_SIZE + nblocks
             if end_block > handle.size_blocks:
@@ -249,7 +249,7 @@ class FileSystem:
               if telemetry.enabled else NULL_SPAN):
             request = IORequest(READ, lba, nblocks,
                                 stream=handle.placement)
-            completed = yield self.target.submit(request)
+            completed = yield from self.target.serve(request)
             self.counters["data_reads"] += 1
         return completed.result
 
@@ -269,7 +269,7 @@ class FileSystem:
         telemetry = self.sim.telemetry
         with (telemetry.span("fs.fsync", "host", file=handle.name)
               if telemetry.enabled else NULL_SPAN):
-            yield self.sim.timeout(FSYNC_SYSCALL_TIME)
+            yield FSYNC_SYSCALL_TIME
             self.counters["fsyncs"] += 1
             if handle.metadata_dirty:
                 yield from self._journal_commit(handle)
@@ -281,7 +281,7 @@ class FileSystem:
         telemetry = self.sim.telemetry
         with (telemetry.span("fs.fdatasync", "host", file=handle.name)
               if telemetry.enabled else NULL_SPAN):
-            yield self.sim.timeout(FSYNC_SYSCALL_TIME)
+            yield FSYNC_SYSCALL_TIME
             self.counters["fsyncs"] += 1
             yield from self._barrier_if_enabled()
 
@@ -296,7 +296,7 @@ class FileSystem:
             token = ("journal", handle.name, self._journal_sequence)
             request = IORequest(WRITE, lba, 1, payload=[token],
                                 stream="log")
-            yield self.target.submit(request)
+            yield from self.target.serve(request)
             self.counters["journal_commits"] += 1
 
     def _barrier_if_enabled(self):

@@ -234,13 +234,13 @@ class Scrubber:
     def run(self):
         while True:
             if self.paused:
-                yield self.sim.timeout(self.idle)
+                yield self.idle
                 continue
             if self._reverify:
                 yield from self._verify_rebuilt()
             else:
                 yield from self.scrub_pass()
-            yield self.sim.timeout(self.idle)
+            yield self.idle
 
     def scrub_pass(self):
         """One full walk over the tracked extent set (a generator)."""
@@ -263,7 +263,7 @@ class Scrubber:
                 # from, so treat it like an irreparable mismatch.
                 self._escalate(lba, error)
             self.counters["blocks"] += 1
-            yield self.sim.timeout(self.pace)
+            yield self.pace
         self.counters["passes"] += 1
         self.counters["found"] += \
             self.checksums.counters["mismatches"] - before
@@ -285,7 +285,7 @@ class Scrubber:
             except CorruptDataError as error:
                 self._escalate(lba, error)
             self.counters["reverified"] += 1
-            yield self.sim.timeout(self.pace)
+            yield self.pace
 
     def _escalate(self, lba, error):
         if lba in self._reported:

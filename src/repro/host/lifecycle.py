@@ -21,10 +21,12 @@ block layer implements (SCSI/ATA error handling):
    :class:`DeviceTimeoutError`; the database layer decides what survives
    (fail the transaction, demote to read-only — ``repro.db.degrade``).
 
-With ``policy=None`` the lifecycle is pass-through: the queue model's
-dispatch process submits straight to the device and only the
-``host.cmd_latency`` histogram sees the command, so calibrated
-benchmarks are unperturbed.
+With ``policy=None`` the lifecycle is pass-through: the queue model
+serves the command on the device in the calling process and only the
+``host.cmd_latency`` histogram sees it, so calibrated benchmarks are
+unperturbed.  With a policy every attempt runs in a process of its own
+(:meth:`StorageDevice.submit`), which the deadline can abort without
+unwinding the caller.
 """
 
 from typing import NamedTuple
@@ -93,11 +95,11 @@ class TimeoutPolicy(Record, _PolicyFields):
 class CommandLifecycle:
     """Drives commands against one device under a :class:`TimeoutPolicy`.
 
-    Lives inside the NCQ dispatch process (``yield from
+    Runs inside the queue model's ``serve`` (``yield from
     lifecycle.execute(request)``), so the queue's depth accounting is
     untouched by aborts and resets: the slot stays held across retries
     and is released exactly once however the command ends.  Without a
-    policy the dispatch process submits to the device itself and
+    policy the queue model serves the command on the device itself and
     observes :attr:`latency`; ``execute`` is then never entered.
     """
 
@@ -178,7 +180,7 @@ class CommandLifecycle:
         while True:
             attempt += 1
             # The attempt span is the attribution anchor for one trip
-            # down the ladder: the spawned service process inherits it,
+            # down the ladder: the attempt's own process inherits it,
             # so device spans hang under it, and the reset leg below is
             # its sibling child — blame stays exact under retries.
             with (telemetry.span("lifecycle.attempt", "host",
@@ -203,7 +205,7 @@ class CommandLifecycle:
                     raise
                 except Interrupted as exc:
                     if not (service.triggered and service.value is exc):
-                        # This dispatch process itself was interrupted
+                        # The calling process itself was interrupted
                         # (host cancel): unwind, do not retry.
                         raise
                     # Aborted underneath us: a reset initiated by another
@@ -247,7 +249,7 @@ class CommandLifecycle:
                                  device=self.device.name, op=op,
                                  attempt=attempt)
                   if telemetry.enabled else NULL_SPAN):
-                yield self.sim.timeout(policy.backoff(attempt, self._rng))
+                yield policy.backoff(attempt, self._rng)
             self.counters["retries"] += 1
 
     def _join_reset(self):

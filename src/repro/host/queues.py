@@ -53,8 +53,10 @@ class QueueModel:
     Implementations own slot accounting, dispatch ordering, and the
     command lifecycle (deadline/abort/soft-reset/retry), and expose:
 
-    * ``submit(request)`` — queue a request; returns its completion
-      event.
+    * ``serve(request)`` — a generator that serves a request in the
+      calling process (``yield from``) and returns it completed.
+    * ``submit(request)`` — the same in a process of its own; returns
+      its completion event (for callers that fan a command out).
     * ``flush()`` — issue flush-cache; returns its completion event.
     * ``outstanding`` — commands currently holding a slot, summed over
       every submission queue.
@@ -67,9 +69,15 @@ class QueueModel:
 
     interface = None
 
-    def submit(self, request):
-        """Queue a request; returns its completion event."""
+    def serve(self, request):
+        """Serve a request in the calling process (generator; returns
+        the completed request)."""
         raise NotImplementedError
+
+    def submit(self, request):
+        """Serve a request in a process of its own; returns its
+        completion event."""
+        return self.sim.process(self.serve(request))
 
     def flush(self):
         """Issue the flush-cache command; returns its completion event."""
@@ -128,11 +136,7 @@ class SataNcq(QueueModel):
     def lifecycle_counters(self):
         return dict(self.lifecycle.counters)
 
-    def submit(self, request):
-        """Queue a request; returns its completion event."""
-        return self.sim.process(self._dispatch(request))
-
-    def _dispatch(self, request):
+    def serve(self, request):
         sim = self.sim
         telemetry = sim.telemetry
         with (telemetry.span("ncq.slot", "host", op=request.op,
@@ -144,15 +148,11 @@ class SataNcq(QueueModel):
                 # later arrivals overtake it.
                 jitter = self._rng.random() * self.device.command_overhead \
                     * self.reorder_window
-                yield sim.timeout(jitter)
-            # Resource.acquire_guarded, inlined on this per-command path.
+                yield jitter
+            # The depth a command sees: the slots in use once it holds
+            # its own, counting every command that took one before it.
             slots = self._slots
-            grant = slots.acquire()
-            try:
-                yield grant
-            except BaseException:
-                slots.cancel(grant)
-                raise
+            yield from slots.acquire_guarded()
             depth = slots.in_use
             if depth > self.max_observed_depth:
                 self.max_observed_depth = depth
@@ -162,7 +162,7 @@ class SataNcq(QueueModel):
             try:
                 if lifecycle.policy is None:
                     begin = sim.now
-                    completed = yield self.device.submit(request)
+                    completed = yield from self.device.serve(request)
                     if telemetry.metrics.enabled:
                         lifecycle.latency.observe(sim.now - begin)
                 else:
@@ -271,9 +271,10 @@ class NvmeMultiQueue(QueueModel):
         self._cursor = (self._cursor + 1) % len(self._schedule)
         return index
 
-    def submit(self, request):
-        """Queue a request; returns its completion event."""
-        return self.sim.process(self._dispatch(self.route(request), request))
+    def serve(self, request):
+        # Routed now, not when the generator first runs: a submitted
+        # command takes its round-robin turn at submission.
+        return self._dispatch(self.route(request), request)
 
     def _dispatch(self, index, request):
         sim = self.sim
@@ -285,7 +286,7 @@ class NvmeMultiQueue(QueueModel):
             if self._skew[index]:
                 # Arbitration fetch offset: higher-numbered queues are
                 # visited later in the controller's round.
-                yield sim.timeout(self._skew[index])
+                yield self._skew[index]
             slots = self._slots[index]
             yield from slots.acquire_guarded()
             depth = slots.in_use
@@ -299,7 +300,7 @@ class NvmeMultiQueue(QueueModel):
             try:
                 if lifecycle.policy is None:
                     begin = sim.now
-                    completed = yield self.device.submit(request)
+                    completed = yield from self.device.serve(request)
                     if telemetry.metrics.enabled:
                         lifecycle.latency.observe(sim.now - begin)
                 else:

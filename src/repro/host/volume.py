@@ -60,8 +60,11 @@ def _observed(_event):
 class BlockTarget:
     """A flat LBA space the file system issues commands against.
 
-    Subclasses define :attr:`exported_lbas`, :meth:`submit`,
+    Subclasses define :attr:`exported_lbas`, :meth:`serve`,
     :meth:`flush`, :meth:`locate` and the member/queue inventories.
+    :meth:`serve` runs a command in the calling process (``yield
+    from``); :meth:`submit` runs it in a process of its own, for callers
+    that fan commands out and await them together.
     ``locate`` maps a target LBA to ``(device, device_lba)`` — the one
     primitive from which the untimed post-crash inspection helpers
     (:meth:`read_persistent` and friends) derive.
@@ -84,9 +87,15 @@ class BlockTarget:
         order."""
         raise NotImplementedError
 
-    def submit(self, request):
-        """Issue a request; returns its completion event."""
+    def serve(self, request):
+        """Serve a request in the calling process (generator; returns
+        the completed request)."""
         raise NotImplementedError
+
+    def submit(self, request):
+        """Serve a request in a process of its own; returns its
+        completion event."""
+        return self.sim.process(self.serve(request))
 
     def flush(self):
         """Issue flush-cache; returns its completion event."""
@@ -137,7 +146,7 @@ def as_target(sim, device_or_target, rng=None, timeout_policy=None,
 class SingleDevice(BlockTarget):
     """One device behind one command queue; a pure pass-through.
 
-    Every method delegates directly — no wrapper process, no extra
+    Every method delegates directly — no wrapper frame, no extra
     events — so a file system over ``SingleDevice(dev)`` is
     byte-identical to the historical file system built on ``dev``.
     """
@@ -162,8 +171,8 @@ class SingleDevice(BlockTarget):
     def queues(self):
         return (self.queue,)
 
-    def submit(self, request):
-        return self.queue.submit(request)
+    def serve(self, request):
+        return self.queue.serve(request)
 
     def flush(self):
         return self.queue.flush()
@@ -301,10 +310,7 @@ class StripedVolume(BlockTarget):
             nblocks -= take
         return frags
 
-    def submit(self, request):
-        return self.sim.process(self._submit(request))
-
-    def _submit(self, request):
+    def serve(self, request):
         if self.failed is not None:
             raise DeviceDeadError(self.name, self.failed)
         if request.lba + request.nblocks > self._exported:
@@ -542,10 +548,7 @@ class MirroredVolume(BlockTarget):
         if self.scrubber is not None:
             self.scrubber.pause(reason="member-dead")
 
-    def submit(self, request):
-        return self.sim.process(self._submit(request))
-
-    def _submit(self, request):
+    def serve(self, request):
         if request.lba + request.nblocks > self._exported:
             raise ValueError("request past end of %s: lba=%d n=%d"
                              % (self.name, request.lba, request.nblocks))
@@ -627,7 +630,7 @@ class MirroredVolume(BlockTarget):
         part = IORequest(READ, request.lba, request.nblocks,
                          tag=request.tag, stream=request.stream)
         try:
-            yield self._queues[primary].submit(part)
+            yield from self._queues[primary].serve(part)
         except _MEMBER_FATAL as error:
             self._member_failed(primary, error)
             yield from self._read_degraded(request)
@@ -665,7 +668,7 @@ class MirroredVolume(BlockTarget):
                 continue
             probe = IORequest(READ, lba, 1)
             try:
-                yield self._queues[member].submit(probe)
+                yield from self._queues[member].serve(probe)
             except _MEMBER_FATAL as error:
                 self._member_failed(member, error)
                 continue
@@ -715,7 +718,7 @@ class MirroredVolume(BlockTarget):
                     continue
                 probe = IORequest(READ, lba, 1)
                 try:
-                    yield self._queues[member].submit(probe)
+                    yield from self._queues[member].serve(probe)
                 except _MEMBER_FATAL as error:
                     self._member_failed(member, error)
                     continue
@@ -728,7 +731,7 @@ class MirroredVolume(BlockTarget):
                     fix = IORequest(WRITE, lba, 1, payload=[value])
                     self._activity[bad_member].submitted += 1
                     try:
-                        yield self._queues[bad_member].submit(fix)
+                        yield from self._queues[bad_member].serve(fix)
                     except _MEMBER_FATAL as error:
                         self._member_failed(bad_member, error)
                         return value  # the read itself is satisfied
@@ -781,7 +784,7 @@ class MirroredVolume(BlockTarget):
             fix = IORequest(WRITE, lba, 1, payload=[good])
             self._activity[member].submitted += 1
             try:
-                yield self._queues[member].submit(fix)
+                yield from self._queues[member].serve(fix)
             except _MEMBER_FATAL as error:
                 self._member_failed(member, error)
                 continue
@@ -885,7 +888,7 @@ class MirroredVolume(BlockTarget):
                 continue
             probe = IORequest(READ, lba, 1)
             try:
-                yield self._queues[source].submit(probe)
+                yield from self._queues[source].serve(probe)
             except _MEMBER_FATAL as error:
                 self._member_failed(source, error)
                 continue
@@ -899,7 +902,7 @@ class MirroredVolume(BlockTarget):
         fix = IORequest(WRITE, lba, 1, payload=[value])
         self._activity[member].submitted += 1
         try:
-            yield self._queues[member].submit(fix)
+            yield from self._queues[member].serve(fix)
         except _MEMBER_FATAL as error:
             self._member_failed(member, error)
             return False
@@ -1018,7 +1021,7 @@ class Rebuilder:
         while True:
             member = self._claim()
             if member is None:
-                yield self.sim.timeout(self.idle)
+                yield self.idle
                 continue
             yield from self.rebuild(member)
 
@@ -1064,7 +1067,7 @@ class Rebuilder:
                     continue
                 if copied:
                     self.counters["copied"] += 1
-                yield self.sim.timeout(self.pace)
+                yield self.pace
             self.counters["completed"] += 1
             volume.finish_rebuild(member)
 
@@ -1131,13 +1134,10 @@ class VerifyingTarget(BlockTarget):
         self.target.install_persistent(lba, value)
         self.checksums.ack(lba, value)
 
-    def submit(self, request):
-        return self.sim.process(self._submit(request))
-
-    def _submit(self, request):
+    def serve(self, request):
         checksums = self.checksums
         if request.op == READ:
-            completed = yield self.target.submit(request)
+            completed = yield from self.target.serve(request)
             for index, lba in enumerate(request.blocks):
                 value = completed.result[index]
                 if checksums.ok(lba, value):
@@ -1154,7 +1154,7 @@ class VerifyingTarget(BlockTarget):
             return completed
         for index, lba in enumerate(request.blocks):
             checksums.submit(lba, request.payload[index])
-        completed = yield self.target.submit(request)
+        completed = yield from self.target.serve(request)
         for index, lba in enumerate(request.blocks):
             checksums.ack(lba, request.payload[index])
         return completed
@@ -1207,12 +1207,12 @@ class RegionView(BlockTarget):
             raise ValueError("request past end of %s: lba=%d n=%d"
                              % (self.name, lba, nblocks))
 
-    def submit(self, request):
+    def serve(self, request):
         self._check(request.lba, request.nblocks)
         shifted = IORequest(request.op, self.base_lba + request.lba,
                             request.nblocks, payload=request.payload,
                             tag=request.tag, stream=request.stream)
-        return self.parent.submit(shifted)
+        return self.parent.serve(shifted)
 
     def flush(self):
         return self.parent.flush()
@@ -1288,10 +1288,7 @@ class PlacementVolume(BlockTarget):
                 return placement, lba - base, child
         raise ValueError("lba %d outside %s" % (lba, self.name))
 
-    def submit(self, request):
-        return self.sim.process(self._submit(request))
-
-    def _submit(self, request):
+    def serve(self, request):
         placement, child_lba, child = self._route(request.lba,
                                                   request.nblocks)
         part = IORequest(request.op, child_lba, request.nblocks,
@@ -1300,7 +1297,7 @@ class PlacementVolume(BlockTarget):
         state = self._activity[placement]
         if request.op == WRITE:
             state.submitted += 1
-        completed = yield child.submit(part)
+        completed = yield from child.serve(part)
         if request.op == WRITE:
             state.completed += 1
         else:

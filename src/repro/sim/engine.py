@@ -2,9 +2,14 @@
 
 The kernel follows the familiar generator-coroutine style: a *process*
 is a Python generator that ``yield``s :class:`Event` objects and is
-resumed when they fire.  It is deliberately minimal — just enough to
-model an I/O stack — and fully deterministic: events scheduled for the
-same instant fire in schedule order.
+resumed when they fire.  A process may also ``yield`` a bare
+non-negative number: it sleeps that many simulated seconds, exactly as
+if it had yielded ``sim.timeout(delay)``, but without building an
+event.  ``sim.timeout()`` stays for the delays that are raced or
+awaited as events (deadlines, :class:`AnyOf`, ``run_until``).  The
+kernel is deliberately minimal — just enough to model an I/O stack —
+and fully deterministic: events scheduled for the same instant fire in
+schedule order.
 
 The queue has two parts.  A wake-up due at the current instant (a
 zero-delay trigger, a process start, a resume after an already-fired
@@ -13,6 +18,16 @@ event) goes on a FIFO; any later one goes on a heap ordered by
 due at the new instant move to the FIFO in schedule order, ahead of
 anything pushed from then on, so the two parts together fire exactly
 in ``(time, schedule order)``.
+
+Same-instant order is deterministic for a given program: one seeded
+world always fires the same entries in the same order.  It is not
+promised across a refactor that drops entries — a process spawned only
+to be awaited, a hop on an already-fired event — since the entries left
+then fire in a new order within an instant.  What such a change must
+keep is what the model computes: every device command and completion
+time, every simulated number and the final clock (the schedule,
+command-order and trace pins of the test suite), while the count of
+processed entries may fall.
 
 The hot paths are written out inline: events, timeouts and processes
 push themselves onto the queue, and :meth:`Simulator.run` pops the
@@ -26,7 +41,7 @@ Example
 >>> sim = Simulator()
 >>> log = []
 >>> def worker(sim, name, delay):
-...     yield sim.timeout(delay)
+...     yield delay
 ...     log.append((sim.now, name))
 >>> p1 = sim.process(worker(sim, 'a', 2.0))
 >>> p2 = sim.process(worker(sim, 'b', 1.0))
@@ -133,6 +148,11 @@ class Event:
 _START = Event(None)
 _START._state = _PROCESSED
 
+#: The wake of a process sleeping on a bare delay: the same outcome,
+#: told apart so an interrupt knows the entry is due at ``_due``.
+_SLEEP = Event(None)
+_SLEEP._state = _PROCESSED
+
 
 class Timeout(Event):
     """An event that fires automatically after a fixed delay."""
@@ -181,12 +201,14 @@ class Process(Event):
 
     It is also its own queue entry.  While the process is alive, an entry
     *wakes* it, resuming the generator with the outcome held in
-    ``_wake``: :data:`_START` for the first resume, or the event yielded
-    when that event had already fired.  Once the process has finished,
-    its entry fires its waiters as any event's does.
+    ``_wake``: :data:`_START` for the first resume, :data:`_SLEEP` after
+    a bare delay, or the event yielded when that event had already
+    fired.  Once the process has finished, its entry fires its waiters
+    as any event's does.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_wake", "_cancelled", "span")
+    __slots__ = ("_generator", "_waiting_on", "_wake", "_due", "_stale",
+                 "span")
 
     def __init__(self, sim, generator):
         if not hasattr(generator, "send"):
@@ -198,9 +220,11 @@ class Process(Event):
         self._state = _PENDING
         self._generator = generator
         self._waiting_on = None
-        # Queued wakes that interrupt() cancelled; each still fires (and
-        # counts as a processed event) but does nothing.
-        self._cancelled = 0
+        # When a bare-delay sleep is due.
+        self._due = 0.0
+        # Due times of queued wakes that interrupt() cancelled; each
+        # still fires (and counts as a processed event) but does nothing.
+        self._stale = None
         # Telemetry span context: a spawned process inherits the span of
         # whoever spawned it, so causality follows process fan-out.
         creator = sim._active_process
@@ -235,9 +259,15 @@ class Process(Event):
 
     def _unhook(self):
         """Make sure no queued wake or waited-on event resumes the process."""
-        if self._wake is not None:
+        wake = self._wake
+        if wake is not None:
             self._wake = None
-            self._cancelled += 1
+            # Every other wake is queued on the FIFO, due now.
+            due = self._due if wake is _SLEEP else self.sim.now
+            if self._stale is None:
+                self._stale = [due]
+            else:
+                self._stale.append(due)
         target = self._waiting_on
         if target is not None:
             self._waiting_on = None
@@ -252,11 +282,19 @@ class Process(Event):
         self._unhook()
         self._throw(exception)
 
+    def _stale_at(self, when):
+        """True when the process's entry firing at ``when`` is a wake
+        that :meth:`interrupt` cancelled.  A cancelled wake is always
+        older than any live entry due at the same instant (the process
+        queues again only after it was cancelled), so the first entry
+        to fire at a cancelled wake's due time is that wake."""
+        stale = self._stale
+        return bool(stale) and when in stale
+
     def _process(self):
-        if self._cancelled:
-            # Cancelled wakes are always older than the process's live
-            # entry, so the FIFO brings them up first.
-            self._cancelled -= 1
+        stale = self._stale
+        if stale and self.sim.now in stale:
+            stale.remove(self.sim.now)
         elif self._state == _PENDING:
             wake = self._wake
             self._wake = None
@@ -312,7 +350,19 @@ class Process(Event):
                 return
         finally:
             sim._active_process = previous
-        if not isinstance(result, Event):
+        if result.__class__ is float and result >= 0.0:
+            # A bare delay, inline: the process is its own timer entry.
+            now = sim.now
+            when = now + result
+            self._wake = _SLEEP
+            self._due = when
+            if sim._profiler is not None:
+                sim._push(self, result)
+            elif when == now:
+                sim._queue.append(self)
+            else:
+                heappush(sim._heap, (when, next(sim._sequence), self))
+        elif not isinstance(result, Event):
             self._wait_on(result)
         elif result._state != _PROCESSED:
             # The common case, inline: wait on an event yet to fire.
@@ -329,7 +379,16 @@ class Process(Event):
 
     def _wait_on(self, result):
         if not isinstance(result, Event):
-            self._throw(SimulationError("process yielded a non-event: %r" % (result,)))
+            if result.__class__ in (int, float) and result >= 0:
+                self._wake = _SLEEP
+                self._due = self.sim.now + result
+                self.sim._push(self, result)
+            elif result.__class__ in (int, float):
+                self._throw(SimulationError("negative delay: %r" % (result,)))
+            else:
+                self._throw(SimulationError(
+                    "process yielded neither an event nor a delay: %r"
+                    % (result,)))
             return
         if result._state == _PROCESSED:
             # Already fired: queue the process itself to resume with the

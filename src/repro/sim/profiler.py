@@ -292,11 +292,12 @@ class SimProfiler:
         """``(layer, label)`` for the code the event runs: a resumed
         process runs the innermost generator it is suspended in,
         anything else its first callback target."""
-        if isinstance(event, Process) and (event._cancelled
-                                           or event.is_alive):
+        stale = isinstance(event, Process) \
+            and event._stale_at(self.sim.peek())
+        if isinstance(event, Process) and (stale or event.is_alive):
             # The process's own entry: a cancelled wake runs nothing, a
             # live one resumes the process itself.
-            callback = None if event._cancelled else event._resume
+            callback = None if stale else event._resume
         else:
             callback = event.callbacks[0] if event.callbacks else None
         if callback is None:

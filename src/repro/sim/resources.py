@@ -86,7 +86,8 @@ class Resource:
                 pass
 
     def acquire_guarded(self):
-        """Generator: acquire a unit, withdrawing the request on interrupt.
+        """Take a unit for the calling process, withdrawing the request
+        on interrupt.
 
         Use with ``yield from`` inside a process that may be interrupted
         (aborted commands, device resets) while queued for the resource::
@@ -96,12 +97,24 @@ class Resource:
                 ...
             finally:
                 resource.release()
+
+        A free unit is taken on the spot: nothing is yielded, so the
+        process runs on without a queue entry (it gets back an empty
+        iterable, not a generator).  Otherwise the process waits its
+        turn in FIFO order.
         """
-        grant = self.acquire()
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return ()
+        return self._wait_guarded()
+
+    def _wait_guarded(self):
+        event = Event(self.sim)
+        self._waiters.append(event)
         try:
-            yield grant
+            yield event
         except BaseException:
-            self.cancel(grant)
+            self.cancel(event)
             raise
 
 

@@ -267,7 +267,7 @@ class LinkBenchWorkload:
                           if telemetry.enabled else NULL_SPAN):
                         yield cores.acquire()
                         try:
-                            yield sim.timeout(cpu)
+                            yield cpu
                         finally:
                             cores.release()
                     yield from self._operation(name, node)

@@ -265,14 +265,14 @@ class TPCCWorkload:
                                    cum_weights=self._cum_weights)[0]
                 warehouse = rng.randrange(self.config.warehouses)
                 begin = sim.now
-                yield sim.timeout(self.config.remote_client_rtt)
+                yield self.config.remote_client_rtt
                 page_kib = self.engine.config.page_size / 1024.0
                 cpu = (self.config.cpu_per_transaction +
                        self._pages_touched(name) * page_kib *
                        self.config.cpu_per_page_kib)
                 yield cores.acquire()
                 try:
-                    yield sim.timeout(cpu)
+                    yield cpu
                 finally:
                     cores.release()
                 yield from bodies[name](rng, warehouse)

@@ -3,7 +3,8 @@
 This is the kernel of :mod:`repro.sim.engine` as it was before processes
 started queueing themselves and same-instant wake-ups moved to a FIFO:
 every triggered event, process bootstrap and already-fired relay is one
-``(time, sequence, event)`` entry on a binary heap.  It keeps only what
+``(time, sequence, event)`` entry on a binary heap, and a process that
+yields a bare delay waits on a :class:`Timeout` of that delay.  It keeps only what
 ordering depends on (no telemetry, profiler or interrupts) and exists so
 ``tests/test_sim_order.py`` can check that the production kernel fires
 every wake-up in the same order.
@@ -101,6 +102,8 @@ class Process(Event):
                 raise
             self.fail(exc)
             return
+        if isinstance(result, (int, float)):
+            result = Timeout(self.sim, result)
         if result.processed:
             relay = Event(self.sim)
             relay.callbacks.append(self._resume)

@@ -173,7 +173,7 @@ class TestAttribution:
         command = spawned[0]
         assert command.callbacks, "the client waits on the command"
         assert profiler._classify(command) == (
-            "host", "host.queues:SataNcq._dispatch")
+            "host", "host.queues:SataNcq.serve")
         sim.run()
         assert profiler.steps == sim.processed_events
         # The client's own start and its resume when the command is done.

@@ -45,7 +45,7 @@ class TestProtocol:
     def test_protocol_base_is_abstract(self, sim):
         model = QueueModel()
         with pytest.raises(NotImplementedError):
-            model.submit(None)
+            model.serve(None)
         with pytest.raises(NotImplementedError):
             model.flush()
         with pytest.raises(NotImplementedError):

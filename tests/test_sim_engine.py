@@ -147,10 +147,60 @@ class TestProcesses:
 
     def test_yield_non_event_is_error(self, sim):
         def bad():
-            yield 42
+            yield "soon"
 
         with pytest.raises(SimulationError):
             run_process(sim, bad())
+
+    def test_negative_delay_is_error(self, sim):
+        for delay in (-1e-9, -3):
+            def bad(delay=delay):
+                yield delay
+
+            with pytest.raises(SimulationError, match="negative delay"):
+                run_process(sim, bad())
+
+    def test_bare_delay_sleeps_like_a_timeout(self, sim):
+        log = []
+
+        def sleeper(name, delay):
+            value = yield delay
+            log.append((sim.now, name, value))
+
+        sim.process(sleeper("float", 2.5))
+        sim.process(sleeper("int", 1))
+        sim.process(sleeper("zero", 0.0))
+        sim.run()
+        assert log == [(0.0, "zero", None), (1.0, "int", None),
+                       (2.5, "float", None)]
+        # three starts, three wakes and three finishes; no timeouts
+        assert sim.processed_events == 9
+
+    def test_interrupted_bare_sleep_leaves_a_stale_entry(self, sim):
+        """The heap entry of a bare sleep cut short by an interrupt
+        still fires at its due time: it counts as a processed event and
+        does nothing, even after the process slept again past it and
+        woke at the same instant."""
+        log = []
+
+        def sleeper():
+            try:
+                yield 5.0
+            except Interrupted:
+                log.append(("interrupted", sim.now))
+            yield 4.0  # due at 5.0 too, scheduled after the stale entry
+            log.append(("woke", sim.now))
+            yield 2.0
+            log.append(("woke", sim.now))
+
+        process = sim.process(sleeper())
+        sim.schedule(1.0, lambda _s: process.interrupt())
+        sim.run()
+        assert log == [("interrupted", 1.0), ("woke", 5.0), ("woke", 7.0)]
+        # start, the schedule() callback, the interrupt, the stale
+        # entry, two wakes and the finish
+        assert sim.processed_events == 7
+        assert not process._stale
 
     def test_interrupt_wakes_process(self, sim):
         caught = []

@@ -4,8 +4,9 @@ Random programs run through both the production kernel and the heap-only
 reference in ``reference_engine.py``; the two must log the same
 ``(now, label, value)`` sequence, peek the same next instants and count
 the same processed events.  Programs mix zero-delay and delayed
-timeouts (including delays that vanish in the float addition
-``now + delay``), ``succeed``/``fail`` with and without delay, spawns,
+timeouts with bare delays (``yield delay``, which the reference runs as
+a timeout), including delays that vanish in the float addition
+``now + delay``, ``succeed``/``fail`` with and without delay, spawns,
 yields on already-fired events, :class:`Resource` contention and
 ``AllOf``/``AnyOf``.  Interrupts are left out: the reference keeps the
 old interrupt semantics.
@@ -27,12 +28,14 @@ DELAYS = st.sampled_from([0.0, 1e-17, 0.25, 0.5, 1.0, 3.0])
 
 OPS = st.one_of(
     st.tuples(st.just("sleep"), DELAYS),
+    st.tuples(st.just("nap"), DELAYS),
     st.tuples(st.just("trigger"), st.integers(0, N_EVENTS - 1), DELAYS,
               st.booleans()),
     st.tuples(st.just("wait"), st.integers(0, N_EVENTS - 1)),
     st.tuples(st.just("spawn"), st.integers(1, 3), st.booleans()),
     st.tuples(st.just("again")),
-    st.tuples(st.just("hold"), st.integers(0, N_RESOURCES - 1), DELAYS),
+    st.tuples(st.just("hold"), st.integers(0, N_RESOURCES - 1), DELAYS,
+              st.booleans()),
     st.tuples(st.just("all"), st.lists(DELAYS, max_size=3)),
     st.tuples(st.just("any"), st.lists(DELAYS, min_size=1, max_size=3)),
 )
@@ -72,6 +75,8 @@ def execute(sim, make_resource, program):
             if kind == "sleep":
                 last = sim.timeout(op[1], label)
                 value = yield from wait(last)
+            elif kind == "nap":
+                value = yield op[1]
             elif kind == "trigger":
                 event = events[op[1]]
                 if not event.triggered:
@@ -98,7 +103,10 @@ def execute(sim, make_resource, program):
                 resource = resources[op[1]]
                 yield resource.acquire()
                 log.append((sim.now, label, "granted"))
-                yield sim.timeout(op[2])
+                if op[3]:
+                    yield op[2]
+                else:
+                    yield sim.timeout(op[2])
                 resource.release()
             else:
                 children = [sim.timeout(delay, "%s/%d" % (label, i))
@@ -131,14 +139,16 @@ def test_same_order_as_the_heap_only_reference(program):
 def test_vanishing_delay_fires_after_everything_due_now():
     """``now + 1e-17 == now`` at t=1: that push is due now and goes
     after every wake-up already queued for this instant, as the
-    reference's heap orders it by schedule."""
-    program = ([[("sleep", 1.0), ("sleep", 1e-17), ("sleep", 0.0)],
-                [("sleep", 1.0), ("sleep", 0.0), ("sleep", 0.0)]], 2, [])
-    for sim, resource in ((Simulator(), Resource),
-                          (reference_engine.Simulator(),
-                           reference_engine.Resource)):
-        log, now, _events = execute(sim, resource, program)
-        assert [label for _t, label, _v in log] == [
-            "0.0.sleep", "1.0.sleep", "0.1.sleep", "1.1.sleep",
-            "0.2.sleep", "1.2.sleep"]
-        assert now == 1.0
+    reference's heap orders it by schedule; a bare delay that vanishes
+    the same way is ordered the same."""
+    for sleep in ("sleep", "nap"):
+        program = ([[("sleep", 1.0), (sleep, 1e-17), (sleep, 0.0)],
+                    [(sleep, 1.0), ("sleep", 0.0), (sleep, 0.0)]], 2, [])
+        for sim, resource in ((Simulator(), Resource),
+                              (reference_engine.Simulator(),
+                               reference_engine.Resource)):
+            log, now, _events = execute(sim, resource, program)
+            assert [label for _t, label, _v in log] == [
+                "0.0.sleep", "1.0.%s" % sleep, "0.1.%s" % sleep,
+                "1.1.sleep", "0.2.%s" % sleep, "1.2.%s" % sleep]
+            assert now == 1.0

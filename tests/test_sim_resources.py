@@ -167,19 +167,26 @@ def _flash(op):
 
 def _guarded(sim):
     resource = Resource(sim, capacity=1)
-    return resource.acquire_guarded(), resource
+
+    def holder():
+        yield from resource.acquire_guarded()
+        try:
+            yield 1.0
+        finally:
+            resource.release()
+    return holder(), resource
 
 
 def _link(sim):
     device = make_durassd(sim)
     request = IORequest(WRITE, 0, 1, payload=["x"])
-    return device._service(request), device._link
+    return device.serve(request), device._link
 
 
 def _ncq_slot(sim):
     queue = SataNcq(sim, make_durassd(sim), depth=1)
     request = IORequest(WRITE, 0, 1, payload=["x"])
-    return queue._dispatch(request), queue._slots
+    return queue.serve(request), queue._slots
 
 
 #: every guarded acquire: the generator and the inlined per-command ones
@@ -194,9 +201,10 @@ ACQUIRERS = {
 
 class TestGuardedAcquireUnderInterrupt:
     """An interrupted acquirer gives its unit back exactly once, whether
-    it was granted (its grant's wake still queued) or still waiting
-    (then it only leaves the queue: the holder and the waiters ahead of
-    it keep their places)."""
+    it was granted (a free unit is taken without yielding, so the
+    interrupt finds it holding the unit) or still waiting (then it only
+    leaves the queue: the holder and the waiters ahead of it keep their
+    places)."""
 
     @pytest.mark.parametrize("name", sorted(ACQUIRERS))
     @pytest.mark.parametrize("contended", [False, True])
@@ -225,7 +233,7 @@ class TestGuardedAcquireUnderInterrupt:
                 outcome.append((sim.now, "interrupted"))
 
         def interrupter(process):
-            # Runs after the victim's start, before its grant wakes it.
+            # Runs after the victim's start: it holds the unit or waits.
             process.interrupt("abort")
             yield sim.timeout(0.0)
 

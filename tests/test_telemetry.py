@@ -210,20 +210,25 @@ class TestDeterminism:
 
 
 #: sha256 of the JSONL stream and of the Chrome trace of
-#: :func:`pinned_linkbench_world`, recorded before the hub stored its
-#: events as flat tuples; the log's layout must never move a byte
+#: :func:`pinned_linkbench_world`.  Recorded again when commands began
+#: to be served in the issuing process: span IDs and the order of
+#: same-instant records moved, and so did the ``depth`` of concurrent
+#: ``ncq.slot`` spans (see the canonical digests below)
 PINNED_JSONL_SHA256 = \
-    "930d52061daf976f9da6c7c705e6886fdfa574f60a946d95df6ae6b4a679b1c5"
+    "5f42f28a51f3dcd8fcdb952b59ea3ef11de6c94661fe30aed416293a4703d628"
 PINNED_CHROME_SHA256 = \
-    "fa6e22adf9360efda5fd2d00fa58cd8f97fb89ece9932da1a317247f0703883b"
+    "adedae8048b7466626db859bea02c1553f40df0fe22006884754ee15a10ce7c4"
 
 #: the span-ID-free digests (``trace_digest.canonical_digest``) of the
 #: same two files: what the world recorded, whatever order its
-#: same-instant entries fired in
+#: same-instant entries fired in.  Recorded again once, for one field:
+#: an ``ncq.slot`` span's ``depth`` now counts the commands that took a
+#: slot before it, no longer also those that took one later in the same
+#: instant (a free slot is taken without a queue entry)
 PINNED_JSONL_CANONICAL = \
-    "8c10a34a2bbf0c078b5735aeecd05c996ebbbb09441e063dcb2ac6fe5fd031b2"
+    "13a1060fa36032c0723705c262053227f1329f776a3b56f2e6df379e5dfcb291"
 PINNED_CHROME_CANONICAL = \
-    "18827c18a17d476339e13900d116ed16d87db7d07abdeceb5d2235728c23a81d"
+    "85bbbce25390cfca0e60bdae5904bbd3ad4662a5705ea17e457bbde97b594da1"
 
 
 def pinned_linkbench_world(monkeypatch):
