@@ -153,21 +153,17 @@ def format_mapping_granularity(results):
 
 # --- flush semantics alternatives (Section 3.3) -----------------------------------
 def run_flush_semantics(world, ios=1500):
-    """fsync-heavy throughput under three barrier policies on DuraSSD
-    (each case sets the NCQ's ordering; the world, the rest)."""
+    """fsync-heavy throughput on DuraSSD with and without flush-cache
+    on every barrier, behind the ordered NCQ."""
     cases = [
-        ("flush every fsync (barrier on)", True, True),
-        ("no flush, ordered NCQ (nobarrier)", False, True),
-        ("no flush, unordered NCQ", False, False),
+        ("flush every fsync (barrier on)", True),
+        ("no flush, ordered NCQ (nobarrier)", False),
     ]
     results = []
-    for label, barriers, ordered in cases:
+    for label, barriers in cases:
         sim = world(label)
-        queues = setups.spec_of(sim).topology._replace(ordered=ordered)
-        target, _members = setups.make_data_target(sim, "durassd",
-                                                   queue_model=queues)
-        filesystem = setups.file_system(sim, target, barriers,
-                                        queue_model=queues)
+        target, _members = setups.make_data_target(sim, "durassd")
+        filesystem = setups.file_system(sim, target, barriers)
         job = FioJob(rw="randwrite", block_size=4 * units.KIB,
                      ios_per_job=min(ios, setups.ops_scale(ios)),
                      fsync_every=1)
