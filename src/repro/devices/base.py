@@ -233,9 +233,9 @@ class StorageDevice:
         returns the completed request.
 
         The process that serves a command is the one an abort
-        interrupts (:meth:`abort_command`), so a caller that must be
-        able to abort a command without unwinding itself — the command
-        lifecycle's deadline race — runs it under :meth:`submit`.
+        interrupts (:meth:`abort_command`).  The queue models and the
+        command lifecycle run every command under :meth:`submit`, so an
+        abort unwinds the command's own process, not the host's.
         """
         if not self.powered:
             raise PowerFailedError(self.name)

@@ -47,6 +47,23 @@ ARBITRATION_SKEW = 0.5
 INTERFACES = ("sata", "nvme")
 
 
+def _annotate_depth(sim, span, slots, queued):
+    """Annotate a slot span with the depth its command dispatched at:
+    the slots in use once every command that takes one this instant
+    ahead of it holds its own.
+
+    A command that waited for its slot resumes after those commands, so
+    the occupancy is read at once.  A free slot is taken on the spot,
+    ahead of same-instant arrivals still queued to run, so the read is
+    left to an entry due now, which runs where the command itself would
+    have resumed on a grant event.
+    """
+    if queued:
+        span.annotate(depth=slots.in_use)
+    else:
+        sim.schedule(0.0, lambda _sim: span.annotate(depth=slots.in_use))
+
+
 class QueueModel:
     """Protocol for a host-side command queue in front of one device.
 
@@ -149,20 +166,21 @@ class SataNcq(QueueModel):
                 jitter = self._rng.random() * self.device.command_overhead \
                     * self.reorder_window
                 yield jitter
-            # The depth a command sees: the slots in use once it holds
-            # its own, counting every command that took one before it.
             slots = self._slots
-            yield from slots.acquire_guarded()
+            queued = slots.acquire_guarded()
+            yield from queued
             depth = slots.in_use
             if depth > self.max_observed_depth:
                 self.max_observed_depth = depth
             if telemetry.enabled:
-                span.annotate(depth=depth)
+                _annotate_depth(sim, span, slots, queued)
             lifecycle = self.lifecycle
             try:
                 if lifecycle.policy is None:
+                    # Every device command passes StorageDevice.submit,
+                    # with or without a lifecycle policy.
                     begin = sim.now
-                    completed = yield from self.device.serve(request)
+                    completed = yield self.device.submit(request)
                     if telemetry.metrics.enabled:
                         lifecycle.latency.observe(sim.now - begin)
                 else:
@@ -288,19 +306,22 @@ class NvmeMultiQueue(QueueModel):
                 # visited later in the controller's round.
                 yield self._skew[index]
             slots = self._slots[index]
-            yield from slots.acquire_guarded()
+            queued = slots.acquire_guarded()
+            yield from queued
             depth = slots.in_use
             if depth > self.per_queue_max[index]:
                 self.per_queue_max[index] = depth
             if depth > self.max_observed_depth:
                 self.max_observed_depth = depth
             if telemetry.enabled:
-                span.annotate(depth=depth)
+                _annotate_depth(sim, span, slots, queued)
             lifecycle = self.lifecycles[index]
             try:
                 if lifecycle.policy is None:
+                    # Every device command passes StorageDevice.submit,
+                    # with or without a lifecycle policy.
                     begin = sim.now
-                    completed = yield from self.device.serve(request)
+                    completed = yield self.device.submit(request)
                     if telemetry.metrics.enabled:
                         lifecycle.latency.observe(sim.now - begin)
                 else:

