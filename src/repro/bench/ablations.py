@@ -16,9 +16,10 @@ These go beyond the numbered tables/figures:
 from ..core import CapacitorBank, DuraSSD
 from ..devices import IORequest
 from ..devices.presets import durassd_spec
-from ..failures import PowerFailureInjector, check_device
+from ..failures import PowerFailureInjector, check_device, check_write_order
 from ..host import FioJob, run_fio
 from ..sim import units
+from ..sim.rng import make_rng
 from ..workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 from . import setups
 from .tableio import render_table
@@ -153,28 +154,50 @@ def format_mapping_granularity(results):
 
 # --- flush semantics alternatives (Section 3.3) -----------------------------------
 def run_flush_semantics(world, ios=1500):
-    """fsync-heavy throughput on DuraSSD with and without flush-cache
-    on every barrier, behind the ordered NCQ."""
+    """fsync-heavy throughput on DuraSSD under three barrier policies,
+    and the write-order violations a power cut after the run leaves.
+
+    Four fio jobs keep several commands in flight, so the unordered
+    queue (seeded) has later arrivals to let overtake; each case sets
+    the NCQ's ordering, the world the rest.
+    """
+    jobs = 4
     cases = [
-        ("flush every fsync (barrier on)", True),
-        ("no flush, ordered NCQ (nobarrier)", False),
+        ("flush every fsync (barrier on)", True, True),
+        ("no flush, ordered NCQ (nobarrier)", False, True),
+        ("no flush, unordered NCQ", False, False),
     ]
     results = []
-    for label, barriers in cases:
+    for label, barriers, ordered in cases:
         sim = world(label)
-        target, _members = setups.make_data_target(sim, "durassd")
-        filesystem = setups.file_system(sim, target, barriers)
+        queues = setups.spec_of(sim).topology._replace(ordered=ordered)
+        rng = make_rng(("ablation-flush", label))
+        target, members = setups.make_data_target(
+            sim, "durassd", queue_model=queues, rng=rng)
+        for device in members:
+            device.record_acks = True
+        filesystem = setups.file_system(sim, target, barriers,
+                                        queue_model=queues, rng=rng)
         job = FioJob(rw="randwrite", block_size=4 * units.KIB,
-                     ios_per_job=min(ios, setups.ops_scale(ios)),
+                     numjobs=jobs,
+                     ios_per_job=max(10, setups.ops_scale(ios) // jobs),
                      fsync_every=1)
         iops = run_fio(sim, filesystem, job).iops
-        results.append({"label": label, "iops": iops})
+        injector = PowerFailureInjector(sim, list(members))
+        injector.execute_cut()
+        injector.reboot_all()
+        violations = sum(len(check_write_order(device))
+                         for device in members)
+        results.append({"label": label, "iops": iops,
+                        "order_violations": violations})
     return results
 
 
 def format_flush_semantics(results):
-    headers = ["barrier policy", "fsync-per-write IOPS"]
-    rows = [[r["label"], round(r["iops"])] for r in results]
+    headers = ["barrier policy", "fsync-per-write IOPS",
+               "order violations after power cut"]
+    rows = [[r["label"], round(r["iops"]), r["order_violations"]]
+            for r in results]
     return render_table(
         "Ablation: flush-cache vs ordered-NCQ (Section 3.3)",
         headers, rows)
@@ -185,7 +208,6 @@ def run_victim_policies(world, rounds=400):
     """Wear spread and GC effort under a hot/cold skew, greedy vs
     cost-benefit victim selection."""
     from ..flash import FlashArray, FlashGeometry, FlashTiming, PageMappingFTL
-    from ..sim.rng import make_rng
     results = []
     for policy in ("greedy", "cost-benefit"):
         sim = world(policy)

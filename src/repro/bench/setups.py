@@ -192,12 +192,14 @@ def make_device(sim, kind="durassd", cache_enabled=True,
 
 def make_data_target(sim, device_kind, capacity_bytes=DEFAULT_CAPACITY,
                      width=None, mirror=None, queue_model=None,
-                     cache_enabled=True):
+                     cache_enabled=True, rng=None):
     """``(target_or_device, member_devices)`` for the data extent.
 
     ``width``, ``mirror`` and ``queue_model`` default to the world's
-    spec.  Width 1 returns the raw device — :class:`FileSystem` wraps it
-    in a :class:`SingleDevice`.  Striped members named ``<kind>.d<i>``
+    spec; ``rng`` seeds the members' queues (an unordered queue
+    reorders only with one).  Width 1 returns the raw device —
+    :class:`FileSystem` wraps it in a :class:`SingleDevice`, and takes
+    the ``rng`` for its queue itself.  Striped members named ``<kind>.d<i>``
     each carry ``capacity / width`` (rounded up) behind their own queue
     + lifecycle; mirror replicas named ``<kind>.m<i>`` each carry the
     full capacity behind a checksum-verified :class:`MirroredVolume`.
@@ -212,7 +214,7 @@ def make_data_target(sim, device_kind, capacity_bytes=DEFAULT_CAPACITY,
             make_device(sim, device_kind, cache_enabled, capacity_bytes,
                         name="%s.m%d" % (device_kind, index))
             for index in range(mirror))
-        volume = MirroredVolume(sim, members,
+        volume = MirroredVolume(sim, members, rng=rng,
                                 timeout_policy=spec.timeout_policy(),
                                 queue_model=queue_model)
         return volume, members
@@ -224,7 +226,8 @@ def make_data_target(sim, device_kind, capacity_bytes=DEFAULT_CAPACITY,
         make_device(sim, device_kind, cache_enabled, member_bytes,
                     name="%s.d%d" % (device_kind, index))
         for index in range(width))
-    volume = StripedVolume(sim, members, timeout_policy=spec.timeout_policy(),
+    volume = StripedVolume(sim, members, rng=rng,
+                           timeout_policy=spec.timeout_policy(),
                            queue_model=queue_model)
     return volume, members
 
