@@ -26,8 +26,8 @@ def churn(device, writes, span_blocks, seed=5):
                 lba = rng.randrange(max(1, span_blocks // 10))
             else:
                 lba = rng.randrange(span_blocks)
-            yield device.submit(IORequest("write", lba, 1,
-                                          payload=[("w", index)]))
+            yield from device.submit(IORequest("write", lba, 1,
+                                               payload=[("w", index)]))
 
     process = sim.process(body())
     sim.run_until(process)

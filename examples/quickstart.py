@@ -45,7 +45,7 @@ def main():
     def writer():
         for i in range(300):
             request = IORequest("write", i, 1, payload=[("payload", i)])
-            yield device.submit(request)
+            yield from device.submit(request)
 
     process = sim.process(writer())
     sim.run_until(process)

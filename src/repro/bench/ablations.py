@@ -91,7 +91,7 @@ def run_capacitor_sweep(world, counts=(0, 1, 2, 4, 8, 15), writes=400):
             for i in range(writes):
                 request = IORequest("write", i % device.exported_lbas, 1,
                                     payload=[("w", i)])
-                yield device.submit(request)
+                yield from device.submit(request)
 
         process = sim.process(hammer())
         sim.run_until(process)

@@ -228,14 +228,13 @@ class StorageDevice:
         }
 
     # --- host interface ----------------------------------------------------
-    def serve(self, request):
+    def submit(self, request):
         """Serve one command in the calling process (``yield from``);
         returns the completed request.
 
-        The process that serves a command is the one an abort
-        interrupts (:meth:`abort_command`).  The queue models and the
-        command lifecycle run every command under :meth:`submit`, so an
-        abort unwinds the command's own process, not the host's.
+        The device's one command entry.  An abort interrupts the process
+        running it (:meth:`abort_command`): the issuer's, unless a
+        lifecycle policy runs each attempt in a process of its own.
         """
         if not self.powered:
             raise PowerFailedError(self.name)
@@ -297,22 +296,14 @@ class StorageDevice:
             self._inflight.pop(process, None)
         return request
 
-    def submit(self, request):
-        """Serve a request in a process of its own; returns its
-        completion event (for fan-out, and for callers that race or
-        abort the command)."""
-        return self.sim.process(self.serve(request))
-
-    def flush_cache(self):
-        """The ATA flush-cache command (issued by fsync with barriers on)."""
-        return self.sim.process(self._flush())
-
     #: Bus occupancy per command beyond the data transfer itself; the
     #: rest of ``command_overhead`` is controller latency that overlaps
     #: across queued commands.
     BUS_OVERHEAD = 2e-6
 
-    def _flush(self):
+    def flush_cache(self):
+        """The ATA flush-cache command (issued by fsync with barriers
+        on), served in the calling process (``yield from``)."""
         if not self.powered:
             raise PowerFailedError(self.name)
         if self.dead:
@@ -471,7 +462,8 @@ class StorageDevice:
     def abort_command(self, process, cause="host-abort"):
         """Abort one in-flight command by interrupting the process serving it.
 
-        The command is unwound wherever it is waiting (gray gate, link,
+        Without a lifecycle policy that is the issuing process.  The
+        command is unwound wherever it is waiting (gray gate, link,
         flash lanes, cache flow control); it is never acked, and any
         per-command device state is torn down via ``_on_command_abort``.
         Returns True if there was a live command to abort.

@@ -21,12 +21,11 @@ block layer implements (SCSI/ATA error handling):
    :class:`DeviceTimeoutError`; the database layer decides what survives
    (fail the transaction, demote to read-only — ``repro.db.degrade``).
 
-With ``policy=None`` the lifecycle is pass-through: the queue model
-serves the command on the device in the calling process and only the
-``host.cmd_latency`` histogram sees it, so calibrated benchmarks are
-unperturbed.  With a policy every attempt runs in a process of its own
-(:meth:`StorageDevice.submit`), which the deadline can abort without
-unwinding the caller.
+With ``policy=None`` the lifecycle is pass-through: the device serves
+the command in the issuing process, the one a fail-stop interrupts, and
+only the ``host.cmd_latency`` histogram sees it.  With a policy every
+attempt runs in a process of its own, which the deadline can abort
+without unwinding the caller.
 """
 
 from typing import NamedTuple
@@ -96,11 +95,9 @@ class CommandLifecycle:
     """Drives commands against one device under a :class:`TimeoutPolicy`.
 
     Runs inside the queue model's ``serve`` (``yield from
-    lifecycle.execute(request)``), so the queue's depth accounting is
+    lifecycle.serve(request)``), so the queue's depth accounting is
     untouched by aborts and resets: the slot stays held across retries
-    and is released exactly once however the command ends.  Without a
-    policy the queue model serves the command on the device itself and
-    observes :attr:`latency`; ``execute`` is then never entered.
+    and is released exactly once however the command ends.
     """
 
     COUNTER_KEYS = ("timeouts", "aborts", "resets", "retries",
@@ -144,23 +141,31 @@ class CommandLifecycle:
                                 device.oldest_inflight_age, "host",
                                 **probe_attrs)
 
-    def execute(self, request):
-        """Run one I/O command through the full lifecycle (generator;
-        needs a policy)."""
-        begin = self.sim.now
-        completed = yield from self._run(
-            lambda: self.device.submit(request), request.op, request.lba)
-        if self.sim.telemetry.metrics.enabled:
-            self.latency.observe(self.sim.now - begin)
+    def serve(self, request):
+        """Serve one I/O command; returns it completed (generator).
+
+        Without a policy the device serves it in the calling process,
+        behind the entries already due this instant: the same-instant
+        order every recorded simulated number was computed in.
+        """
+        sim = self.sim
+        begin = sim.now
+        if self.policy is None:
+            if sim.due_now:
+                yield 0.0
+            completed = yield from self.device.submit(request)
+        else:
+            completed = yield from self._run(
+                lambda: self.device.submit(request), request.op, request.lba)
+        if sim.telemetry.metrics.enabled:
+            self.latency.observe(sim.now - begin)
         return completed
 
     def flush(self):
-        """Issue one flush-cache command; returns its completion event.
-
-        Without a policy this is the device's own completion event, so
-        pass-through flushes add no process to the simulation."""
+        """Issue one flush-cache command in a process of its own;
+        returns its completion event."""
         if self.policy is None:
-            return self.device.flush_cache()
+            return self.sim.process(self.device.flush_cache())
         return self.sim.process(self.execute_flush())
 
     def execute_flush(self):
@@ -173,7 +178,7 @@ class CommandLifecycle:
         return result
 
     # --- the escalation ladder -------------------------------------------
-    def _run(self, start, op, lba):
+    def _run(self, command, op, lba):
         policy = self.policy
         telemetry = self.sim.telemetry
         attempt = 0
@@ -187,7 +192,7 @@ class CommandLifecycle:
                                  device=self.device.name, op=op,
                                  attempt=attempt)
                   if telemetry.enabled else NULL_SPAN):
-                service = start()
+                service = self.sim.process(command())
                 timer = self.sim.timeout(policy.deadline)
                 timed_out = False
                 try:

@@ -68,7 +68,9 @@ class QueueModel:
     """Protocol for a host-side command queue in front of one device.
 
     Implementations own slot accounting, dispatch ordering, and the
-    command lifecycle (deadline/abort/soft-reset/retry), and expose:
+    command lifecycle (deadline/abort/soft-reset/retry); without a
+    lifecycle policy a fail-stop interrupts the process running
+    ``serve``.  They expose:
 
     * ``serve(request)`` — a generator that serves a request in the
       calling process (``yield from``) and returns it completed.
@@ -174,17 +176,8 @@ class SataNcq(QueueModel):
                 self.max_observed_depth = depth
             if telemetry.enabled:
                 _annotate_depth(sim, span, slots, queued)
-            lifecycle = self.lifecycle
             try:
-                if lifecycle.policy is None:
-                    # Every device command passes StorageDevice.submit,
-                    # with or without a lifecycle policy.
-                    begin = sim.now
-                    completed = yield self.device.submit(request)
-                    if telemetry.metrics.enabled:
-                        lifecycle.latency.observe(sim.now - begin)
-                else:
-                    completed = yield from lifecycle.execute(request)
+                completed = yield from self.lifecycle.serve(request)
             finally:
                 slots.release()
         return completed
@@ -315,17 +308,8 @@ class NvmeMultiQueue(QueueModel):
                 self.max_observed_depth = depth
             if telemetry.enabled:
                 _annotate_depth(sim, span, slots, queued)
-            lifecycle = self.lifecycles[index]
             try:
-                if lifecycle.policy is None:
-                    # Every device command passes StorageDevice.submit,
-                    # with or without a lifecycle policy.
-                    begin = sim.now
-                    completed = yield self.device.submit(request)
-                    if telemetry.metrics.enabled:
-                        lifecycle.latency.observe(sim.now - begin)
-                else:
-                    completed = yield from lifecycle.execute(request)
+                completed = yield from self.lifecycles[index].serve(request)
             finally:
                 slots.release()
         return completed

@@ -385,6 +385,11 @@ class Process(Event):
                 self.sim._push(self, result)
             elif result.__class__ in (int, float):
                 self._throw(SimulationError("negative delay: %r" % (result,)))
+            elif hasattr(result, "send"):
+                self._throw(SimulationError(
+                    "process yielded a generator, %r: serve it in this "
+                    "process with 'yield from', or start it with "
+                    "sim.process() and yield that" % (result,)))
             else:
                 self._throw(SimulationError(
                     "process yielded neither an event nor a delay: %r"
@@ -521,6 +526,12 @@ class Simulator:
     def active_process(self):
         """The process whose generator is currently executing, if any."""
         return self._active_process
+
+    @property
+    def due_now(self):
+        """True while other entries are due at the current instant: a
+        process that yields ``0.0`` then resumes after all of them."""
+        return bool(self._queue)
 
     def _arm_telemetry_tick(self):
         self._tick = self.telemetry._on_clock_advance

@@ -22,7 +22,7 @@ def read(sim, dev, lba, nblocks=1):
 
 
 def _submit(dev, request):
-    completed = yield dev.submit(request)
+    completed = yield from dev.submit(request)
     return completed
 
 

@@ -186,8 +186,8 @@ class TestAtomicWriteSSD:
         device = make_fusionio(sim)
 
         def body():
-            yield device.submit(IORequest("write", 0, 4,
-                                          payload=["a", "b", "c", "d"]))
+            yield from device.submit(IORequest("write", 0, 4,
+                                               payload=["a", "b", "c", "d"]))
 
         run_process(sim, body())
         assert device.counters["atomic_writes"] == 1
@@ -201,8 +201,8 @@ class TestAtomicWriteSSD:
             for i in range(200):
                 lba = rng.randrange(100) * 4
                 payload = [("grp", i, b) for b in range(4)]
-                yield device.submit(IORequest("write", lba, 4,
-                                              payload=payload))
+                yield from device.submit(IORequest("write", lba, 4,
+                                                   payload=payload))
 
         sim.process(body())
         sim.run(until=0.004)
@@ -222,7 +222,7 @@ class TestAtomicWriteSSD:
         device = make_fusionio(sim)
 
         def body():
-            yield device.submit(IORequest("write", 0, 1, payload=["x"]))
+            yield from device.submit(IORequest("write", 0, 1, payload=["x"]))
 
         run_process(sim, body())
         device.power_fail()

@@ -30,7 +30,7 @@ from repro.failures.torture import TortureScenario
 from repro.host import MirroredVolume, Rebuilder, SataNcq, Scrubber
 from repro.host.integrity import DetectedDataLossError
 from repro.host.lifecycle import DeviceTimeoutError, TimeoutPolicy
-from repro.sim import Simulator, units
+from repro.sim import Interrupted, Simulator, units
 
 from conftest import drain, run_process
 
@@ -50,15 +50,30 @@ def make_mirror(width=2):
     return sim, MirroredVolume(sim, devices), devices
 
 
-def write(sim, target, lba, value):
+def write(sim, volume, lba, value):
+    """One write through a volume (its ``submit`` returns an event)."""
     def writer():
-        yield target.submit(IORequest("write", lba, 1, payload=[value]))
+        yield volume.submit(IORequest("write", lba, 1, payload=[value]))
     return run_process(sim, writer())
 
 
-def read(sim, target, lba):
+def read(sim, volume, lba):
     def reader():
-        request = yield target.submit(IORequest("read", lba, 1))
+        request = yield volume.submit(IORequest("read", lba, 1))
+        return request.result[0]
+    return run_process(sim, reader())
+
+
+def write_device(sim, device, lba, value):
+    """One write straight to a device, served in the calling process."""
+    def writer():
+        yield from device.submit(IORequest("write", lba, 1, payload=[value]))
+    return run_process(sim, writer())
+
+
+def read_device(sim, device, lba):
+    def reader():
+        request = yield from device.submit(IORequest("read", lba, 1))
         return request.result[0]
     return run_process(sim, reader())
 
@@ -135,7 +150,7 @@ class TestDeathSchedule:
 class TestFailStop:
     def test_sticky_and_idempotent(self, sim):
         device = make_member(sim, "dev")
-        write(sim, device, 0, "v")
+        write_device(sim, device, 0, "v")
         device.fail_stop("controller-panic")
         died_at = device.died_at
         device.fail_stop("again")  # idempotent: first cause wins
@@ -147,24 +162,25 @@ class TestFailStop:
         device = make_member(sim, "dev")
         device.fail_stop("test")
         with pytest.raises(DeviceDeadError) as info:
-            read(sim, device, 0)
+            read_device(sim, device, 0)
         assert "device dead" in str(info.value)
         assert "dev" in str(info.value)
 
     def test_death_survives_reboot(self, sim):
         device = make_member(sim, "dev")
-        write(sim, device, 0, "v")
+        write_device(sim, device, 0, "v")
         device.fail_stop("test")
         injector = PowerFailureInjector(sim, [device])
         injector.execute_cut()
         injector.reboot_all()
         assert device.dead  # a reboot restores power, not life
         with pytest.raises(DeviceDeadError):
-            write(sim, device, 1, "w")
+            write_device(sim, device, 1, "w")
 
     def test_death_aborts_inflight_commands(self, sim):
         device = make_member(sim, "dev")
-        event = device.submit(IORequest("write", 0, 1, payload=["v"]))
+        event = sim.process(
+            device.submit(IORequest("write", 0, 1, payload=["v"])))
         seen = []
 
         def waiter():
@@ -181,6 +197,44 @@ class TestFailStop:
         sim.process(killer())
         sim.run()
         assert seen == ["dead"]
+
+    def test_death_unwinds_the_issuing_process(self, sim):
+        """Without a lifecycle policy the queue serves each command in
+        the process that issues it, so a fail-stop interrupts that
+        process: it must see a hard DeviceDeadError and give its slot
+        back, and the issuer queued behind it must fail at entry."""
+        device = make_member(sim, "dev")
+        queue = SataNcq(sim, device, depth=1)
+        outcomes = {}
+        in_device = []
+
+        def issuer(name, lba):
+            try:
+                yield from queue.serve(
+                    IORequest("write", lba, 1, payload=[name]))
+            except DeviceDeadError:
+                outcomes[name] = ("dead", sim.now)
+            except Interrupted:
+                outcomes[name] = ("interrupted", sim.now)
+            else:
+                outcomes[name] = ("done", sim.now)
+
+        first = sim.process(issuer("first", 0))
+        sim.process(issuer("second", 1))
+
+        def killer():
+            yield 1e-7  # the first write is on the link
+            in_device.extend(device._inflight)
+            device.fail_stop("test")
+
+        sim.process(killer())
+        sim.run()
+        assert in_device == [first]
+        assert outcomes == {"first": ("dead", device.died_at),
+                            "second": ("dead", device.died_at)}
+        assert queue.outstanding == 0
+        assert device._inflight == {}
+        assert device.counters["writes"] == 0
 
     def test_scheduled_death_model(self, sim):
         device = make_member(sim, "dev")

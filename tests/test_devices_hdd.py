@@ -20,13 +20,13 @@ def read(sim, dev, lba, nblocks=1):
 
 
 def _submit(dev, request):
-    completed = yield dev.submit(request)
+    completed = yield from dev.submit(request)
     return completed
 
 
 def flush(sim, dev):
     def _do():
-        yield dev.flush_cache()
+        yield from dev.flush_cache()
     run_process(sim, _do())
 
 
@@ -75,7 +75,7 @@ class TestMechanicalTiming:
                 for i in range(10):
                     request = IORequest("write", (index * 1000 + i * 7) % 10000,
                                         1, payload=["x"])
-                    yield dev.submit(request)
+                    yield from dev.submit(request)
 
             done = local.all_of([local.process(worker(j))
                                  for j in range(concurrency)])
@@ -136,7 +136,7 @@ class TestPowerFailure:
 
         def writer():
             try:
-                yield dev.submit(IORequest("write", 7, 1, payload=["old"]))
+                yield from dev.submit(IORequest("write", 7, 1, payload=["old"]))
             except PowerFailedError:
                 outcome.append("failed")
             else:

@@ -23,7 +23,7 @@ def read(sim, dev, lba, nblocks=1):
 
 
 def _submit(sim, dev, request):
-    completed = yield dev.submit(request)
+    completed = yield from dev.submit(request)
     return completed
 
 
@@ -32,7 +32,7 @@ def flush(sim, dev):
 
 
 def _flush(dev):
-    yield dev.flush_cache()
+    yield from dev.flush_cache()
 
 
 class TestReadWritePath:

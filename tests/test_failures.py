@@ -34,7 +34,7 @@ def hammer(sim, device, writes=200, nblocks=1, span=500, seed=3):
             lba = rng.randrange(span) * nblocks
             request = IORequest("write", lba, nblocks,
                                 payload=[("v", i, b) for b in range(nblocks)])
-            yield device.submit(request)
+            yield from device.submit(request)
 
     return sim.process(body())
 
@@ -112,9 +112,9 @@ class TestChecker:
 
         def body():
             for i in range(20):
-                yield device.submit(IORequest("write", i, 1,
-                                              payload=[("safe", i)]))
-            yield device.flush_cache()
+                yield from device.submit(IORequest("write", i, 1,
+                                                   payload=[("safe", i)]))
+            yield from device.flush_cache()
 
         process = sim.process(body())
         sim.run_until(process)

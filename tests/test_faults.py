@@ -17,7 +17,7 @@ from repro.sim import Simulator
 def write_blocks(sim, device, count, tag="v"):
     def body():
         for i in range(count):
-            yield device.submit(IORequest("write", i, 1, payload=[(tag, i)]))
+            yield from device.submit(IORequest("write", i, 1, payload=[(tag, i)]))
 
     return sim.process(body())
 
@@ -89,7 +89,7 @@ class TestFirmwareMasking:
         device.inject_faults(TransientFaultModel(config))
         process = write_blocks(sim, device, 300)
         sim.run_until(process)
-        flush = device.flush_cache()
+        flush = sim.process(device.flush_cache())
         sim.run_until(flush)
         assert device.ftl.counters["program_retries"] > 0
         # masked: after the flush, every write is durably readable
@@ -105,13 +105,13 @@ class TestFirmwareMasking:
         device.inject_faults(TransientFaultModel(config))
         process = write_blocks(sim, device, 1)
         sim.run_until(process)
-        flush = device.flush_cache()
+        flush = sim.process(device.flush_cache())
         sim.run_until(flush)
         # clear the DRAM cache so the read must hit NAND
         device.power_fail()
         device.reboot()
         request = IORequest("read", 0, 1)
-        done = device.submit(request)
+        done = sim.process(device.submit(request))
         sim.run_until(done)
         assert is_torn(request.result[0])
         assert device.ftl.counters["uncorrectable_reads"] >= 1
@@ -185,7 +185,7 @@ class TestCapacitorDegradation:
         device.set_capacitor_health(0.01)
         process = write_blocks(sim, device, 10, tag="safe")
         sim.run_until(process)
-        flush = device.flush_cache()
+        flush = sim.process(device.flush_cache())
         sim.run_until(flush)
         device.power_fail()
         device.reboot()

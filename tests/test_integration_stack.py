@@ -121,8 +121,8 @@ class TestDeviceSubstrateUnderLoad:
 
         def body():
             for i in range(200):
-                yield device.submit(IORequest("write", 7, 1,
-                                              payload=[("v", i)]))
+                yield from device.submit(IORequest("write", 7, 1,
+                                                   payload=[("v", i)]))
 
         process = sim.process(body())
         sim.run_until(process)

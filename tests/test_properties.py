@@ -31,10 +31,10 @@ def drive(sim, device, operations):
     def body():
         for index, (lba, nblocks, flush_after) in enumerate(operations):
             payload = [("p", index, b) for b in range(nblocks)]
-            yield device.submit(IORequest("write", lba * 4, nblocks,
-                                          payload=payload))
+            yield from device.submit(IORequest("write", lba * 4, nblocks,
+                                               payload=payload))
             if flush_after:
-                yield device.flush_cache()
+                yield from device.flush_cache()
 
     return sim.process(body())
 

@@ -16,7 +16,10 @@ drain), and both with the cache off (write-through).  The gray worlds
 arm the command lifecycle's deadlines on the SATA queue and on a
 two-queue NVMe model, so commands time out, are aborted and unwind
 through the device's service frame while a soft reset sweeps the rest;
-the torture sweep builds one world per power-cut trial.
+the torture sweep builds one world per power-cut trial.  The striped
+LinkBench world is the one where same-instant order shows: its two
+members often complete commands at equal times, so a device command
+that starts earlier or later within its instant moves the schedule.
 
 Each world also pins what its devices did: a digest of every device's
 completed commands, ``(op, lba, nblocks, complete_time)`` in completion
@@ -25,6 +28,10 @@ queue entries, and so fire same-instant entries in a new order, which
 moves ``processed_events`` (it may only fall); it may not move a
 command, a completion time or the final clock.  A change that moves the
 schedule on purpose records the new values here and says why.
+
+Two worlds also pin how many processes they build, and which of them
+run a device command: none without a lifecycle policy, one per attempt
+down the escalation ladder with one.
 """
 
 import hashlib
@@ -37,29 +44,43 @@ from repro.devices.base import StorageDevice
 from repro.failures import torture
 from repro.host import FileSystem, QueueTopology
 from repro.host.fio import FioJob, run_fio
+from repro.host.lifecycle import CommandLifecycle
 from repro.sim import Simulator, units
+from repro.sim.engine import Process
 from repro.workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 
 #: world -> (processed_events, final sim.now).  The event counts fell
 #: when the command path began to serve each command in the process
-#: that issues it down to the device (no process per layer above it,
-#: no timeout per delay, no queue entry on a free resource unit); every
-#: final clock and command digest stayed as it was.
+#: that issues it, first down to the queue model (no process per layer
+#: above it, no timeout per delay, no queue entry on a free resource
+#: unit), then into the device itself when no lifecycle policy is armed
+#: (no process per device command); every final clock and command
+#: digest stayed as it was.
 PINNED = {
-    "fio-preconditioned": (42920, 0.6144665104166734),
-    "linkbench-durable": (6510, 0.18120950000000005),
-    "linkbench-flush": (7155, 0.21057079166666665),
-    "table1-hdd-on-8": (1194, 0.867186593749996),
-    "table1-ssd-a-on-8": (4897, 0.37976328125000197),
-    "table1-hdd-off-8": (573, 0.7693124374999996),
-    "table1-ssd-a-off-8": (2361, 0.5083976145833364),
+    "fio-preconditioned": (34909, 0.6144665104166734),
+    "linkbench-durable": (5657, 0.18120950000000005),
+    "linkbench-flush": (6367, 0.21057079166666665),
+    "linkbench-durable-striped": (26683, 0.18080393750000004),
+    "table1-hdd-on-8": (813, 0.867186593749996),
+    "table1-ssd-a-on-8": (3766, 0.37976328125000197),
+    "table1-hdd-off-8": (369, 0.7693124374999996),
+    "table1-ssd-a-off-8": (1955, 0.5083976145833364),
     "gray-mild-sata": (5852, 0.36081696081787723),
     "gray-mild-nvme-sq2": (6267, 0.4074456851738067),
 }
 
 #: the smoke torture sweep: (processed_events summed over every world
 #: it builds, trials)
-TORTURE_PINNED = (5094, 17)
+TORTURE_PINNED = (4526, 17)
+
+#: world -> every ``Process`` it builds.  Without a lifecycle policy
+#: no device command runs in a process of its own (the fio world's are
+#: the FTL's program groups, the flusher and the fio worker); with
+#: deadlines armed each attempt down the ladder is one.
+PROCESSES_PINNED = {
+    "fio-preconditioned": 7405,
+    "gray-mild-sata": 1127,
+}
 
 #: world -> sha256 of its devices' completed commands (see
 #: :func:`command_log`); "torture-sweep" covers every world it builds
@@ -72,6 +93,8 @@ COMMANDS_PINNED = {
         "77bf6f2b8feb17fe587a5340b6c11a67fbbe0e1a52050c9109decef90d80a5dd",
     "linkbench-durable":
         "e44ed1296e83b745bca8277d6deba2e05872e198c75ea511284a0e9d6d106e0e",
+    "linkbench-durable-striped":
+        "31351318085410ec1eef1aa73052a0e123fed4a17af6b4b39ab798ee5680eabe",
     "linkbench-flush":
         "170438fec19bd1a8116a751df9a1213845469f37e126bc32a82a54e5b022aeb1",
     "table1-hdd-off-8":
@@ -148,14 +171,15 @@ def fio_world():
     return sim
 
 
-def linkbench_world(barriers):
-    """LinkBench, 16 clients x (5 warm-up + 25) ops, on InnoDB over
-    DuraSSD data and log drives; then the cleaner and flushers drain."""
+def linkbench_world(barriers, width=1, clients=16):
+    """LinkBench, ``clients`` x (5 warm-up + 25) ops, on InnoDB over
+    DuraSSD data (striped over ``width`` drives) and log drives; then the
+    cleaner and flushers drain."""
     db_bytes = 100 * units.GIB // 256
     sim = Simulator()
     queues = QueueTopology()
-    data, _members = setups.make_data_target(
-        sim, "durassd", int(db_bytes * 2.5), width=1, mirror=1,
+    data, members = setups.make_data_target(
+        sim, "durassd", int(db_bytes * 2.5), width=width, mirror=1,
         queue_model=queues)
     log = setups.make_device(sim, "durassd",
                              capacity_bytes=max(units.GIB, db_bytes // 4),
@@ -167,11 +191,11 @@ def linkbench_world(barriers):
         doublewrite=barriers))
     workload = LinkBenchWorkload(engine,
                                  LinkBenchConfig(db_bytes=db_bytes, seed=1))
-    workload.run(clients=16, ops_per_client=25, warmup_ops=5)
+    workload.run(clients=clients, ops_per_client=25, warmup_ops=5)
     engine.stop_cleaner()
     sim.run()
-    assert (data.counters["flushes"] + log.counters["flushes"] > 0) \
-        == barriers
+    flushes = sum(device.counters["flushes"] for device in (*members, log))
+    assert (flushes > 0) == barriers
     return sim
 
 
@@ -206,6 +230,8 @@ WORLDS = {
     "fio-preconditioned": fio_world,
     "linkbench-durable": lambda: linkbench_world(barriers=False),
     "linkbench-flush": lambda: linkbench_world(barriers=True),
+    "linkbench-durable-striped": lambda: linkbench_world(
+        barriers=False, width=2, clients=64),
     "table1-hdd-on-8": lambda: table1_world("hdd", "on", 200),
     "table1-ssd-a-on-8": lambda: table1_world("ssd-a", "on", 600),
     "table1-hdd-off-8": lambda: table1_world("hdd", "off", 100),
@@ -240,3 +266,59 @@ def test_torture_sweep_schedule_is_pinned(monkeypatch, command_log):
     events = sum(world.sim.processed_events for world in worlds)
     assert (events, len(result.trials)) == TORTURE_PINNED
     assert command_log() == COMMANDS_PINNED["torture-sweep"]
+
+
+@pytest.fixture
+def process_census(monkeypatch):
+    """Count every ``Process`` built, and those that run a device
+    command (``StorageDevice.submit``) or flush (``flush_cache``)."""
+    census = {"processes": 0, "submit": 0, "flush_cache": 0}
+    commands = {StorageDevice.submit.__code__: "submit",
+                StorageDevice.flush_cache.__code__: "flush_cache"}
+    init = Process.__init__
+
+    def counting_init(self, sim, generator):
+        census["processes"] += 1
+        kind = commands.get(getattr(generator, "gi_code", None))
+        if kind is not None:
+            census[kind] += 1
+        init(self, sim, generator)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return census
+
+
+@pytest.fixture
+def lifecycle_runs(monkeypatch):
+    """Count the commands that enter the escalation ladder."""
+    runs = []
+    run = CommandLifecycle._run
+
+    def counting_run(self, *args):
+        runs.append(self)
+        return run(self, *args)
+
+    monkeypatch.setattr(CommandLifecycle, "_run", counting_run)
+    return runs
+
+
+def test_no_process_per_device_command_without_a_policy(process_census):
+    """Without a lifecycle policy every device command is served in the
+    process that issues it: the fio world builds no process for one."""
+    WORLDS["fio-preconditioned"]()
+    assert process_census["submit"] == 0
+    assert process_census["flush_cache"] == 0  # barriers are off
+    assert process_census["processes"] == PROCESSES_PINNED[
+        "fio-preconditioned"]
+
+
+def test_one_process_per_lifecycle_attempt(process_census, lifecycle_runs):
+    """With deadlines armed, each attempt down the escalation ladder is
+    one process running the device command, which the deadline can
+    abort without unwinding the issuer."""
+    WORLDS["gray-mild-sata"]()
+    attempts = len(lifecycle_runs) + sum(
+        lifecycle.counters["retries"] for lifecycle in set(lifecycle_runs))
+    assert process_census["submit"] + process_census["flush_cache"] \
+        == attempts
+    assert process_census["processes"] == PROCESSES_PINNED["gray-mild-sata"]

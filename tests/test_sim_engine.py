@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.devices import IORequest, make_durassd
 from repro.sim import Interrupted, SimulationError, Simulator, StopSimulation
 
 from conftest import run_process
@@ -151,6 +152,48 @@ class TestProcesses:
 
         with pytest.raises(SimulationError):
             run_process(sim, bad())
+
+    def test_yield_generator_names_the_fix(self, sim):
+        def inner():
+            yield 1.0
+
+        def bad():
+            yield inner()
+
+        with pytest.raises(SimulationError, match="yield from"):
+            run_process(sim, bad())
+        assert sim.now == 0.0
+
+    def test_yield_device_submit_names_the_fix(self, sim):
+        # A device command is a generator served in the calling
+        # process; yielding it, as if it were an event, must fail loudly.
+        device = make_durassd(sim, capacity_bytes=4 * 2 ** 20,
+                              cache_enabled=False)
+
+        def caller():
+            yield device.submit(IORequest("write", 0, 1, payload=["v"]))
+
+        with pytest.raises(SimulationError, match="yield from"):
+            run_process(sim, caller())
+        assert device.counters["writes"] == 0
+
+    def test_zero_sleep_resumes_after_entries_due_now(self, sim):
+        seen = []
+
+        def first():
+            seen.append(sim.due_now)  # the second's start is queued
+            yield 0.0
+            seen.append("first")
+
+        def second():
+            seen.append("second")
+            yield 1.0
+            seen.append(sim.due_now)  # nothing else is due at 1.0
+
+        sim.process(first())
+        sim.process(second())
+        sim.run()
+        assert seen == [True, "second", "first", False]
 
     def test_negative_delay_is_error(self, sim):
         for delay in (-1e-9, -3):

@@ -180,7 +180,7 @@ def _guarded(sim):
 def _link(sim):
     device = make_durassd(sim)
     request = IORequest(WRITE, 0, 1, payload=["x"])
-    return device.serve(request), device._link
+    return device.submit(request), device._link
 
 
 def _ncq_slot(sim):

@@ -210,13 +210,14 @@ class TestDeterminism:
 
 
 #: sha256 of the JSONL stream and of the Chrome trace of
-#: :func:`pinned_linkbench_world`.  Recorded again when commands began
-#: to be served in the issuing process: span IDs and the order of
-#: same-instant records moved (the canonical digests below did not)
+#: :func:`pinned_linkbench_world`.  Recorded again each time commands
+#: began to be served further down in the issuing process (to the queue
+#: model, then into the device): span IDs and the order of same-instant
+#: records moved (the canonical digests below did not)
 PINNED_JSONL_SHA256 = \
-    "7ae85c276cad9a85f4b690fab8f92c945439125c4a9672c6fd1d69dc9ac18826"
+    "12529f02468d18744efcad3dfb972b73ffe09a4ae1ca8fa81f21b9a1dcd2b4a1"
 PINNED_CHROME_SHA256 = \
-    "6cf35939b69308dabc35e15dda659fe20cf06c315fca455694e9af8b63375164"
+    "dbecd8be128cc5cc91e1f1a00f8870b325c323f475c339e403bea4d20e32d810"
 
 #: the span-ID-free digests (``trace_digest.canonical_digest``) of the
 #: same two files: what the world recorded, whatever order its

@@ -230,8 +230,8 @@ class TestNestedCuts:
 
         def body():
             for i in range(30):
-                yield device.submit(IORequest("write", i, 1,
-                                              payload=[("d", i)]))
+                yield from device.submit(IORequest("write", i, 1,
+                                                   payload=[("d", i)]))
 
         process = sim.process(body())
         sim.run_until(process)
