@@ -22,16 +22,6 @@ def make_pool(sim, n_frames=4, flush_log=None, flush_time=0.001):
     return BufferPool(sim, n_frames, flush_page), flush_log
 
 
-def reader_for(version=1, read_time=0.0005):
-    def reader():
-        yield_time = read_time
-
-        def gen():
-            yield None  # placeholder; replaced below
-        return version
-    return reader
-
-
 def simple_reader(sim, version=1, read_time=0.0005):
     def reader():
         yield sim.timeout(read_time)
@@ -64,6 +54,23 @@ class TestFetch:
         assert len(reads) == 1          # one storage read for five fetchers
         assert pool.stats["misses"] == 1
         assert pool.stats["hits"] == 4
+
+    def test_waiter_on_a_failed_read_reads_the_page_itself(self, sim):
+        pool, _log = make_pool(sim)
+
+        def failing_reader():
+            yield 0.001
+            raise OSError("read failed")
+
+        first = sim.process(pool.fetch("a", failing_reader))
+        first.callbacks.append(lambda event: None)  # observe the failure
+        waiter = sim.process(pool.fetch("a", simple_reader(sim, 5)))
+        sim.run()
+        assert not first.ok and isinstance(first.value, OSError)
+        assert waiter.ok and waiter.value.version == 5
+        assert pool.get_resident("a") is waiter.value
+        assert pool.stats["misses"] == 2 and pool.stats["hits"] == 0
+        assert pool.free_frames == pool.capacity - 1
 
     def test_lru_eviction_order(self, sim):
         pool, _log = make_pool(sim, n_frames=2)

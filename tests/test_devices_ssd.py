@@ -153,6 +153,48 @@ class TestEightKiBMapping:
         assert dev._slot_of_lba(1) == 1
 
 
+class TestFlashReadStep:
+    """What the read step does with the flash LBAs of a command."""
+
+    #: nblocks -> completion time of a read of that many unwritten LBAs
+    #: issued at t=0 on an idle DuraSSD
+    UNWRITTEN_READ_DONE = {1: 6.651041666666666e-05,
+                           4: 8.604166666666667e-05}
+
+    @pytest.mark.parametrize("nblocks", sorted(UNWRITTEN_READ_DONE))
+    def test_unwritten_lbas_read_none(self, sim, nblocks):
+        """A read of LBAs no write ever reached completes at the instant
+        of its read step, behind three turns of that instant's other
+        entries."""
+        from repro.devices import make_durassd
+        dev = make_durassd(sim)
+        done = self.UNWRITTEN_READ_DONE[nblocks]
+        log = []
+
+        def ticker():
+            yield done
+            for turn in range(6):
+                log.append(turn)
+                yield 0.0
+
+        def reader():
+            request = yield from dev.submit(IORequest("read", 10, nblocks))
+            log.append((request.complete_time, request.result))
+
+        sim.process(ticker())
+        sim.process(reader())
+        sim.run()
+        assert log == [0, 1, 2, 3, (done, [None] * nblocks), 4, 5]
+
+    def test_flushed_and_unwritten_lbas_in_one_read(self, sim):
+        from repro.devices import make_durassd
+        dev = make_durassd(sim)
+        write(sim, dev, 10, ["x"])
+        flush(sim, dev)
+        assert 10 not in dev.cache
+        assert read(sim, dev, 10, 2) == ["x", None]
+
+
 class TestPowerFailure:
     def test_unflushed_acked_writes_lost(self, sim):
         """The headline volatile-cache anomaly: acked data vanishes."""

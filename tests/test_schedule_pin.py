@@ -29,9 +29,11 @@ moves ``processed_events`` (it may only fall); it may not move a
 command, a completion time or the final clock.  A change that moves the
 schedule on purpose records the new values here and says why.
 
-Two worlds also pin how many processes they build, and which of them
+Four worlds also pin how many processes they build, and which of them
 run a device command: none without a lifecycle policy, one per attempt
-down the escalation ladder with one.
+down the escalation ladder with one.  They also pin how many of them
+read one flash slot (``FlashSSD._read_slot_for``): a read of a slot the
+FTL never mapped needs no process.
 """
 
 import hashlib
@@ -41,6 +43,7 @@ import pytest
 from repro.bench import setups, table1
 from repro.db.innodb import InnoDBConfig, InnoDBEngine
 from repro.devices.base import StorageDevice
+from repro.devices.ssd import FlashSSD
 from repro.failures import torture
 from repro.host import FileSystem, QueueTopology
 from repro.host.fio import FioJob, run_fio
@@ -73,13 +76,16 @@ PINNED = {
 #: it builds, trials)
 TORTURE_PINNED = (4526, 17)
 
-#: world -> every ``Process`` it builds.  Without a lifecycle policy
-#: no device command runs in a process of its own (the fio world's are
-#: the FTL's program groups, the flusher and the fio worker); with
-#: deadlines armed each attempt down the ladder is one.
+#: world -> (every ``Process`` it builds, those that read one flash
+#: slot).  Without a lifecycle policy no device command runs in a
+#: process of its own (the fio world's are the FTL's program groups,
+#: the flusher and the fio worker); with deadlines armed each attempt
+#: down the ladder is one.  "torture-sweep" sums every world it builds.
 PROCESSES_PINNED = {
-    "fio-preconditioned": 7405,
-    "gray-mild-sata": 1127,
+    "fio-preconditioned": (7405, 0),
+    "gray-mild-sata": (1127, 0),
+    "linkbench-durable": (881, 566),
+    "torture-sweep": (1239, 1072),
 }
 
 #: world -> sha256 of its devices' completed commands (see
@@ -248,9 +254,10 @@ def test_schedule_is_pinned(name, command_log):
     assert command_log() == COMMANDS_PINNED[name]
 
 
-def test_torture_sweep_schedule_is_pinned(monkeypatch, command_log):
+def torture_sweep(monkeypatch):
     """The smoke sweep of ``benchmarks/perf``'s torture workload: InnoDB
-    on DuraSSD, 30 ops, every ack boundary a power cut."""
+    on DuraSSD, 30 ops, every ack boundary a power cut.  Returns its
+    result and every world it built."""
     worlds = []
     build_world = torture.build_world
 
@@ -263,6 +270,11 @@ def test_torture_sweep_schedule_is_pinned(monkeypatch, command_log):
     result = torture.sweep(torture.TortureScenario(
         engine="innodb", device="durassd", ops=30, seed=1))
     assert result.mode == "exhaustive" and result.clean
+    return result, worlds
+
+
+def test_torture_sweep_schedule_is_pinned(monkeypatch, command_log):
+    result, worlds = torture_sweep(monkeypatch)
     events = sum(world.sim.processed_events for world in worlds)
     assert (events, len(result.trials)) == TORTURE_PINNED
     assert command_log() == COMMANDS_PINNED["torture-sweep"]
@@ -271,10 +283,13 @@ def test_torture_sweep_schedule_is_pinned(monkeypatch, command_log):
 @pytest.fixture
 def process_census(monkeypatch):
     """Count every ``Process`` built, and those that run a device
-    command (``StorageDevice.submit``) or flush (``flush_cache``)."""
-    census = {"processes": 0, "submit": 0, "flush_cache": 0}
+    command (``StorageDevice.submit``), a flush (``flush_cache``) or a
+    flash slot read (``FlashSSD._read_slot_for``)."""
+    census = {"processes": 0, "submit": 0, "flush_cache": 0,
+              "read_slot": 0}
     commands = {StorageDevice.submit.__code__: "submit",
-                StorageDevice.flush_cache.__code__: "flush_cache"}
+                StorageDevice.flush_cache.__code__: "flush_cache",
+                FlashSSD._read_slot_for.__code__: "read_slot"}
     init = Process.__init__
 
     def counting_init(self, sim, generator):
@@ -308,8 +323,8 @@ def test_no_process_per_device_command_without_a_policy(process_census):
     WORLDS["fio-preconditioned"]()
     assert process_census["submit"] == 0
     assert process_census["flush_cache"] == 0  # barriers are off
-    assert process_census["processes"] == PROCESSES_PINNED[
-        "fio-preconditioned"]
+    assert (process_census["processes"], process_census["read_slot"]) \
+        == PROCESSES_PINNED["fio-preconditioned"]
 
 
 def test_one_process_per_lifecycle_attempt(process_census, lifecycle_runs):
@@ -321,4 +336,19 @@ def test_one_process_per_lifecycle_attempt(process_census, lifecycle_runs):
         lifecycle.counters["retries"] for lifecycle in set(lifecycle_runs))
     assert process_census["submit"] + process_census["flush_cache"] \
         == attempts
-    assert process_census["processes"] == PROCESSES_PINNED["gray-mild-sata"]
+    assert (process_census["processes"], process_census["read_slot"]) \
+        == PROCESSES_PINNED["gray-mild-sata"]
+
+
+@pytest.mark.parametrize("name", ["linkbench-durable", "torture-sweep"])
+def test_process_budget_of_the_innodb_page_path(name, monkeypatch,
+                                                process_census):
+    """LinkBench and the torture sweep read InnoDB pages through the
+    buffer pool down to the flash slots; both pin the processes that
+    path builds, and how many of them read a flash slot."""
+    if name == "torture-sweep":
+        torture_sweep(monkeypatch)
+    else:
+        WORLDS[name]()
+    assert (process_census["processes"], process_census["read_slot"]) \
+        == PROCESSES_PINNED[name]
