@@ -50,7 +50,9 @@ class BufferPool:
         self._frames = OrderedDict()   # key -> Frame; MRU at the end
         self._free = n_frames
         self._dirty = 0                # frames with dirty set
-        self._inflight_reads = {}      # key -> Event (page being read in)
+        # key -> page being read in: the Event its waiters wait on,
+        # None until one arrives
+        self._inflight_reads = {}
         self._eviction_flush_gate = None
         self.stats = {
             "hits": 0, "misses": 0, "evictions": 0,
@@ -99,6 +101,17 @@ class BufferPool:
         return victims
 
     # --- the access path -------------------------------------------------------
+    def lookup(self, key):
+        """The resident frame for ``key``, touched and counted as a hit,
+        or None (nothing counted): the hit half of :meth:`fetch` as a
+        plain call, so callers enter the generator path only on a
+        miss."""
+        frame = self._frames.get(key)
+        if frame is not None:
+            self._frames.move_to_end(key)
+            self.stats["hits"] += 1
+        return frame
+
     def fetch(self, key, reader):
         """Return the frame for ``key``, reading it in on a miss.
 
@@ -107,24 +120,25 @@ class BufferPool:
         read.
         """
         while True:
-            frame = self._frames.get(key)
+            frame = self.lookup(key)
             if frame is not None:
-                self._frames.move_to_end(key)
-                self.stats["hits"] += 1
                 return frame
-            inflight = self._inflight_reads.get(key)
-            if inflight is not None:
-                telemetry = self.sim.telemetry
-                with (telemetry.span("bp.read_wait", "db")
-                      if telemetry.enabled else NULL_SPAN):
-                    yield inflight
-                continue  # re-check: it should be resident now
-            return (yield from self._read_in(key, reader))
+            if key not in self._inflight_reads:
+                return (yield from self._read_in(key, reader))
+            # Another fetch is reading the page in: wait for it, then
+            # re-check (it should be resident now).  The first waiter
+            # builds the event the read fires when it ends.
+            arrival = self._inflight_reads[key]
+            if arrival is None:
+                arrival = self._inflight_reads[key] = self.sim.event()
+            telemetry = self.sim.telemetry
+            with (telemetry.span("bp.read_wait", "db")
+                  if telemetry.enabled else NULL_SPAN):
+                yield arrival
 
     def _read_in(self, key, reader):
         self.stats["misses"] += 1
-        arrival = self.sim.event()
-        self._inflight_reads[key] = arrival
+        self._inflight_reads[key] = None
         try:
             yield from self._claim_free_frame()
             try:
@@ -139,8 +153,9 @@ class BufferPool:
             self._frames[key] = frame
             return frame
         finally:
-            del self._inflight_reads[key]
-            arrival.succeed()
+            arrival = self._inflight_reads.pop(key)
+            if arrival is not None:
+                arrival.succeed()
 
     def _claim_free_frame(self):
         """Take a frame off the free list, evicting if necessary."""

@@ -180,13 +180,19 @@ class InnoDBEngine:
 
     def read_rank(self, table, rank):
         """Index lookup: touch every page on the root-to-leaf path."""
+        lookup = self.pool.lookup
+        space_id = table.space_id
         for page_no in table.path_for(rank):
-            yield from self.fetch_page(table.space_id, page_no)
+            if lookup((space_id, page_no)) is None:
+                yield from self.fetch_page(space_id, page_no)
 
     def scan(self, table, rank, row_count):
         """Range scan: descent plus the covered leaves."""
+        lookup = self.pool.lookup
+        space_id = table.space_id
         for page_no in table.pages_for_scan(rank, row_count):
-            yield from self.fetch_page(table.space_id, page_no)
+            if lookup((space_id, page_no)) is None:
+                yield from self.fetch_page(space_id, page_no)
 
     # --- write path ---------------------------------------------------------------
     def begin(self):
@@ -257,12 +263,17 @@ class InnoDBEngine:
             with (telemetry.span("txn.modify", "db", txn=txn.txn_id,
                                  table=table.name, rank=rank)
                   if telemetry.enabled else NULL_SPAN):
+                space_id = table.space_id
+                lookup = self.pool.lookup
                 path = table.path_for(rank)
                 for page_no in path[:-1]:
-                    yield from self.fetch_page(table.space_id, page_no)
+                    if lookup((space_id, page_no)) is None:
+                        yield from self.fetch_page(space_id, page_no)
                 leaf_no = path[-1]
-                yield from self._lock_page(txn, (table.space_id, leaf_no))
-                frame = yield from self.fetch_page(table.space_id, leaf_no)
+                yield from self._lock_page(txn, (space_id, leaf_no))
+                frame = lookup((space_id, leaf_no))
+                if frame is None:
+                    frame = yield from self.fetch_page(space_id, leaf_no)
                 version = self.pool.mark_dirty(frame)
                 lsn = self.wal.append(txn.txn_id, table.space_id, leaf_no,
                                       version)

@@ -229,22 +229,42 @@ class FlashSSD(StorageDevice):
         return {}
 
     # --- read path -------------------------------------------------------------
+    #: Same-instant turns a read takes when none of its flash LBAs is
+    #: mapped.  Each such LBA once got a reader process, and the read
+    #: waited on an ``AllOf`` of them: three rounds of the instant's
+    #: queue (the readers' starts, their finishes, the ``AllOf``) before
+    #: it resumed.  The turns keep that order; ROADMAP.md item 15 deletes
+    #: them together with ``CommandLifecycle.serve``'s turn.
+    UNMAPPED_READ_TURNS = 3
+
     def _read(self, request):
         self._check_range(request)
         values = []
         flash_lbas = []
+        unmapped = False
+        ftl = self.ftl
         for lba in request.blocks:
             if self.cache_enabled and lba in self.cache:
                 values.append(self.cache.get(lba))
             else:
+                # An unmapped slot reads as None without touching NAND.
                 values.append(None)
-                flash_lbas.append((len(values) - 1, lba))
+                if ftl.lookup(self._slot_of_lba(lba)) is None:
+                    unmapped = True
+                else:
+                    flash_lbas.append((len(values) - 1, lba))
         if flash_lbas:
             readers = [self.sim.process(self._read_slot_for(lba))
                        for _index, lba in flash_lbas]
             results = yield self.sim.all_of(readers)
             for (index, _lba), value in zip(flash_lbas, results):
                 values[index] = value
+        elif unmapped:
+            sim = self.sim
+            for _turn in range(self.UNMAPPED_READ_TURNS):
+                if not sim.due_now:
+                    break
+                yield 0.0
         else:
             yield self.spec.cache_hit_time
         return values

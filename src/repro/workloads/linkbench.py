@@ -182,8 +182,6 @@ class LinkBenchWorkload:
                                    self.config.range_rows)
         elif name == "MULTIGET_LINK":
             yield from engine.scan(self.link_table, link_rank, 2)
-        elif name == "GET_NODE":  # pragma: no cover - exhaustiveness
-            yield from engine.read_rank(self.node_table, node_rank)
         elif name in ("ADD_NODE", "UPDATE_NODE", "DELETE_NODE"):
             yield from self._write_txn(
                 [(self.node_table, node_rank)])

@@ -7,6 +7,7 @@ from repro.devices import make_durassd
 from repro.failures import torture
 from repro.host import FileSystem
 from repro.sim import Simulator, units
+from repro.sim.engine import Event
 from repro.workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 
 from conftest import run_process
@@ -54,6 +55,47 @@ class TestFetch:
         assert len(reads) == 1          # one storage read for five fetchers
         assert pool.stats["misses"] == 1
         assert pool.stats["hits"] == 4
+
+    def test_lookup_is_the_hit_half_of_fetch(self, sim):
+        """``lookup`` counts a hit and touches the LRU exactly as a
+        fetch that hits does, and counts nothing on a miss."""
+        pools = [make_pool(sim, n_frames=2)[0] for _ in range(2)]
+        for pool in pools:
+            run_process(sim, pool.fetch("a", simple_reader(sim)))
+            run_process(sim, pool.fetch("b", simple_reader(sim)))
+        by_fetch, by_lookup = pools
+        frame = run_process(sim, by_fetch.fetch("a", simple_reader(sim, 9)))
+        assert by_lookup.lookup("a") is by_lookup.get_resident("a")
+        assert frame is by_fetch.get_resident("a")
+        assert by_lookup.lookup("c") is None
+        assert by_lookup.stats == by_fetch.stats
+        assert by_lookup.stats["hits"] == 1
+        for pool in pools:
+            run_process(sim, pool.fetch("c", simple_reader(sim)))  # evicts b
+            assert pool.contains("a") and not pool.contains("b")
+
+    def test_lone_miss_builds_no_inflight_event(self, sim, monkeypatch):
+        pool, _log = make_pool(sim)
+        events = []
+        init = Event.__init__
+
+        def counting_init(self, sim):
+            events.append(self)
+            init(self, sim)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+
+        def reader():
+            yield 0.001
+            return 3
+
+        frame = run_process(sim, pool.fetch("a", reader))
+        assert frame.version == 3 and events == []
+        waiters = [sim.process(pool.fetch("b", reader)) for _ in range(3)]
+        sim.run()
+        assert len(events) == 1  # the first waiter's; the second shares it
+        assert all(waiter.value is pool.get_resident("b")
+                   for waiter in waiters)
 
     def test_waiter_on_a_failed_read_reads_the_page_itself(self, sim):
         pool, _log = make_pool(sim)

@@ -8,6 +8,7 @@ from repro.devices.ssd import FlashSSD
 from repro.devices.presets import ssd_a_spec
 from repro.flash import is_torn
 from repro.sim import units
+from repro.sim.engine import Process
 
 from conftest import run_process
 
@@ -153,8 +154,26 @@ class TestEightKiBMapping:
         assert dev._slot_of_lba(1) == 1
 
 
+@pytest.fixture
+def slot_readers(monkeypatch):
+    """Every ``Process`` built from here on that reads one flash slot."""
+    readers = []
+    init = Process.__init__
+
+    def counting_init(self, sim, generator):
+        if getattr(generator, "gi_code", None) \
+                is FlashSSD._read_slot_for.__code__:
+            readers.append(generator)
+        init(self, sim, generator)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return readers
+
+
 class TestFlashReadStep:
-    """What the read step does with the flash LBAs of a command."""
+    """What the read step does with the flash LBAs of a command: a slot
+    the FTL never mapped reads as None at once, a mapped one in a
+    reader process of its own."""
 
     #: nblocks -> completion time of a read of that many unwritten LBAs
     #: issued at t=0 on an idle DuraSSD
@@ -162,10 +181,10 @@ class TestFlashReadStep:
                            4: 8.604166666666667e-05}
 
     @pytest.mark.parametrize("nblocks", sorted(UNWRITTEN_READ_DONE))
-    def test_unwritten_lbas_read_none(self, sim, nblocks):
-        """A read of LBAs no write ever reached completes at the instant
-        of its read step, behind three turns of that instant's other
-        entries."""
+    def test_unwritten_lbas_read_none(self, sim, nblocks, slot_readers):
+        """A read of LBAs no write ever reached starts no process and
+        completes at the instant of its read step, behind three turns of
+        that instant's other entries."""
         from repro.devices import make_durassd
         dev = make_durassd(sim)
         done = self.UNWRITTEN_READ_DONE[nblocks]
@@ -185,14 +204,17 @@ class TestFlashReadStep:
         sim.process(reader())
         sim.run()
         assert log == [0, 1, 2, 3, (done, [None] * nblocks), 4, 5]
+        assert slot_readers == []
 
-    def test_flushed_and_unwritten_lbas_in_one_read(self, sim):
+    def test_flushed_and_unwritten_lbas_in_one_read(self, sim, slot_readers):
         from repro.devices import make_durassd
         dev = make_durassd(sim)
         write(sim, dev, 10, ["x"])
         flush(sim, dev)
         assert 10 not in dev.cache
+        del slot_readers[:]
         assert read(sim, dev, 10, 2) == ["x", None]
+        assert len(slot_readers) == 1
 
 
 class TestPowerFailure:

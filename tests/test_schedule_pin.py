@@ -57,13 +57,15 @@ from repro.workloads.linkbench import LinkBenchConfig, LinkBenchWorkload
 #: that issues it, first down to the queue model (no process per layer
 #: above it, no timeout per delay, no queue entry on a free resource
 #: unit), then into the device itself when no lifecycle policy is armed
-#: (no process per device command); every final clock and command
-#: digest stayed as it was.
+#: (no process per device command), and once more when a read of flash
+#: slots the FTL never mapped stopped starting a reader process per
+#: slot and a buffer-pool read-in stopped firing an event nobody waits
+#: on; every final clock and command digest stayed as it was.
 PINNED = {
     "fio-preconditioned": (34909, 0.6144665104166734),
-    "linkbench-durable": (5657, 0.18120950000000005),
-    "linkbench-flush": (6367, 0.21057079166666665),
-    "linkbench-durable-striped": (26683, 0.18080393750000004),
+    "linkbench-durable": (3924, 0.18120950000000005),
+    "linkbench-flush": (4638, 0.21057079166666665),
+    "linkbench-durable-striped": (20763, 0.18080393750000004),
     "table1-hdd-on-8": (813, 0.867186593749996),
     "table1-ssd-a-on-8": (3766, 0.37976328125000197),
     "table1-hdd-off-8": (369, 0.7693124374999996),
@@ -74,7 +76,7 @@ PINNED = {
 
 #: the smoke torture sweep: (processed_events summed over every world
 #: it builds, trials)
-TORTURE_PINNED = (4526, 17)
+TORTURE_PINNED = (1686, 17)
 
 #: world -> (every ``Process`` it builds, those that read one flash
 #: slot).  Without a lifecycle policy no device command runs in a
@@ -84,8 +86,8 @@ TORTURE_PINNED = (4526, 17)
 PROCESSES_PINNED = {
     "fio-preconditioned": (7405, 0),
     "gray-mild-sata": (1127, 0),
-    "linkbench-durable": (881, 566),
-    "torture-sweep": (1239, 1072),
+    "linkbench-durable": (321, 6),
+    "torture-sweep": (167, 0),
 }
 
 #: world -> sha256 of its devices' completed commands (see
