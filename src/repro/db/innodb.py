@@ -204,6 +204,23 @@ class InnoDBEngine:
         yield from self.locks.acquire(txn.txn_id, key)
         txn.locks.append(key)
 
+    def _locked_leaf(self, txn, table, rank):
+        """Read the root-to-leaf path of ``rank``, lock its leaf and
+        return ``(leaf_no, frame)`` (generator).  The leaf is looked up
+        only once its lock is held."""
+        space_id = table.space_id
+        lookup = self.pool.lookup
+        path = table.path_for(rank)
+        for page_no in path[:-1]:
+            if lookup((space_id, page_no)) is None:
+                yield from self.fetch_page(space_id, page_no)
+        leaf_no = path[-1]
+        yield from self._lock_page(txn, (space_id, leaf_no))
+        frame = lookup((space_id, leaf_no))
+        if frame is None:
+            frame = yield from self.fetch_page(space_id, leaf_no)
+        return leaf_no, frame
+
     def _release_locks(self, txn):
         self.locks.release_all(txn.txn_id)
         txn.locks = []
@@ -263,17 +280,8 @@ class InnoDBEngine:
             with (telemetry.span("txn.modify", "db", txn=txn.txn_id,
                                  table=table.name, rank=rank)
                   if telemetry.enabled else NULL_SPAN):
-                space_id = table.space_id
-                lookup = self.pool.lookup
-                path = table.path_for(rank)
-                for page_no in path[:-1]:
-                    if lookup((space_id, page_no)) is None:
-                        yield from self.fetch_page(space_id, page_no)
-                leaf_no = path[-1]
-                yield from self._lock_page(txn, (space_id, leaf_no))
-                frame = lookup((space_id, leaf_no))
-                if frame is None:
-                    frame = yield from self.fetch_page(space_id, leaf_no)
+                leaf_no, frame = yield from self._locked_leaf(txn, table,
+                                                              rank)
                 version = self.pool.mark_dirty(frame)
                 lsn = self.wal.append(txn.txn_id, table.space_id, leaf_no,
                                       version)

@@ -52,17 +52,7 @@ class PostgresEngine(InnoDBEngine):
     def modify_rank(self, txn, table, rank):
         """First modification of a page after a checkpoint logs the whole
         page image; later modifications log normal records."""
-        space_id = table.space_id
-        lookup = self.pool.lookup
-        path = table.path_for(rank)
-        for page_no in path[:-1]:
-            if lookup((space_id, page_no)) is None:
-                yield from self.fetch_page(space_id, page_no)
-        leaf_no = path[-1]
-        yield from self._lock_page(txn, (space_id, leaf_no))
-        frame = lookup((space_id, leaf_no))
-        if frame is None:
-            frame = yield from self.fetch_page(space_id, leaf_no)
+        leaf_no, frame = yield from self._locked_leaf(txn, table, rank)
         version = self.pool.mark_dirty(frame)
         key = (table.space_id, leaf_no)
         if self.config.full_page_writes and key not in self._fpw_logged:
