@@ -29,11 +29,11 @@ moves ``processed_events`` (it may only fall); it may not move a
 command, a completion time or the final clock.  A change that moves the
 schedule on purpose records the new values here and says why.
 
-Four worlds also pin how many processes they build, and which of them
-run a device command: none without a lifecycle policy, one per attempt
-down the escalation ladder with one.  They also pin how many of them
-read one flash slot (``FlashSSD._read_slot_for``): a read of a slot the
-FTL never mapped needs no process.
+Four worlds also pin how many processes they build, and how many of
+them read one flash slot (``FlashSSD._read_slot_for``): a read of a slot
+the FTL never mapped needs no process.  Two of them also pin which
+processes run a device command: none without a lifecycle policy, one
+per attempt down the escalation ladder with one.
 """
 
 import hashlib
